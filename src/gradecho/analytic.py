@@ -42,16 +42,13 @@ class AnalyticParams:
     """Constant-control closed-form parameters.
 
     eta_z is the product of the coupling constant eta and the observation
-    depth z.  The delta part of the probe solution is flagged
-    (``has_forward_delta``), never evaluated as a numeric spike.
+    depth z.
     """
 
     omega_c: float
     eta_z: float
     gamma_decay: float = 1.0
     probe_amp: complex = 1.0
-
-    has_forward_delta: bool = True
 
 
 def impulse_equivalent_amplitude(probe: ProbePulse) -> complex:
@@ -91,8 +88,9 @@ def probe_closed(p: AnalyticParams, T):
 
         -(1/4) sqrt(eta_z/T) J1(sqrt(eta_z T)) exp(-Gamma T/4) cos(Omega_c T/2)
 
-    The forward delta component is reported by ``p.has_forward_delta`` and in
-    comparisons is represented by the incident regularized pulse itself.
+    The forward delta component of the solution is never evaluated as a
+    numeric spike; in comparisons the incident regularized pulse itself
+    stands in for it.
     """
     Tarr = np.asarray(T, dtype=float)
     if np.any(Tarr <= 0):

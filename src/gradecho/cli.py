@@ -24,7 +24,7 @@ from .metrics import (UndefinedMetricError, compute_echo_metrics,
 from .model import Scenario, Uniform, broadband_ordering_ok, validate_scenario
 from .scenarios import (BUILTIN_SCENARIOS, BUILTIN_SWEEPS, builtin_scenario,
                         builtin_sweep, scenario_notes)
-from .solver import DivergenceError, ResourceLimitError, integrate
+from .solver import DivergenceError, ResourceLimitError, integrate, step_plan
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -85,10 +85,13 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     name = Path(args.scenario).stem if Path(args.scenario).exists() else args.scenario
+    plan = step_plan(scenario)
     manifest = RunManifestWriter(config_hash(scenario), serialize_scenario(scenario),
                                  grid_used={"nz": scenario.grid.nz,
-                                            "dt": scenario.resolved_dt(),
-                                            "t_end": scenario.grid.t_end},
+                                            "t_end": scenario.grid.t_end,
+                                            "steps": sum(p.steps for p in plan),
+                                            "pieces": [[p.t_start, p.t_end, p.steps, p.dt]
+                                                       for p in plan]},
                                  note=note)
     record = integrate(scenario)
 

@@ -54,6 +54,7 @@ class ConfigError(ValueError):
 
 
 _TIME_SUFFIXES = {"tau": 1.0, "utau": 1e-6}
+OBSERVABLES = ("probe_in", "probe_out", "coherences")
 _RATE_SUFFIXES = {"gamma": 1.0}
 
 
@@ -200,9 +201,12 @@ def parse_scenario(text: str) -> Scenario:
     except ValueError as exc:
         raise ConfigError(f"[grid]: {exc}") from exc
 
-    outputs = _get(cp, "outputs", "observables", False,
-                   "probe_in, probe_out, coherences")
+    outputs = _get(cp, "outputs", "observables", False, ", ".join(OBSERVABLES))
     out_tuple = tuple(o.strip() for o in outputs.split(",") if o.strip())
+    unknown = [o for o in out_tuple if o not in OBSERVABLES]
+    if unknown:
+        raise ConfigError(f"[outputs] observables: unknown {', '.join(map(repr, unknown))}; "
+                          f"choose from {', '.join(OBSERVABLES)}")
 
     return Scenario(medium=med, profile=profile, schedule=schedule,
                     probe=probe, grid=grid, outputs=out_tuple)

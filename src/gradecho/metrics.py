@@ -145,12 +145,11 @@ def storage_efficiency(record: FieldRecord, t_cut: float) -> float:
     return num / den
 
 
-def _uniform(t: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
-    dt = float(np.min(np.diff(t)))
+def _uniform(t: np.ndarray, y: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Linear resampling of complex ``y`` onto a grid of step ``dt`` from t[0]."""
     n = int(round((t[-1] - t[0]) / dt)) + 1
     tu = t[0] + dt * np.arange(n)
-    yu = np.interp(tu, t, y.real) + 1j * np.interp(tu, t, y.imag)
-    return dt, yu
+    return tu, np.interp(tu, t, y.real) + 1j * np.interp(tu, t, y.imag)
 
 
 def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
@@ -173,15 +172,11 @@ def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
     if ea <= 0 or eb <= 0:
         raise UndefinedMetricError("fidelity needs two traces with energy")
     dt = min(float(np.min(np.diff(t_in))), float(np.min(np.diff(t_out))))
-    na = int(round((t_in[-1] - t_in[0]) / dt)) + 1
-    nb = int(round((t_out[-1] - t_out[0]) / dt)) + 1
-    ta = t_in[0] + dt * np.arange(na)
-    tb = t_out[0] + dt * np.arange(nb)
-    au = np.interp(ta, t_in, a.real) + 1j * np.interp(ta, t_in, a.imag)
-    bu = np.interp(tb, t_out, b.real) + 1j * np.interp(tb, t_out, b.imag)
+    ta, au = _uniform(t_in, a, dt)
+    tb, bu = _uniform(t_out, b, dt)
     corr = np.correlate(np.conj(bu), np.conj(au), mode="full") * dt
-    # delay of in relative to out for lag index k: tb[0] - ta[0] + (k - (na-1))*dt
-    lags = (tb[0] - ta[0]) + dt * (np.arange(corr.size) - (na - 1))
+    # delay of in relative to out for lag index k: tb[0] - ta[0] + (k - (ta.size-1))*dt
+    lags = (tb[0] - ta[0]) + dt * (np.arange(corr.size) - (ta.size - 1))
     if delay_range is not None:
         sel = (lags >= delay_range[0]) & (lags <= delay_range[1])
         if not np.any(sel):
@@ -205,12 +200,8 @@ def overlap_amplitude(t_in, in_trace, t_out, out_trace) -> float:
     if ea <= 0:
         raise UndefinedMetricError("input trace carries no energy")
     dt = min(float(np.min(np.diff(t_in))), float(np.min(np.diff(t_out))))
-    na = int(round((t_in[-1] - t_in[0]) / dt)) + 1
-    nb = int(round((t_out[-1] - t_out[0]) / dt)) + 1
-    ta = t_in[0] + dt * np.arange(na)
-    tb = t_out[0] + dt * np.arange(nb)
-    au = np.interp(ta, t_in, a.real) + 1j * np.interp(ta, t_in, a.imag)
-    bu = np.interp(tb, t_out, b.real) + 1j * np.interp(tb, t_out, b.imag)
+    ta, au = _uniform(t_in, a, dt)
+    tb, bu = _uniform(t_out, b, dt)
     corr = np.correlate(np.conj(bu), np.conj(au), mode="full") * dt
     eau = float(np.sum(np.abs(au) ** 2) * dt)
     return float(np.max(np.abs(corr) ** 2) / eau**2)

@@ -223,9 +223,14 @@ class ProbePulse:
 class GridSpec:
     """Space-time grid: nz cells over [0, length], time step dt up to t_end.
 
-    ``dt=None`` resolves to min(0.1/max|Omega_c|, width/20) at integration
-    time; ``record_stride=None`` keeps at most 1e5 probe samples and
-    ``snapshot_stride=None`` at most 512 coherence snapshots.
+    ``dt=None`` lets ``solver.step_plan`` choose the steps:
+    ``Scenario.resolved_dt()`` = min(width/20, 0.1/max|Omega_c|, t_end/50)
+    while the probe enters (center +- 8 widths), and outside that window
+    the control and medium limit min(0.1/max|Omega_c|, 0.1/(eta length),
+    t_end/50), never finer than resolved_dt().  A given ``dt`` steps the
+    whole window at that dt.  ``record_stride=None`` keeps at most 1e5
+    probe samples and ``snapshot_stride=None`` at most 512 coherence
+    snapshots.
     """
 
     t_end: float

@@ -13,14 +13,16 @@ the pair is iterated once as a corrector.  Because the system is linear and
 the control gain is constant inside a schedule segment, the RK4 step is
 applied as a precomputed linear map (one 2x2 matrix and two drive vectors
 per z), which is algebraically identical to running the four stages with the
-probe interpolated linearly across the step.  Time steps are aligned to
-segment boundaries so a gain change never happens mid-step.
+probe interpolated linearly across the step.  ``step_plan`` lays out the
+time steps: they are aligned to segment boundaries so a gain change never
+happens mid-step, and with an automatic dt the short probe is resolved only
+while it enters the medium.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -30,12 +32,15 @@ __all__ = [
     "FieldRecord",
     "DivergenceError",
     "ResourceLimitError",
+    "Piece",
     "integrate",
+    "step_plan",
     "convergence_check",
     "ConvergenceReport",
 ]
 
 MAX_COHERENCE = 10.0  # weak-probe normalization: any |rho| above this is blow-up
+MAX_STEPS = 20_000_000  # default step budget of one run
 
 
 class DivergenceError(RuntimeError):
@@ -107,27 +112,75 @@ def _cumtrapz0(f: np.ndarray, dz: float) -> np.ndarray:
     return out
 
 
-def _intervals(scenario: Scenario):
-    """Split [0, t_end] into (t_a, t_b, gain_or_None) pieces.
+class Piece(NamedTuple):
+    """One stretch of the step plan: ``steps`` steps of ``dt`` from
+    ``t_start`` to ``t_end`` under a constant ``gain`` (None inside a cosine
+    ramp, where the control depends on time)."""
 
-    gain is None inside a cosine-ramp zone (time-dependent control there).
+    t_start: float
+    t_end: float
+    steps: int
+    dt: float
+    gain: Optional[float]
+
+
+PROBE_WINDOW = 8.0  # probe widths either side of center; exp(-64) ~ 1.6e-28
+
+
+def _dt_after(scenario: Scenario, dt_fine: float) -> float:
+    """Auto step once the probe has entered: the control and medium limits."""
+    limits = [scenario.grid.t_end / 50.0]
+    omega_max = scenario.max_abs_control()
+    if omega_max > 0:
+        limits.append(0.1 / omega_max)
+    eta_l = scenario.medium.eta * scenario.medium.length
+    if eta_l > 0:
+        limits.append(0.1 / eta_l)
+    return max(dt_fine, min(limits))
+
+
+def step_plan(scenario: Scenario) -> tuple[Piece, ...]:
+    """The time steps ``integrate`` runs, as consecutive pieces over [0, t_end].
+
+    Pieces are cut at segment starts and cosine-ramp edges, so a gain change
+    never happens mid-step; ramp pieces take at least 8 steps.  A user-given
+    ``grid.dt`` steps every piece at that dt.  Otherwise ``resolved_dt()``
+    is used only while the probe enters (center +- 8 widths) and the coarser
+    control/medium step (see ``_dt_after``) elsewhere, with two more cuts at
+    the window edges.
     """
     sched = scenario.schedule
     t_end = scenario.grid.t_end
+    dt_fine = scenario.resolved_dt()
+    dt_after = dt_fine if scenario.grid.dt is not None else _dt_after(scenario, dt_fine)
+    lo = scenario.probe.center_time - PROBE_WINDOW * scenario.probe.width
+    hi = scenario.probe.center_time + PROBE_WINDOW * scenario.probe.width
+    window_cuts = (lo, hi) if dt_after > dt_fine else ()
+
+    controls = []  # (t_a, t_b, gain_or_None)
     bounds = [t for t, _ in sched.segments] + [t_end]
-    out = []
     for k, (t0, gain) in enumerate(sched.segments):
         t1 = min(bounds[k + 1], t_end)
         if t1 <= t0 or t0 >= t_end:
             continue
         if sched.ramp_time > 0 and k > 0:
             t_ramp = min(t0 + sched.ramp_time, t1)
-            out.append((t0, t_ramp, None))
+            controls.append((t0, t_ramp, None))
             if t1 > t_ramp:
-                out.append((t_ramp, t1, gain))
+                controls.append((t_ramp, t1, gain))
         else:
-            out.append((t0, t1, gain))
-    return out
+            controls.append((t0, t1, gain))
+
+    plan = []
+    for ta, tb, gain in controls:
+        edges = [ta] + [c for c in window_cuts if ta < c < tb] + [tb]
+        for a, b in zip(edges, edges[1:]):
+            dt = dt_fine if lo <= 0.5 * (a + b) <= hi else dt_after
+            steps = max(1, int(math.ceil((b - a) / dt - 1e-12)))
+            if gain is None:
+                steps = max(steps, 8)  # resolve the cosine ramp itself
+            plan.append(Piece(a, b, steps, (b - a) / steps, gain))
+    return tuple(plan)
 
 
 def _ramp_rhs_factory(prof_z, schedule, gamma, dp, dc, gg):
@@ -144,18 +197,27 @@ def _ramp_rhs_factory(prof_z, schedule, gamma, dp, dc, gg):
 
 
 def integrate(scenario: Scenario, check: bool = True,
-              max_steps: int = 20_000_000) -> FieldRecord:
-    """Run the scenario and return the sampled fields.
+              max_steps: int = MAX_STEPS) -> FieldRecord:
+    """Run the scenario through ``step_plan(scenario)`` and return the
+    sampled fields.
 
     With ``check=True`` (default) validation errors abort the run; warnings
-    are allowed.  ``max_steps`` bounds the total number of time steps.
+    are allowed.  ``max_steps`` bounds the total number of steps of the plan.
     """
     if check:
-        errors = [i for i in validate_scenario(scenario) if i.severity == "error"]
-        if errors:
-            raise ValueError("scenario fails validation: "
-                             + "; ".join(i.message for i in errors))
+        _raise_on_errors(scenario)
+    return _run(scenario, step_plan(scenario), max_steps)
 
+
+def _raise_on_errors(scenario: Scenario) -> None:
+    errors = [i for i in validate_scenario(scenario) if i.severity == "error"]
+    if errors:
+        raise ValueError("scenario fails validation: "
+                         + "; ".join(i.message for i in errors))
+
+
+def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRecord:
+    """Step ``scenario`` through ``plan`` (no validation)."""
     med = scenario.medium
     grid = scenario.grid
     L = med.length
@@ -164,18 +226,8 @@ def integrate(scenario: Scenario, check: bool = True,
     zs = np.linspace(0.0, L, nz + 1)
     prof_z = np.asarray(scenario.profile.value(zs, L), dtype=float)
     eta = med.eta
-    dt_req = scenario.resolved_dt()
 
-    pieces = _intervals(scenario)
-    plan = []  # (t_a, nsteps, dt_i, gain_or_None)
-    total_steps = 0
-    for (ta, tb, gain) in pieces:
-        span = tb - ta
-        nsteps = max(1, int(math.ceil(span / dt_req - 1e-12)))
-        if gain is None:
-            nsteps = max(nsteps, 8)  # resolve the cosine ramp itself
-        plan.append((ta, nsteps, span / nsteps, gain))
-        total_steps += nsteps
+    total_steps = sum(p.steps for p in plan)
     if total_steps > max_steps:
         raise ResourceLimitError(
             f"run needs {total_steps} steps, above the budget of {max_steps}; "
@@ -198,7 +250,7 @@ def integrate(scenario: Scenario, check: bool = True,
     ramp_rhs = None
 
     n_global = 0
-    for (ta, nsteps, dt_i, gain) in plan:
+    for (ta, _, nsteps, dt_i, gain) in plan:
         if gain is not None:
             M11, M12, M21, M22, V0, V1 = _rk4_operators(
                 gain * prof_z, dt_i, med.gamma_decay, med.delta_p,
@@ -274,21 +326,27 @@ class ConvergenceReport(NamedTuple):
 
 def convergence_check(scenario: Scenario, refinements: int = 2,
                       check: bool = True) -> ConvergenceReport:
-    """Self-convergence of probe_out under halved dt and doubled nz.
+    """Self-convergence of probe_out under refinement of the plan it runs.
 
-    Returns the relative L2 differences between consecutive refinement
-    levels; a non-monotone sequence flags an under-resolved base grid.
+    Level 0 is ``integrate(scenario)`` with every step recorded; level k
+    runs ``step_plan(scenario)`` with 2**k times the steps in every piece
+    and 2**k times nz.  Returns the relative L2 differences between
+    consecutive levels; a non-monotone sequence flags an under-resolved
+    base grid.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
     from dataclasses import replace
 
-    base_dt = scenario.resolved_dt()
+    if check:
+        _raise_on_errors(scenario)
+    plan = step_plan(scenario)
     outs = []
     for k in range(refinements + 1):
-        grid = replace(scenario.grid, dt=base_dt / 2**k, nz=scenario.grid.nz * 2**k,
-                       record_stride=1)
-        rec = integrate(replace(scenario, grid=grid), check=check)
+        f = 2**k
+        grid = replace(scenario.grid, nz=scenario.grid.nz * f, record_stride=1)
+        refined = tuple(p._replace(steps=p.steps * f, dt=p.dt / f) for p in plan)
+        rec = _run(replace(scenario, grid=grid), refined, MAX_STEPS)
         outs.append((rec.times, rec.probe_out))
     errs = []
     t0, y0 = outs[0]

@@ -3,11 +3,13 @@ append-only checkpoint so an interrupted sweep resumes without recomputation.
 
 The work unit is one grid point (one integrate + metrics pass).  Results are
 keyed and merged by grid index, so tables are identical for any worker count
-and for resumed runs.
+and for resumed runs.  A checkpoint is tied to its spec and package version
+by a hash in its header line, so a resume never mixes rows of two specs.
 """
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -17,6 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import __version__
+from .config import config_hash
 from .metrics import (AmbiguousPeakError, EchoMetrics, UndefinedMetricError,
                       compute_echo_metrics, detect_echo, storage_efficiency)
 from .model import Scenario, validate_scenario
@@ -206,21 +210,51 @@ def _run_point(args) -> PointResult:
         return PointResult(index, values, None, {}, error=f"{type(exc).__name__}: {exc}")
 
 
+def _spec_hash(spec: SweepSpec) -> str:
+    """Identity of the rows a spec produces: base scenario, axes, metric
+    windows and package version (worker count and checkpoint path excluded)."""
+    key = {"base": config_hash(spec.base), "axes": spec.axes,
+           "efficiency_cut": spec.efficiency_cut, "detect_after": spec.detect_after,
+           "version": __version__}
+    return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
+
+
 class _Checkpoint:
-    def __init__(self, path: Optional[str]):
+    """Append-only JSON-lines file: a header line holding the spec hash, then
+    one finished point per line."""
+
+    def __init__(self, path: Optional[str], spec_hash: str):
         self.path = Path(path) if path else None
+        self.header = json.dumps({"gradecho_checkpoint": spec_hash})
         self._fh = None
         self._pending = 0
 
     def load(self) -> dict[int, PointResult]:
+        """Finished points of a matching checkpoint.
+
+        A last line without its newline is a write cut off by a kill: it is
+        truncated away and that point is recomputed.  A header for another
+        spec or version, or a corrupt complete line, raises ValueError.
+        """
         done: dict[int, PointResult] = {}
-        if self.path and self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                line = line.strip()
-                if not line:
-                    continue
+        if not (self.path and self.path.exists()):
+            return done
+        data = self.path.read_bytes()
+        keep = data.rfind(b"\n") + 1
+        lines = data[:keep].decode("utf-8").splitlines()
+        if lines and lines[0] != self.header:
+            raise ValueError(f"checkpoint {self.path} was written for another sweep "
+                             f"spec or gradecho version; remove it to start over")
+        for n, line in enumerate(lines[1:], start=2):
+            try:
                 r = PointResult.from_json(line)
-                done[r.index] = r
+            except (ValueError, KeyError, TypeError) as exc:
+                raise ValueError(f"checkpoint {self.path} line {n} is corrupt: "
+                                 f"{exc}") from None
+            done[r.index] = r
+        if keep < len(data):
+            with open(self.path, "r+b") as fh:
+                fh.truncate(keep)
         return done
 
     def append(self, r: PointResult) -> None:
@@ -228,6 +262,8 @@ class _Checkpoint:
             return
         if self._fh is None:
             self._fh = open(self.path, "a", encoding="utf-8")
+            if self._fh.tell() == 0:
+                self._fh.write(self.header + "\n")
         self._fh.write(r.to_json() + "\n")
         self._pending += 1
         if self._pending >= CHECKPOINT_FSYNC_BATCH:
@@ -251,7 +287,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     worker count or completion order.  Failed points carry their error
     string instead of poisoning the sweep."""
     n = spec.size()
-    ckpt = _Checkpoint(spec.checkpoint)
+    ckpt = _Checkpoint(spec.checkpoint, _spec_hash(spec))
     done = ckpt.load()
     todo = [i for i in range(n) if i not in done]
     try:

@@ -91,6 +91,12 @@ def test_sweep_cli_with_injected_tiny_grid(tmp_path, monkeypatch):
     assert main(["sweep", "tiny", "--output", str(out1), "--resume"]) == 0
     assert (out1 / "sweep.csv").read_bytes() == (out2 / "sweep.csv").read_bytes()
 
+    # a checkpoint written for another spec is refused with exit 2
+    ckpt = out1 / "sweep_checkpoint.jsonl"
+    lines = ckpt.read_text(encoding="utf-8").splitlines()
+    ckpt.write_text("\n".join(lines[1:]) + "\n", encoding="utf-8")
+    assert main(["sweep", "tiny", "--output", str(out1), "--resume"]) == 2
+
 
 def test_compare_emits_residuals(tmp_path):
     out = tmp_path / "cmp"

@@ -91,3 +91,10 @@ def test_nonmonotone_schedule_is_config_error():
     with pytest.raises(ConfigError, match="increasing"):
         parse_scenario(EXAMPLE.replace("0 tau: 1, 0.16 tau: -1",
                                        "0 tau: 1, 0.2 tau: -1, 0.1 tau: 1"))
+
+
+def test_unknown_observable_is_config_error():
+    with pytest.raises(ConfigError, match="'coherence'"):
+        parse_scenario(EXAMPLE + "\n[outputs]\nobservables = probe_out, coherence\n")
+    s = parse_scenario(EXAMPLE + "\n[outputs]\nobservables = probe_in, probe_out\n")
+    assert s.outputs == ("probe_in", "probe_out")

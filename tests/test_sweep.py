@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from gradecho.metrics import compute_echo_metrics
@@ -64,14 +66,15 @@ def test_resume_is_bit_identical(tmp_path):
     full_dir.mkdir()
     full = run_sweep(_spec(full_dir))
 
-    # simulate an interrupted sweep: checkpoint holds only the first point
+    # simulate an interrupted sweep: checkpoint holds the header and only
+    # the first point
     part_dir = tmp_path / "part"
     part_dir.mkdir()
     spec = _spec(part_dir)
-    first = run_sweep(SweepSpec(base=spec.base, axes=(("medium.xi", (20.0,)),),
-                                efficiency_cut=0.8, detect_after=0.8))
     ckpt = part_dir / "ckpt.jsonl"
-    ckpt.write_text(first.rows[0].to_json() + "\n", encoding="utf-8")
+    lines = (full_dir / "ckpt.jsonl").read_text(encoding="utf-8").splitlines()
+    assert json.loads(lines[1])["index"] == 0
+    ckpt.write_text("\n".join(lines[:2]) + "\n", encoding="utf-8")
 
     resumed = run_sweep(spec)
     a = tmp_path / "full.csv"
@@ -122,3 +125,35 @@ def test_dispersion_flag_reference_points():
         flags[(xi, zeta)] = dispersion_flag(m)
     assert flags[(4000.0, 500.0)] is True
     assert flags[(2000.0, 4000.0)] is False
+
+
+def test_checkpoint_of_another_spec_is_refused(tmp_path):
+    run_sweep(_spec(tmp_path, xis=(20.0,)))
+    with pytest.raises(ValueError, match="another sweep spec"):
+        run_sweep(_spec(tmp_path, xis=(50.0,)))
+    # a checkpoint without a header (older format) is refused too
+    ckpt = tmp_path / "ckpt.jsonl"
+    ckpt.write_text(ckpt.read_text(encoding="utf-8").splitlines()[1] + "\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match="another sweep spec"):
+        run_sweep(_spec(tmp_path, xis=(20.0,)))
+
+
+def test_cut_off_last_line_is_dropped_and_recomputed(tmp_path):
+    full = run_sweep(_spec(tmp_path))
+    ckpt = tmp_path / "ckpt.jsonl"
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[:-20])  # killed while writing the last point
+    resumed = run_sweep(_spec(tmp_path))
+    assert resumed.rows == full.rows
+    assert ckpt.read_bytes() == data
+
+
+def test_corrupt_middle_line_fails(tmp_path):
+    run_sweep(_spec(tmp_path))
+    ckpt = tmp_path / "ckpt.jsonl"
+    lines = ckpt.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1][:-20]
+    ckpt.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="line 2 is corrupt"):
+        run_sweep(_spec(tmp_path))
