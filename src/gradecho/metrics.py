@@ -152,6 +152,38 @@ def _uniform(t: np.ndarray, y: np.ndarray, dt: float) -> tuple[np.ndarray, np.nd
     return tu, np.interp(tu, t, y.real) + 1j * np.interp(tu, t, y.imag)
 
 
+def _xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.correlate(conj(b), conj(a), "full")`` by FFT: entry k is
+    sum_n a[n] conj(b[n + k - (a.size - 1)])."""
+    n = a.size + b.size - 1
+    size = 1 << (n - 1).bit_length()
+    return np.fft.ifft(np.fft.fft(np.conj(b), size) * np.fft.fft(a[::-1], size))[:n]
+
+
+def _correlation(t_in, in_trace, t_out, out_trace):
+    """Resample both traces onto the finest spacing of either and
+    cross-correlate them.
+
+    Returns (|corr|^2, lags, e_in, e_out): |int out*(t) in(t - lag) dt|^2 per
+    delay ``lag`` of in relative to out, and the energies of the resampled
+    traces.
+    """
+    t_in = np.asarray(t_in, float)
+    t_out = np.asarray(t_out, float)
+    dt = min(float(np.min(np.diff(t_in))), float(np.min(np.diff(t_out))))
+    ta, au = _uniform(t_in, np.asarray(in_trace, complex), dt)
+    tb, bu = _uniform(t_out, np.asarray(out_trace, complex), dt)
+    corr = _xcorr(au, bu) * dt
+    lags = (tb[0] - ta[0]) + dt * (np.arange(corr.size) - (ta.size - 1))
+    return (np.abs(corr) ** 2, lags, float(np.sum(np.abs(au) ** 2) * dt),
+            float(np.sum(np.abs(bu) ** 2) * dt))
+
+
+def _energy(t, trace) -> float:
+    return float(np.trapezoid(np.abs(np.asarray(trace, complex)) ** 2,
+                              np.asarray(t, float)))
+
+
 def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
                        t_out: np.ndarray, out_trace: np.ndarray,
                        delay_range: Optional[tuple[float, float]] = None) -> float:
@@ -163,48 +195,25 @@ def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
     a value in [0, 1], invariant under global phase, amplitude scaling and
     (within the searched range) time translation of either trace.
     """
-    t_in = np.asarray(t_in, float)
-    t_out = np.asarray(t_out, float)
-    a = np.asarray(in_trace, complex)
-    b = np.asarray(out_trace, complex)
-    ea = float(np.trapezoid(np.abs(a) ** 2, t_in))
-    eb = float(np.trapezoid(np.abs(b) ** 2, t_out))
-    if ea <= 0 or eb <= 0:
+    if _energy(t_in, in_trace) <= 0 or _energy(t_out, out_trace) <= 0:
         raise UndefinedMetricError("fidelity needs two traces with energy")
-    dt = min(float(np.min(np.diff(t_in))), float(np.min(np.diff(t_out))))
-    ta, au = _uniform(t_in, a, dt)
-    tb, bu = _uniform(t_out, b, dt)
-    corr = np.correlate(np.conj(bu), np.conj(au), mode="full") * dt
-    # delay of in relative to out for lag index k: tb[0] - ta[0] + (k - (ta.size-1))*dt
-    lags = (tb[0] - ta[0]) + dt * (np.arange(corr.size) - (ta.size - 1))
+    power, lags, eau, ebu = _correlation(t_in, in_trace, t_out, out_trace)
     if delay_range is not None:
         sel = (lags >= delay_range[0]) & (lags <= delay_range[1])
         if not np.any(sel):
             raise ValueError("delay_range excludes every available lag")
-        corr = corr[sel]
-    eau = float(np.sum(np.abs(au) ** 2) * dt)
-    ebu = float(np.sum(np.abs(bu) ** 2) * dt)
-    val = float(np.max(np.abs(corr) ** 2) / (eau * ebu))
-    return min(val, 1.0)
+        power = power[sel]
+    return min(float(np.max(power) / (eau * ebu)), 1.0)
 
 
 def overlap_amplitude(t_in, in_trace, t_out, out_trace) -> float:
     """Unnormalized companion to classical_fidelity:
     max over delay of |int out* in|^2 / (int |in|^2)^2, sensitive to
     amplitude mismatch between the traces."""
-    t_in = np.asarray(t_in, float)
-    t_out = np.asarray(t_out, float)
-    a = np.asarray(in_trace, complex)
-    b = np.asarray(out_trace, complex)
-    ea = float(np.trapezoid(np.abs(a) ** 2, t_in))
-    if ea <= 0:
+    if _energy(t_in, in_trace) <= 0:
         raise UndefinedMetricError("input trace carries no energy")
-    dt = min(float(np.min(np.diff(t_in))), float(np.min(np.diff(t_out))))
-    ta, au = _uniform(t_in, a, dt)
-    tb, bu = _uniform(t_out, b, dt)
-    corr = np.correlate(np.conj(bu), np.conj(au), mode="full") * dt
-    eau = float(np.sum(np.abs(au) ** 2) * dt)
-    return float(np.max(np.abs(corr) ** 2) / eau**2)
+    power, _, eau, _ = _correlation(t_in, in_trace, t_out, out_trace)
+    return float(np.max(power) / eau**2)
 
 
 class EitBaseline(NamedTuple):
@@ -328,8 +337,11 @@ def compute_echo_metrics(record: FieldRecord, after: float, t_cut: float,
     input_fwhm = fwhm(t, iin)
     input_peak_time = float(t[np.argmax(iin)])
     eff = storage_efficiency(record, t_cut)
-    fid = classical_fidelity(t, record.probe_in, t[m], record.probe_out[m])
-    ovl = overlap_amplitude(t, record.probe_in, t[m], record.probe_out[m])
+    # classical_fidelity and overlap_amplitude from one correlation; the
+    # detected echo and storage_efficiency already guarantee both energies
+    power, _, eau, ebu = _correlation(t, record.probe_in, t[m], record.probe_out[m])
+    fid = min(float(np.max(power) / (eau * ebu)), 1.0)
+    ovl = float(np.max(power) / eau**2)
     dbp = delay_bandwidth(det.peak_time, input_peak_time, echo_fwhm)
     return EchoMetrics(echo_peak_time=det.peak_time, echo_fwhm=echo_fwhm,
                        efficiency_R=eff, fidelity=fid, delay_bandwidth=dbp,

@@ -9,14 +9,14 @@ at fixed T.  Per time step the two coherence ODEs
 
 are advanced at every z with a classical 4-stage Runge-Kutta step, the field
 is rebuilt by trapezoidal integration of i eta rho31 from the boundary, and
-the pair is iterated once as a corrector.  Because the system is linear and
-the control gain is constant inside a schedule segment, the RK4 step is
-applied as a precomputed linear map (one 2x2 matrix and two drive vectors
-per z), which is algebraically identical to running the four stages with the
-probe interpolated linearly across the step.  ``step_plan`` lays out the
-time steps: they are aligned to segment boundaries so a gain change never
-happens mid-step, and with an automatic dt the short probe is resolved only
-while it enters the medium.
+the pair is iterated once as a corrector.  The system is linear, so one RK4
+step with the probe interpolated linearly across it is an affine map
+rho+ = M rho + V0 Omega_p(t0) + V1 Omega_p(t1) per z (``_rk4_map``): a
+constant-gain piece builds it once, a cosine-ramp piece rebuilds it every
+step from the control at the step's start, middle and end, and both run the
+same step body.  ``step_plan`` lays out the time steps: they are aligned to
+segment boundaries so a gain change never happens mid-step, and with an
+automatic dt the short probe is resolved only while it enters the medium.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import Scenario, validate_scenario
+from .model import MediumParams, Scenario, validate_scenario
 
 __all__ = [
     "FieldRecord",
@@ -76,40 +76,51 @@ class FieldRecord:
         return self.snapshot_times, self.rho31[:, j], self.rho21[:, j]
 
 
-def _rk4_operators(omega_c: np.ndarray, dt: float, gamma: float,
-                   dp: float, dc: float, gg: float):
-    """Classical-RK4 one-step map for the linear coherence pair.
+def _coherence_matrix(oc: np.ndarray, med: MediumParams) -> np.ndarray:
+    """Per-z 2x2 matrix A of d(rho31, rho21)/dT = A (rho31, rho21) + drive
+    under the control field ``oc``."""
+    A = np.empty((oc.shape[0], 2, 2), dtype=complex)
+    A[:, 0, 0] = -(med.gamma_decay / 2.0 + 1j * med.delta_p)
+    A[:, 0, 1] = 0.5j * oc
+    A[:, 1, 0] = 0.5j * np.conj(oc)
+    A[:, 1, 1] = 1j * (med.delta_c - med.delta_p + 1j * med.gamma_ground)
+    return A
 
-    Returns (M11, M12, M21, M22, V0, V1) with rho_{n+1} = M rho_n +
-    V0 * Omega_p(t_n) + V1 * Omega_p(t_{n+1}); V0/V1 come from pushing the
-    linearly interpolated probe through the four stages.
+
+def _rk4_map(A0: np.ndarray, Ah: np.ndarray, A1: np.ndarray, dt: float):
+    """One classical-RK4 step as an affine map, for the coherence matrix at
+    the step's start, middle and end and the probe linear across the step.
+
+    The four stages run on the per-z 2x4 basis [I | e_g0 | e_g1]; returns
+    (M, V0, V1) with rho_{n+1} = M rho_n + V0 Omega_p(t_n) + V1 Omega_p(t_{n+1}),
+    shapes (nz, 2, 2), (nz, 2), (nz, 2).
     """
-    nz = omega_c.shape[0]
-    A = np.zeros((nz, 2, 2), dtype=complex)
-    A[:, 0, 0] = -(gamma / 2.0 + 1j * dp)
-    A[:, 0, 1] = 0.5j * omega_c
-    A[:, 1, 0] = 0.5j * np.conj(omega_c)
-    A[:, 1, 1] = 1j * (dc - dp + 1j * gg)
-    A2 = A @ A
-    A3 = A2 @ A
-    A4 = A3 @ A
-    M = (np.broadcast_to(np.eye(2, dtype=complex), (nz, 2, 2))
-         + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4)
-    c = np.zeros((nz, 2), dtype=complex)
-    c[:, 0] = 0.5j
-    Ac = np.einsum("zij,zj->zi", A, c)
-    A2c = np.einsum("zij,zj->zi", A2, c)
-    A3c = np.einsum("zij,zj->zi", A3, c)
-    V0 = dt / 6.0 * (3 * c + 2 * dt * Ac + 0.75 * dt**2 * A2c + 0.25 * dt**3 * A3c)
-    V1 = dt / 6.0 * (3 * c + dt * Ac + 0.25 * dt**2 * A2c)
-    return M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1], V0, V1
+    y = np.zeros((A0.shape[0], 2, 4), dtype=complex)
+    y[:, 0, 0] = y[:, 1, 1] = 1.0
+    drive = np.zeros((3, 2, 4), dtype=complex)  # (i/2) Omega_p at t0, t_half, t1
+    drive[0, 0, 2] = drive[2, 0, 3] = 0.5j
+    drive[1, 0, 2:] = 0.25j
+    k1 = A0 @ y + drive[0]
+    k2 = Ah @ (y + 0.5 * dt * k1) + drive[1]
+    k3 = Ah @ (y + 0.5 * dt * k2) + drive[1]
+    k4 = A1 @ (y + dt * k3) + drive[2]
+    y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y[:, :, :2], y[:, :, 2], y[:, :, 3]
 
 
-def _cumtrapz0(f: np.ndarray, dz: float) -> np.ndarray:
-    out = np.empty_like(f)
-    out[0] = 0.0
-    np.cumsum((f[1:] + f[:-1]) * (dz / 2.0), out=out[1:])
-    return out
+def _check_coherences(r31: np.ndarray, r21: np.ndarray, step: int, t: float) -> None:
+    """Raise DivergenceError if any |rho| is non-finite or above MAX_COHERENCE.
+
+    The sum of squares bounds the max, so the cheap test passes only steps
+    the exact test would pass; NaN, inf and large sums go to the exact test.
+    """
+    if (np.vdot(r31, r31) + np.vdot(r21, r21)).real < 0.81 * MAX_COHERENCE**2:
+        return
+    peak = np.maximum(np.max(np.abs(r31)), np.max(np.abs(r21)))  # keeps a NaN
+    if not np.isfinite(peak) or peak > MAX_COHERENCE:
+        raise DivergenceError(
+            f"coherences diverged at step {step} (t = {t:.6g}): "
+            f"max |rho| = {peak:.3g}")
 
 
 class Piece(NamedTuple):
@@ -183,19 +194,6 @@ def step_plan(scenario: Scenario) -> tuple[Piece, ...]:
     return tuple(plan)
 
 
-def _ramp_rhs_factory(prof_z, schedule, gamma, dp, dc, gg):
-    a11 = -(gamma / 2.0 + 1j * dp)
-    a22 = 1j * (dc - dp + 1j * gg)
-
-    def rhs(t, r31, r21, op):
-        oc = schedule.gain(t) * prof_z
-        d31 = a11 * r31 + 0.5j * oc * r21 + 0.5j * op
-        d21 = a22 * r21 + 0.5j * np.conj(oc) * r31
-        return d31, d21
-
-    return rhs
-
-
 def integrate(scenario: Scenario, check: bool = True,
               max_steps: int = MAX_STEPS) -> FieldRecord:
     """Run the scenario through ``step_plan(scenario)`` and return the
@@ -222,10 +220,9 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRe
     grid = scenario.grid
     L = med.length
     nz = grid.nz
-    dz = L / nz
     zs = np.linspace(0.0, L, nz + 1)
     prof_z = np.asarray(scenario.profile.value(zs, L), dtype=float)
-    eta = med.eta
+    c = 0.5j * med.eta * (L / nz)  # trapezoid weight of i eta rho31
 
     total_steps = sum(p.steps for p in plan)
     if total_steps > max_steps:
@@ -237,54 +234,65 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRe
     want_coh = "coherences" in scenario.outputs
     snap_stride = grid.snapshot_stride or max(1, int(math.ceil(total_steps / 512)))
 
-    probe = scenario.probe.boundary_value
-    r31 = np.zeros(nz + 1, dtype=complex)
-    r21 = np.zeros(nz + 1, dtype=complex)
-    op = np.full(nz + 1, probe(0.0), dtype=complex)
-    op += _cumtrapz0(1j * eta * r31, dz)
+    def step_map(gains, dt):
+        """RK4 map for the gains at a step's start, middle and end, laid out
+        as ``coef``: rows (M11, M12, V01, V11) and (M21, M22, V02, V12)."""
+        A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
+        return np.dstack(_rk4_map(A0, Ah, A1, dt)).transpose(1, 2, 0)
 
+    coef = np.empty((2, 4, nz + 1), dtype=complex)
+    (M11, M12, V01, V11), (M21, M22, V02, V12) = coef
+    r31, r21, r31n, r21n, w, tmp, op_pred = np.zeros((7, nz + 1), dtype=complex)
+    half = np.empty(nz, dtype=complex)
+    acc = np.zeros(nz + 1, dtype=complex)  # acc[0] stays 0: the boundary node
+
+    def rebuild_field(r, boundary, out):
+        """out = boundary + cumulative trapezoid of i eta r from z = 0."""
+        np.add(r[1:], r[:-1], out=half)
+        np.add.accumulate(half, out=acc[1:])  # cumsum without its wrapper
+        np.multiply(acc, c, out=out)
+        out += boundary
+
+    probe = scenario.probe.boundary_value
+    op = np.full(nz + 1, probe(0.0), dtype=complex)  # field at the step start
     times = [0.0]
     pin = [op[0]]
     pout = [op[-1]]
     snap_t, snaps31, snaps21 = [0.0], [r31.copy()], [r21.copy()]
-    ramp_rhs = None
 
     n_global = 0
-    for (ta, _, nsteps, dt_i, gain) in plan:
+    for (ta, _, nsteps, dt, gain) in plan:
+        t1s = ta + dt * np.arange(1, nsteps + 1)
+        boundary = probe(t1s)
         if gain is not None:
-            M11, M12, M21, M22, V0, V1 = _rk4_operators(
-                gain * prof_z, dt_i, med.gamma_decay, med.delta_p,
-                med.delta_c, med.gamma_ground)
-            V01, V02 = V0[:, 0], V0[:, 1]
-            V11, V12 = V1[:, 0], V1[:, 1]
-            VS1 = V01 + V11
-        else:
-            if ramp_rhs is None:
-                ramp_rhs = _ramp_rhs_factory(prof_z, scenario.schedule,
-                                             med.gamma_decay, med.delta_p,
-                                             med.delta_c, med.gamma_ground)
+            coef[...] = step_map((gain,) * 3, dt)
         for n in range(nsteps):
-            t0 = ta + n * dt_i
-            t1 = ta + (n + 1) * dt_i
-            g0 = op
-            if gain is not None:
-                r31p = M11 * r31 + M12 * r21 + VS1 * g0
-                op_pred = probe(t1) + _cumtrapz0(1j * eta * r31p, dz)
-                r31n = M11 * r31 + M12 * r21 + V01 * g0 + V11 * op_pred
-                r21n = M21 * r31 + M22 * r21 + V02 * g0 + V12 * op_pred
-            else:
-                r31n, r21n = _ramp_step(ramp_rhs, t0, dt_i, r31, r21, g0, g0)
-                op_pred = probe(t1) + _cumtrapz0(1j * eta * r31n, dz)
-                r31n, r21n = _ramp_step(ramp_rhs, t0, dt_i, r31, r21, g0, op_pred)
-            op = probe(t1) + _cumtrapz0(1j * eta * r31n, dz)
-            r31, r21 = r31n, r21n
+            t1 = t1s[n]
+            if gain is None:
+                t0 = ta + n * dt
+                coef[...] = step_map([scenario.schedule.gain(t) for t in
+                                      (t0, t0 + 0.5 * dt, t0 + dt)], dt)
+            # w = M11 rho31 + M12 rho21 + V01 Omega_p(t0), shared by both passes
+            np.multiply(M11, r31, out=w)
+            w += np.multiply(M12, r21, out=tmp)
+            w += np.multiply(V01, op, out=tmp)
+            # predictor: the probe held at its start value across the step
+            np.multiply(V11, op, out=r31n)
+            r31n += w
+            rebuild_field(r31n, boundary[n], op_pred)
+            # corrector with the predicted field at the step end
+            np.multiply(V11, op_pred, out=r31n)
+            r31n += w
+            np.multiply(M21, r31, out=r21n)
+            r21n += np.multiply(M22, r21, out=tmp)
+            r21n += np.multiply(V02, op, out=tmp)
+            r21n += np.multiply(V12, op_pred, out=tmp)
+            rebuild_field(r31n, boundary[n], op)
+            r31, r31n = r31n, r31
+            r21, r21n = r21n, r21
             n_global += 1
             if n_global % rec_stride == 0 or n_global == total_steps:
-                peak = max(np.max(np.abs(r31)), np.max(np.abs(r21)))
-                if not np.isfinite(peak) or peak > MAX_COHERENCE:
-                    raise DivergenceError(
-                        f"coherences diverged at step {n_global} (t = {t1:.6g}): "
-                        f"max |rho| = {peak:.3g}")
+                _check_coherences(r31, r21, n_global, t1)
                 times.append(t1)
                 pin.append(op[0])
                 pout.append(op[-1])
@@ -305,18 +313,6 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRe
     return FieldRecord(times=np.array(times), probe_in=np.array(pin),
                        probe_out=np.array(pout), snapshot_times=snap_times,
                        z=zs, rho31=rho31, rho21=rho21)
-
-
-def _ramp_step(rhs, t0, dt, r31, r21, g0, g1):
-    """Plain RK4 step with time-varying control, probe linear across the step."""
-    gm = 0.5 * (g0 + g1)
-    tm = t0 + 0.5 * dt
-    k1a, k1b = rhs(t0, r31, r21, g0)
-    k2a, k2b = rhs(tm, r31 + 0.5 * dt * k1a, r21 + 0.5 * dt * k1b, gm)
-    k3a, k3b = rhs(tm, r31 + 0.5 * dt * k2a, r21 + 0.5 * dt * k2b, gm)
-    k4a, k4b = rhs(t0 + dt, r31 + dt * k3a, r21 + dt * k3b, g1)
-    return (r31 + dt / 6.0 * (k1a + 2 * k2a + 2 * k3a + k4a),
-            r21 + dt / 6.0 * (k1b + 2 * k2b + 2 * k3b + k4b))
 
 
 class ConvergenceReport(NamedTuple):

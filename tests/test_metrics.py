@@ -9,6 +9,7 @@ from gradecho.metrics import (AmbiguousPeakError, UndefinedMetricError,
                               classical_fidelity, delay_bandwidth, detect_echo,
                               eit_baseline, feasibility, fwhm,
                               storage_efficiency)
+from gradecho.metrics import _xcorr
 from gradecho.model import MediumParams, ProbePulse
 from gradecho.solver import integrate
 
@@ -171,3 +172,14 @@ def test_detect_echo_invariant_under_probe_scaling_and_phase():
             probe=ProbePulse(amplitude=amp, center_time=0.2, width=0.05)))
         det = detect_echo(rec, after=1.1)
         assert det.peak_time == pytest.approx(base.peak_time, rel=1e-12)
+
+
+def test_fft_correlation_equals_direct_correlation():
+    rng = np.random.default_rng(7)
+    for na, nb in ((1, 1), (5, 17), (64, 63), (300, 41), (129, 1000)):
+        a = rng.normal(size=na) + 1j * rng.normal(size=na)
+        b = rng.normal(size=nb) + 1j * rng.normal(size=nb)
+        want = np.correlate(np.conj(b), np.conj(a), mode="full")
+        got = _xcorr(a, b)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

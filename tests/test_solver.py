@@ -1,17 +1,20 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import j0, j1
 
 from gradecho.analytic import AnalyticParams, impulse_equivalent_amplitude, rho31_closed
-from gradecho.model import (ControlSchedule, GridSpec, MediumParams,
+from gradecho.model import (ControlSchedule, GridSpec, Linear, MediumParams,
                             ProbePulse, Scenario, Uniform)
 from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 from gradecho.solver import (DivergenceError, ResourceLimitError,
+                             _check_coherences, _coherence_matrix, _rk4_map,
                              convergence_check, integrate, step_plan)
 
-from .conftest import constant_control_response, rel_l2, small_scenario
+from .conftest import (constant_control_response, method_of_lines_response,
+                       rel_l2, small_scenario)
 
 
 def test_empty_medium_passes_probe_through():
@@ -142,6 +145,77 @@ def test_divergence_guard():
     )
     with pytest.raises(DivergenceError, match="step"):
         integrate(s, check=False)
+
+
+@pytest.mark.parametrize("bad", [10 * (1 + 1e-9), np.nan, np.inf, -1j * np.inf])
+@pytest.mark.parametrize("which", ["rho31", "rho21"])
+def test_guard_stops_one_bad_cell(bad, which):
+    r = np.zeros(1025, dtype=complex)
+    bad_r = r.copy()
+    bad_r[512] = bad
+    args = (bad_r, r) if which == "rho31" else (r, bad_r)
+    with pytest.raises(DivergenceError, match="at step 17 "):
+        _check_coherences(*args, step=17, t=0.5)
+
+
+def test_guard_passes_large_but_bounded_coherences():
+    # the sum of squares is far above the one-call bound, so this goes
+    # through the exact max|rho| test, which passes it
+    r = np.full(1025, 9.99, dtype=complex)
+    _check_coherences(r, 1j * r, step=1, t=0.0)
+
+
+def _taylor_map(A, dt):
+    """Closed form of one RK4 step under a constant A with the probe linear
+    across the step: M is the 4th-order Taylor polynomial of exp(A dt) and
+    V0, V1 push the drive (i/2, 0) Omega_p through the four stages."""
+    A2 = A @ A
+    A3 = A2 @ A
+    A4 = A3 @ A
+    M = np.eye(2) + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
+    c = np.array([0.5j, 0.0])
+    Ac, A2c, A3c = A @ c, A2 @ c, A3 @ c
+    V0 = dt / 6.0 * (3 * c + 2 * dt * Ac + 0.75 * dt**2 * A2c + 0.25 * dt**3 * A3c)
+    V1 = dt / 6.0 * (3 * c + dt * Ac + 0.25 * dt**2 * A2c)
+    return M, V0, V1
+
+
+def test_rk4_map_of_a_constant_control_is_the_taylor_map():
+    dt = 2.5e-3
+    med = MediumParams(xi=1.0, gamma_ground=0.01, delta_p=0.3, delta_c=-0.2)
+    A = _coherence_matrix(np.linspace(-40.0, 40.0, 33), med)
+    for got, want in zip(_rk4_map(A, A, A, dt), _taylor_map(A, dt)):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+MOL_GRID = GridSpec(t_end=2.0, nz=64)
+MOL_CASES = {
+    "flipped": {},
+    "ramped": dict(schedule=ControlSchedule(segments=((0.0, 1.0), (0.8, -1.0)),
+                                            ramp_time=0.02)),
+    "gradient": dict(profile=Linear(zeta=4.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MOL_CASES))
+def test_matches_method_of_lines_oracle(case):
+    # an adaptive integrator of the same equations on the same z grid, for
+    # a switched, a ramped and a gradient control (measured 1.8e-4 each)
+    s = small_scenario(grid=MOL_GRID, **MOL_CASES[case])
+    rec = integrate(s)
+    assert rel_l2(rec.probe_out, method_of_lines_response(s, rec.times)) <= 1e-3
+
+
+def test_method_of_lines_error_falls_with_dt():
+    # the oracle shares the z grid, so what is left is the time-stepping
+    # error: halving a pinned dt cuts it ~4x (measured 1.7e-4, 4.3e-5, 1.1e-5)
+    base = small_scenario(grid=MOL_GRID, **MOL_CASES["ramped"])
+    errs = []
+    for f in (1, 2, 4):
+        s = replace(base, grid=replace(MOL_GRID, dt=base.resolved_dt() / f))
+        rec = integrate(s)
+        errs.append(rel_l2(rec.probe_out, method_of_lines_response(s, rec.times)))
+    assert errs[0] >= 3 * errs[1] and errs[1] >= 3 * errs[2]
 
 
 def test_resource_limit():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import gradecho.sweep
 from gradecho.metrics import compute_echo_metrics
 from gradecho.solver import integrate
 from gradecho.sweep import (PointResult, SweepSpec, get_scenario_field,
@@ -127,7 +128,7 @@ def test_dispersion_flag_reference_points():
     assert flags[(2000.0, 4000.0)] is False
 
 
-def test_checkpoint_of_another_spec_is_refused(tmp_path):
+def test_checkpoint_of_another_spec_is_refused(tmp_path, monkeypatch):
     run_sweep(_spec(tmp_path, xis=(20.0,)))
     with pytest.raises(ValueError, match="another sweep spec"):
         run_sweep(_spec(tmp_path, xis=(50.0,)))
@@ -136,6 +137,14 @@ def test_checkpoint_of_another_spec_is_refused(tmp_path):
     ckpt.write_text(ckpt.read_text(encoding="utf-8").splitlines()[1] + "\n",
                     encoding="utf-8")
     with pytest.raises(ValueError, match="another sweep spec"):
+        run_sweep(_spec(tmp_path, xis=(20.0,)))
+    # so is one of the same spec written by another version: rows of another
+    # step kernel differ at rounding level and must not be mixed
+    ckpt.unlink()
+    monkeypatch.setattr(gradecho.sweep, "__version__", "0.2.0")
+    run_sweep(_spec(tmp_path, xis=(20.0,)))
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="gradecho version"):
         run_sweep(_spec(tmp_path, xis=(20.0,)))
 
 
