@@ -11,6 +11,10 @@ converging as Omega_c/Gamma grows (measured: 8% relative L2 at Omega_c =
 30 Gamma, 2.4% at 100 Gamma, 1.0% at 300 Gamma).  Well below Omega_c =
 Gamma/2 the pair of dressed modes is overdamped and the trigonometric
 factors no longer describe the dynamics.
+
+scipy is imported inside the functions that call it, so importing the
+package (``gradecho run`` and ``gradecho sweep`` never call them) does not
+load it.
 """
 from __future__ import annotations
 
@@ -19,9 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import simpson
-from scipy.optimize import brentq
-from scipy.special import j0, j1
 
 from .model import ControlSchedule, ProbePulse, SpatialProfile
 
@@ -62,6 +63,8 @@ def impulse_equivalent_amplitude(probe: ProbePulse) -> complex:
 
 
 def _envelope(p: AnalyticParams, T: np.ndarray) -> np.ndarray:
+    from scipy.special import j0
+
     return j0(np.sqrt(p.eta_z * T)) * np.exp(-p.gamma_decay * T / 4.0)
 
 
@@ -92,6 +95,8 @@ def probe_closed(p: AnalyticParams, T):
     numeric spike; in comparisons the incident regularized pulse itself
     stands in for it.
     """
+    from scipy.special import j1
+
     Tarr = np.asarray(T, dtype=float)
     if np.any(Tarr <= 0):
         raise ValueError("T must be > 0: sqrt(eta_z/T) is singular at T = 0")
@@ -148,6 +153,8 @@ def predict_echo_time(schedule: ControlSchedule, profile: SpatialProfile,
     highest-coherence region).  Returns None when the area never crosses zero
     before t_end.
     """
+    from scipy.optimize import brentq
+
     last_flip = schedule.last_flip_time()
     if last_flip is None or last_flip >= t_end:
         return None
@@ -183,6 +190,8 @@ def first_order_signal(profile: SpatialProfile, T, nquad: int = 256,
     First-order scattering estimate of the transmitted intensity envelope for
     a static control profile.
     """
+    from scipy.integrate import simpson
+
     if nquad < 16:
         raise ValueError("nquad must be >= 16")
     n = nquad + (nquad % 2)  # Simpson needs an even interval count

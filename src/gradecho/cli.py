@@ -18,7 +18,8 @@ from .analytic import (AnalyticParams, impulse_equivalent_amplitude,
                        probe_closed, rho21_closed, rho31_closed)
 from .config import (ConfigError, config_hash, parse_scenario_file,
                      serialize_scenario)
-from .io import RunManifestWriter, write_metrics_json, write_timeseries_csv
+from .io import (RunManifestWriter, write_csv, write_metrics_json,
+                 write_timeseries_csv)
 from .metrics import (UndefinedMetricError, compute_echo_metrics,
                       feasibility)
 from .model import Scenario, Uniform, broadband_ordering_ok, validate_scenario
@@ -86,7 +87,8 @@ def cmd_run(args) -> int:
 
     name = Path(args.scenario).stem if Path(args.scenario).exists() else args.scenario
     plan = step_plan(scenario)
-    manifest = RunManifestWriter(config_hash(scenario), serialize_scenario(scenario),
+    manifest = RunManifestWriter(config_hash=config_hash(scenario),
+                                 scenario=serialize_scenario(scenario),
                                  grid_used={"nz": scenario.grid.nz,
                                             "t_end": scenario.grid.t_end,
                                             "steps": sum(p.steps for p in plan),
@@ -120,9 +122,6 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    import time as _time
-
-    t_start = _time.monotonic()
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     checkpoint = outdir / "sweep_checkpoint.jsonl"
@@ -134,26 +133,17 @@ def cmd_sweep(args) -> int:
     else:
         raise ConfigError(f"unknown sweep {args.spec!r}; available: "
                           f"{', '.join(sorted(BUILTIN_SWEEPS))}")
+    manifest = RunManifestWriter(sweep=args.spec, grid_shape=list(spec.shape),
+                                 axes=[[p, list(vals)] for p, vals in spec.axes],
+                                 base_config_hash=config_hash(spec.base),
+                                 workers=args.workers)
     result = run_sweep(spec)
     csv_path = outdir / "sweep.csv"
     result.to_csv(csv_path)
-    manifest = {
-        "tool": "gradecho",
-        "version": __version__,
-        "sweep": args.spec,
-        "grid_shape": list(result.spec_shape),
-        "axes": [[p, list(vals)] for p, vals in spec.axes],
-        "base_config_hash": config_hash(spec.base),
-        "workers": args.workers,
-        "outputs": [str(csv_path)],
-        "failed_points": [r.index for r in result.rows if r.error],
-        "wall_time_s": _time.monotonic() - t_start,
-    }
-    with open(outdir / "sweep_manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {csv_path} ({len(result.rows)} points, "
-          f"{len(manifest['failed_points'])} failed)")
+    manifest.add_output(csv_path)
+    failed = [r.index for r in result.rows if r.error]
+    manifest.write(outdir / "sweep_manifest.json", failed_points=failed)
+    print(f"wrote {csv_path} ({len(result.rows)} points, {len(failed)} failed)")
     return EXIT_OK
 
 
@@ -198,14 +188,10 @@ def cmd_compare(args) -> int:
         "impulse_amplitude": {"re": amp.real, "im": amp.imag},
     }
 
-    csv_path = outdir / "compare.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("T,re_solver_tail,im_solver_tail,re_closed_tail,im_closed_tail\n")
-        rows = np.column_stack([T[mt], record.probe_out[mt].real,
-                                record.probe_out[mt].imag,
-                                tail_ref.real, tail_ref.imag])
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(outdir / "compare.csv",
+              "T,re_solver_tail,im_solver_tail,re_closed_tail,im_closed_tail",
+              [T[mt], record.probe_out[mt].real, record.probe_out[mt].imag,
+               tail_ref.real, tail_ref.imag])
     write_metrics_json(residuals, outdir / "compare_residuals.json")
     print(json.dumps(residuals, indent=2, sort_keys=True))
     return EXIT_OK
@@ -221,12 +207,9 @@ def cmd_analytic(args) -> int:
     r31 = rho31_closed(p, T)
     r21 = rho21_closed(p, T)
     tail = args.amp * probe_closed(replace(p, probe_amp=1.0), T)
-    rows = np.column_stack([T, r31.imag, r31.real, r21.real, r21.imag, tail.real])
     path = outdir / "analytic.csv"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("T,im_rho31,re_rho31,re_rho21,im_rho21,probe_tail\n")
-        for row in rows:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    write_csv(path, "T,im_rho31,re_rho31,re_rho21,im_rho21,probe_tail",
+              [T, r31.imag, r31.real, r21.real, r21.imag, tail.real])
     print(f"wrote {path}")
     return EXIT_OK
 

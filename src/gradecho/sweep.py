@@ -12,7 +12,6 @@ import dataclasses
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
@@ -24,7 +23,7 @@ from .config import config_hash
 from .metrics import (AmbiguousPeakError, EchoMetrics, UndefinedMetricError,
                       compute_echo_metrics, detect_echo, storage_efficiency)
 from .model import Scenario, validate_scenario
-from .solver import integrate
+from .solver import integrate, step_plan
 
 __all__ = [
     "SweepSpec",
@@ -210,6 +209,22 @@ def _run_point(args) -> PointResult:
         return PointResult(index, values, None, {}, error=f"{type(exc).__name__}: {exc}")
 
 
+def _longest_first(spec: SweepSpec, indices) -> list[int]:
+    """``indices`` by decreasing cost, total steps x (nz + 1) of the point's
+    step plan, ties in the given order.  A point that does not build or
+    fails validation costs 0: its error row takes no time."""
+    def cost(index: int) -> int:
+        try:
+            _, scenario = spec.point(index)
+            if any(i.severity == "error" for i in validate_scenario(scenario)):
+                return 0
+            return sum(p.steps for p in step_plan(scenario)) * (scenario.grid.nz + 1)
+        except (ValueError, RuntimeError):
+            return 0
+
+    return sorted(indices, key=lambda i: -cost(i))
+
+
 def _spec_hash(spec: SweepSpec) -> str:
     """Identity of the rows a spec produces: base scenario, axes, metric
     windows and package version (worker count and checkpoint path excluded)."""
@@ -285,7 +300,9 @@ class _Checkpoint:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point; deterministic per point regardless of
     worker count or completion order.  Failed points carry their error
-    string instead of poisoning the sweep."""
+    string instead of poisoning the sweep.  A pool gets the points longest
+    first, so its workers do not end on the most expensive ones; the
+    checkpoint lines follow that order."""
     n = spec.size()
     ckpt = _Checkpoint(spec.checkpoint, _spec_hash(spec))
     done = ckpt.load()
@@ -298,8 +315,11 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     done[r.index] = r
                     ckpt.append(r)
             else:
+                from concurrent.futures import ProcessPoolExecutor
+
+                order = _longest_first(spec, todo)
                 with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                    for r in pool.map(_run_point, [(spec, i) for i in todo]):
+                    for r in pool.map(_run_point, [(spec, i) for i in order]):
                         done[r.index] = r
                         ckpt.append(r)
     finally:

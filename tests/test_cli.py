@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gradecho
 from gradecho.cli import main
 from gradecho.config import serialize_scenario
 from gradecho.sweep import SweepSpec
@@ -27,6 +31,8 @@ def test_run_builtin_writes_files(tmp_path, capsys):
     metrics = json.loads((out / "fig4c_metrics.json").read_text())
     assert 0.19 < metrics["echo_peak_time"] < 0.25
     manifest = json.loads((out / "fig4c_manifest.json").read_text())
+    assert set(manifest) == {"tool", "version", "config_hash", "scenario",
+                             "grid_used", "note", "outputs", "wall_time_s"}
     assert len(manifest["outputs"]) == 2
     assert manifest["config_hash"] == metrics["config_hash"]
 
@@ -98,6 +104,29 @@ def test_sweep_cli_with_injected_tiny_grid(tmp_path, monkeypatch):
     assert main(["sweep", "tiny", "--output", str(out1), "--resume"]) == 2
 
 
+def test_sweep_manifest(tmp_path, monkeypatch):
+    import gradecho.cli as cli_mod
+
+    def tiny(workers=1, checkpoint=None):
+        return SweepSpec(base=small_scenario(), axes=(("medium.xi", (20.0, -5.0)),),
+                         workers=workers, checkpoint=checkpoint,
+                         efficiency_cut=0.8, detect_after=0.8)
+
+    monkeypatch.setitem(cli_mod.BUILTIN_SWEEPS, "tiny", tiny)
+    out = tmp_path / "out"
+    assert main(["sweep", "tiny", "--output", str(out)]) == 0
+    manifest = json.loads((out / "sweep_manifest.json").read_text())
+    assert set(manifest) == {"tool", "version", "sweep", "grid_shape", "axes",
+                             "base_config_hash", "workers", "outputs",
+                             "failed_points", "wall_time_s"}
+    assert manifest["sweep"] == "tiny"
+    assert manifest["grid_shape"] == [2]
+    assert manifest["axes"] == [["medium.xi", [20.0, -5.0]]]
+    assert manifest["workers"] == 1
+    assert manifest["outputs"] == [str(out / "sweep.csv")]
+    assert manifest["failed_points"] == [1]
+
+
 def test_compare_emits_residuals(tmp_path):
     out = tmp_path / "cmp"
     code = main(["compare", "oracle-ats", "--output", str(out),
@@ -128,3 +157,17 @@ def test_feasibility_prints_report(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["rayleigh_um"] == pytest.approx(50.0, rel=0.02)
     assert payload["power_w"] == pytest.approx(0.08, rel=0.1)
+
+
+def test_cli_import_loads_no_scipy_and_no_process_pool():
+    # gradecho run and gradecho sweep never call scipy, and a serial sweep
+    # starts no pool: neither belongs on the import path
+    src = str(Path(gradecho.__file__).resolve().parent.parent)
+    code = ("import sys; import gradecho, gradecho.cli; "
+            "print('\\n'.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], check=True, text=True,
+                         capture_output=True, env={"PYTHONPATH": src}).stdout
+    loaded = [m for m in out.split()
+              if m.split(".")[0] in ("scipy", "multiprocessing")
+              or m.startswith("concurrent.futures")]
+    assert loaded == []

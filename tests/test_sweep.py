@@ -5,8 +5,9 @@ import pytest
 import gradecho.sweep
 from gradecho.metrics import compute_echo_metrics
 from gradecho.solver import integrate
-from gradecho.sweep import (PointResult, SweepSpec, get_scenario_field,
-                            run_sweep, set_scenario_field)
+from gradecho.scenarios import builtin_sweep
+from gradecho.sweep import (PointResult, SweepSpec, _longest_first,
+                            get_scenario_field, run_sweep, set_scenario_field)
 
 from .conftest import small_scenario
 
@@ -113,7 +114,6 @@ def test_point_result_json_roundtrip():
 def test_dispersion_flag_reference_points():
     # distortion marker on the linear-gradient storage protocol: broadened
     # echo at (xi, zeta) = (4000, 500), clean at (2000, 4000)
-    from gradecho.scenarios import builtin_sweep
     from gradecho.sweep import dispersion_flag
 
     spec = builtin_sweep("fig4a-coarse")
@@ -166,3 +166,25 @@ def test_corrupt_middle_line_fails(tmp_path):
     ckpt.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(ValueError, match="line 2 is corrupt"):
         run_sweep(_spec(tmp_path))
+
+
+def test_longest_points_go_first():
+    # fig4a-coarse: the five zeta = 4000 points have the most steps, ties
+    # keep index order
+    spec = builtin_sweep("fig4a-coarse")
+    order = _longest_first(spec, range(spec.size()))
+    assert sorted(order) == list(range(spec.size()))
+    assert order[:5] == [4, 9, 14, 19, 24]
+    assert order[5:10] == [3, 8, 13, 18, 23]
+
+
+def test_pool_runs_longest_first_and_keeps_error_rows(tmp_path):
+    # xi < 0 does not build (cost 0, last); xi = 50 has more steps than 20
+    spec = _spec(tmp_path, workers=2, xis=(20.0, -5.0, 50.0))
+    result = run_sweep(spec)
+    lines = (tmp_path / "ckpt.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["index"] for line in lines[1:]] == [2, 0, 1]
+    assert [r.index for r in result.rows] == [0, 1, 2]
+    assert result.rows[1].error is not None and result.rows[1].metrics is None
+    serial = run_sweep(_spec(xis=(20.0, -5.0, 50.0)))
+    assert result.rows == serial.rows
