@@ -16,12 +16,12 @@ import numpy as np
 from . import __version__
 from .analytic import (AnalyticParams, impulse_equivalent_amplitude,
                        probe_closed, rho21_closed, rho31_closed)
-from .config import (ConfigError, config_hash, parse_scenario_file,
-                     serialize_scenario)
+from .config import (ConfigError, apply_grid_override, config_hash,
+                     parse_scenario_file, serialize_scenario)
 from .io import (RunManifestWriter, write_csv, write_metrics_json,
                  write_timeseries_csv)
-from .metrics import (UndefinedMetricError, compute_echo_metrics,
-                      feasibility)
+from .metrics import (AmbiguousPeakError, UndefinedMetricError,
+                      ambiguous_echo_metrics, compute_echo_metrics, feasibility)
 from .model import Scenario, Uniform, broadband_ordering_ok, validate_scenario
 from .scenarios import (BUILTIN_SCENARIOS, BUILTIN_SWEEPS, builtin_scenario,
                         builtin_sweep, scenario_notes)
@@ -44,34 +44,10 @@ def _load_scenario(ref: str) -> tuple[Scenario, str]:
     return parse_scenario_file(path), ""
 
 
-def _apply_grid_override(scenario: Scenario, override: str) -> Scenario:
-    grid = scenario.grid
-    for item in override.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ConfigError(f"--grid-override entries need key=value, got {item!r}")
-        key, val = (p.strip() for p in item.split("=", 1))
-        if key == "nz":
-            grid = replace(grid, nz=int(val))
-        elif key == "dt":
-            grid = replace(grid, dt=None if val == "auto" else float(val))
-        elif key == "t_end":
-            grid = replace(grid, t_end=float(val))
-        elif key == "record_stride":
-            grid = replace(grid, record_stride=None if val == "auto" else int(val))
-        elif key == "snapshot_stride":
-            grid = replace(grid, snapshot_stride=None if val == "auto" else int(val))
-        else:
-            raise ConfigError(f"--grid-override: unknown grid field {key!r}")
-    return replace(scenario, grid=grid)
-
-
 def _prepare(args) -> tuple[Scenario, str, Path]:
     scenario, note = _load_scenario(args.scenario)
     if args.grid_override:
-        scenario = _apply_grid_override(scenario, args.grid_override)
+        scenario = apply_grid_override(scenario, args.grid_override)
     outdir = Path(args.output)
     outdir.mkdir(parents=True, exist_ok=True)
     return scenario, note, outdir
@@ -108,6 +84,9 @@ def cmd_run(args) -> int:
         try:
             m = compute_echo_metrics(record, after=after, t_cut=t_cut)
             metrics_payload.update(m.as_dict())
+        except AmbiguousPeakError as exc:
+            metrics_payload.update(ambiguous_echo_metrics(record, after, t_cut))
+            metrics_payload["echo"] = f"ambiguous: {exc}"
         except UndefinedMetricError as exc:
             metrics_payload["echo"] = f"undefined: {exc}"
     else:
@@ -234,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("scenario", help="builtin name or config file path")
     runp.add_argument("--output", required=True, help="output directory")
     runp.add_argument("--grid-override", default="",
-                      help="comma list, e.g. nz=2048,dt=1e-5,t_end=0.5")
+                      help="comma list of key=value pairs for the [grid] "
+                           "section, read as in a config file (units, auto)")
     runp.add_argument("--efficiency-cut", type=float, default=None,
                       dest="efficiency_cut",
                       help="storage-efficiency lower time limit "

@@ -32,30 +32,64 @@ Example::
     [outputs]
     observables = probe_in, probe_out, coherences
 
-Serialization is canonical: parse(serialize(s)) reproduces the scenario
+Each section's fields are declared once, in serialization order, in the
+tables below, which parsing, serialization and ``apply_grid_override`` read;
+only the profile ``kind``, the ``segments`` and the ``observables`` are
+written out by hand.  Serialization is canonical: parse(serialize(s)) reproduces the scenario
 exactly, and the serialized text doubles as the config-hash input.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
-import io
-from typing import Optional
+from dataclasses import replace
+from functools import partial
+from typing import NamedTuple, Optional
 
 from .model import (ControlSchedule, GaussianBeam, GridSpec, Linear,
                     MediumParams, ProbePulse, Scenario, Uniform)
 
 __all__ = ["ConfigError", "parse_scenario", "parse_scenario_file",
-           "serialize_scenario", "config_hash"]
+           "serialize_scenario", "config_hash", "apply_grid_override"]
 
 
 class ConfigError(ValueError):
     """Malformed scenario config; message carries section/field context."""
 
 
-_TIME_SUFFIXES = {"tau": 1.0, "utau": 1e-6}
 OBSERVABLES = ("probe_in", "probe_out", "coherences")
-_RATE_SUFFIXES = {"gamma": 1.0}
+_TIME_SUFFIXES = {"tau": 1.0, "utau": 1e-6}
+# unit kind -> accepted suffixes; "tau" and "gamma" values serialize with
+# their suffix, "plain" values bare
+_SUFFIXES = {"tau": _TIME_SUFFIXES, "gamma": {"gamma": 1.0},
+             "plain": {**_TIME_SUFFIXES, "gamma": 1.0}}
+
+
+class _Field(NamedTuple):
+    """One config key.  ``kind`` is a unit kind of ``_SUFFIXES``, "int",
+    "str" (lower-cased) or "complex".  ``default`` is config text, None
+    for a required key; a field whose default is "auto" also takes "auto",
+    which stands for None."""
+
+    name: str
+    kind: str
+    default: Optional[str] = None
+
+
+_MEDIUM = (_Field("xi", "plain"), _Field("gamma_decay", "gamma", "1"),
+           _Field("gamma_ground", "gamma", "0"), _Field("delta_p", "gamma", "0"),
+           _Field("delta_c", "gamma", "0"), _Field("length", "plain", "1"))
+_PROFILES = {"uniform": (Uniform, (_Field("b", "gamma"),)),
+             "gaussian_beam": (GaussianBeam, (_Field("b", "gamma"),
+                                              _Field("z_focus", "plain"),
+                                              _Field("rayleigh", "plain"))),
+             "linear": (Linear, (_Field("zeta", "gamma"),))}
+_SCHEDULE = (_Field("ramp_time", "tau", "0"),)  # after the segments line
+_PROBE = (_Field("amplitude", "complex", "1"), _Field("center_time", "tau"),
+          _Field("width", "tau"), _Field("shape", "str", "gaussian"))
+_GRID = (_Field("nz", "int", "1024"), _Field("t_end", "tau"),
+         _Field("dt", "tau", "auto"), _Field("record_stride", "int", "auto"),
+         _Field("snapshot_stride", "int", "auto"))
 
 
 def _parse_number(text: str, where: str, kind: str = "plain") -> float:
@@ -71,81 +105,78 @@ def _parse_number(text: str, where: str, kind: str = "plain") -> float:
     if len(parts) > 2:
         raise ConfigError(f"{where}: too many tokens in {text!r}")
     suffix = parts[1].lower()
-    table = {"time": _TIME_SUFFIXES, "rate": _RATE_SUFFIXES,
-             "plain": {**_TIME_SUFFIXES, **_RATE_SUFFIXES}}[kind]
+    table = _SUFFIXES[kind]
     if suffix not in table:
         raise ConfigError(f"{where}: unknown unit suffix {suffix!r} "
                           f"(expected one of {sorted(table)})")
     return value * table[suffix]
 
 
-def _parse_complex(text: str, where: str) -> complex:
+def _parse_value(field: _Field, text: str, where: str):
+    text = text.strip()
+    if field.default == "auto" and text.lower() == "auto":
+        return None
+    if field.kind in _SUFFIXES:
+        return _parse_number(text, where, field.kind)
+    if field.kind == "str":
+        return text.lower()
     try:
-        return complex(text.strip().replace(" ", ""))
+        return int(text) if field.kind == "int" else complex(text.replace(" ", ""))
     except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse complex number from {text!r}") from exc
+        raise ConfigError(f"{where}: cannot parse {field.kind} from {text!r}") from exc
+
+
+def _format_value(field: _Field, value) -> str:
+    if value is None:
+        return "auto"
+    if field.kind in ("int", "str"):
+        return str(value)
+    if field.kind == "complex":
+        return _g(value.real) if getattr(value, "imag", 0.0) == 0 else repr(complex(value))
+    return _g(value) if field.kind == "plain" else f"{_g(value)} {field.kind}"
 
 
 def _get(cp: configparser.ConfigParser, section: str, key: str,
-         required: bool = True, default: Optional[str] = None) -> Optional[str]:
+         default: Optional[str] = None) -> str:
+    """Raw text of ``key``; without a default the section and key are required."""
+    if cp.has_option(section, key):
+        return cp.get(section, key)
+    if default is not None:
+        return default
     if not cp.has_section(section):
-        if required:
-            raise ConfigError(f"missing required section [{section}]")
-        return default
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}]: missing required field {key!r}")
-        return default
-    return cp.get(section, key)
+        raise ConfigError(f"missing required section [{section}]")
+    raise ConfigError(f"[{section}]: missing required field {key!r}")
 
 
-def _new_parser() -> configparser.ConfigParser:
-    return configparser.ConfigParser(interpolation=None, delimiters=("=",),
-                                     inline_comment_prefixes=("#",))
+def _read(cp: configparser.ConfigParser, section: str, fields) -> dict:
+    return {f.name: _parse_value(f, _get(cp, section, f.name, f.default),
+                                 f"[{section}] {f.name}") for f in fields}
+
+
+def _build(section: str, make, **values):
+    """``make(**values)`` with its ValueError as a ConfigError of ``section``."""
+    try:
+        return make(**values)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}]: {exc}") from exc
 
 
 def parse_scenario(text: str) -> Scenario:
-    cp = _new_parser()
+    cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
+                                   inline_comment_prefixes=("#",))
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config parse error: {exc}") from exc
 
-    med = MediumParams(
-        xi=_parse_number(_must(cp, "medium", "xi"), "[medium] xi"),
-        gamma_decay=_parse_number(_get(cp, "medium", "gamma_decay", False, "1"),
-                                  "[medium] gamma_decay", "rate"),
-        gamma_ground=_parse_number(_get(cp, "medium", "gamma_ground", False, "0"),
-                                   "[medium] gamma_ground", "rate"),
-        delta_p=_parse_number(_get(cp, "medium", "delta_p", False, "0"),
-                              "[medium] delta_p", "rate"),
-        delta_c=_parse_number(_get(cp, "medium", "delta_c", False, "0"),
-                              "[medium] delta_c", "rate"),
-        length=_parse_number(_get(cp, "medium", "length", False, "1"),
-                             "[medium] length"),
-    )
-
-    kind = _must(cp, "control.profile", "kind").strip().lower()
-    where = "[control.profile]"
-    if kind == "uniform":
-        profile = Uniform(b=_parse_number(_must(cp, "control.profile", "b"),
-                                          f"{where} b", "rate"))
-    elif kind == "gaussian_beam":
-        profile = GaussianBeam(
-            b=_parse_number(_must(cp, "control.profile", "b"), f"{where} b", "rate"),
-            z_focus=_parse_number(_must(cp, "control.profile", "z_focus"),
-                                  f"{where} z_focus"),
-            rayleigh=_parse_number(_must(cp, "control.profile", "rayleigh"),
-                                   f"{where} rayleigh"))
-    elif kind == "linear":
-        profile = Linear(zeta=_parse_number(_must(cp, "control.profile", "zeta"),
-                                            f"{where} zeta", "rate"))
-    else:
-        raise ConfigError(f"{where}: unknown kind {kind!r}")
-
-    seg_text = _must(cp, "control.schedule", "segments")
+    medium = _build("medium", MediumParams, **_read(cp, "medium", _MEDIUM))
+    kind = _get(cp, "control.profile", "kind").strip().lower()
+    if kind not in _PROFILES:
+        raise ConfigError(f"[control.profile]: unknown kind {kind!r}")
+    cls, fields = _PROFILES[kind]
+    profile = _build("control.profile", cls, **_read(cp, "control.profile", fields))
     segments = []
-    for item in seg_text.split(","):
+    for item in _get(cp, "control.schedule", "segments").split(","):
         item = item.strip()
         if not item:
             continue
@@ -154,66 +185,23 @@ def parse_scenario(text: str) -> Scenario:
                               f"'<time>: <gain>' in {item!r}")
         t_txt, g_txt = item.split(":", 1)
         segments.append((
-            _parse_number(t_txt, "[control.schedule] segment time", "time"),
+            _parse_number(t_txt, "[control.schedule] segment time", "tau"),
             _parse_number(g_txt, "[control.schedule] segment gain"),
         ))
-    try:
-        schedule = ControlSchedule(
-            segments=tuple(segments),
-            ramp_time=_parse_number(_get(cp, "control.schedule", "ramp_time",
-                                         False, "0"),
-                                    "[control.schedule] ramp_time", "time"))
-    except ValueError as exc:
-        raise ConfigError(f"[control.schedule]: {exc}") from exc
+    schedule = _build("control.schedule", ControlSchedule, segments=tuple(segments),
+                      **_read(cp, "control.schedule", _SCHEDULE))
+    probe = _build("probe", ProbePulse, **_read(cp, "probe", _PROBE))
+    grid = _build("grid", GridSpec, **_read(cp, "grid", _GRID))
 
-    try:
-        probe = ProbePulse(
-            amplitude=_parse_complex(_get(cp, "probe", "amplitude", False, "1"),
-                                     "[probe] amplitude"),
-            center_time=_parse_number(_must(cp, "probe", "center_time"),
-                                      "[probe] center_time", "time"),
-            width=_parse_number(_must(cp, "probe", "width"), "[probe] width", "time"),
-            shape=_get(cp, "probe", "shape", False, "gaussian").strip().lower())
-    except ValueError as exc:
-        raise ConfigError(f"[probe]: {exc}") from exc
-
-    def _opt_auto(section, key, kind="time", integer=False):
-        raw = _get(cp, section, key, False, "auto")
-        raw = raw.strip()
-        if raw.lower() == "auto":
-            return None
-        if integer:
-            try:
-                return int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key}: expected integer or 'auto'") from exc
-        return _parse_number(raw, f"[{section}] {key}", kind)
-
-    try:
-        grid = GridSpec(
-            t_end=_parse_number(_must(cp, "grid", "t_end"), "[grid] t_end", "time"),
-            nz=int(_get(cp, "grid", "nz", False, "1024")),
-            dt=_opt_auto("grid", "dt"),
-            record_stride=_opt_auto("grid", "record_stride", integer=True),
-            snapshot_stride=_opt_auto("grid", "snapshot_stride", integer=True))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[grid]: {exc}") from exc
-
-    outputs = _get(cp, "outputs", "observables", False, ", ".join(OBSERVABLES))
+    outputs = _get(cp, "outputs", "observables", ", ".join(OBSERVABLES))
     out_tuple = tuple(o.strip() for o in outputs.split(",") if o.strip())
     unknown = [o for o in out_tuple if o not in OBSERVABLES]
     if unknown:
         raise ConfigError(f"[outputs] observables: unknown {', '.join(map(repr, unknown))}; "
                           f"choose from {', '.join(OBSERVABLES)}")
 
-    return Scenario(medium=med, profile=profile, schedule=schedule,
+    return Scenario(medium=medium, profile=profile, schedule=schedule,
                     probe=probe, grid=grid, outputs=out_tuple)
-
-
-def _must(cp, section, key) -> str:
-    return _get(cp, section, key, required=True)
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -221,59 +209,46 @@ def parse_scenario_file(path) -> Scenario:
         return parse_scenario(fh.read())
 
 
+def apply_grid_override(scenario: Scenario, text: str) -> Scenario:
+    """``scenario`` with [grid] fields replaced from a comma list of
+    key=value pairs; each value reads as in a config file's [grid] section."""
+    fields = {f.name: f for f in _GRID}
+    values = {}
+    for item in text.split(","):
+        if not item.strip():
+            continue
+        key, sep, value = (p.strip() for p in item.partition("="))
+        if not sep:
+            raise ConfigError(f"grid override entries need key=value, got {item.strip()!r}")
+        if key not in fields:
+            raise ConfigError(f"grid override: unknown [grid] field {key!r} "
+                              f"(expected one of {', '.join(fields)})")
+        values[key] = _parse_value(fields[key], value, f"grid override {key}")
+    return replace(scenario, grid=_build("grid", partial(replace, scenario.grid), **values))
+
+
 def _g(x: float) -> str:
     return format(float(x), ".17g")
 
 
 def serialize_scenario(s: Scenario) -> str:
-    out = io.StringIO()
-    m = s.medium
-    out.write("[medium]\n")
-    out.write(f"xi = {_g(m.xi)}\n")
-    out.write(f"gamma_decay = {_g(m.gamma_decay)} gamma\n")
-    out.write(f"gamma_ground = {_g(m.gamma_ground)} gamma\n")
-    out.write(f"delta_p = {_g(m.delta_p)} gamma\n")
-    out.write(f"delta_c = {_g(m.delta_c)} gamma\n")
-    out.write(f"length = {_g(m.length)}\n\n")
-
-    out.write("[control.profile]\n")
-    p = s.profile
-    if isinstance(p, Uniform):
-        out.write(f"kind = uniform\nb = {_g(p.b)} gamma\n")
-    elif isinstance(p, GaussianBeam):
-        out.write(f"kind = gaussian_beam\nb = {_g(p.b)} gamma\n"
-                  f"z_focus = {_g(p.z_focus)}\nrayleigh = {_g(p.rayleigh)}\n")
-    elif isinstance(p, Linear):
-        out.write(f"kind = linear\nzeta = {_g(p.zeta)} gamma\n")
-    else:  # pragma: no cover - profile union is closed
-        raise ConfigError(f"cannot serialize profile {type(p).__name__}")
-    out.write("\n")
-
-    out.write("[control.schedule]\n")
+    kind = next((k for k, (cls, _) in _PROFILES.items() if isinstance(s.profile, cls)),
+                None)
+    if kind is None:  # pragma: no cover - profile union is closed
+        raise ConfigError(f"cannot serialize profile {type(s.profile).__name__}")
     segs = ", ".join(f"{_g(t)} tau: {_g(g)}" for t, g in s.schedule.segments)
-    out.write(f"segments = {segs}\n")
-    out.write(f"ramp_time = {_g(s.schedule.ramp_time)} tau\n\n")
-
-    pr = s.probe
-    amp = pr.amplitude
-    amp_txt = _g(amp.real) if getattr(amp, "imag", 0.0) == 0 else repr(complex(amp))
-    out.write("[probe]\n")
-    out.write(f"amplitude = {amp_txt}\n")
-    out.write(f"center_time = {_g(pr.center_time)} tau\n")
-    out.write(f"width = {_g(pr.width)} tau\n")
-    out.write(f"shape = {pr.shape}\n\n")
-
-    g = s.grid
-    out.write("[grid]\n")
-    out.write(f"nz = {g.nz}\n")
-    out.write(f"t_end = {_g(g.t_end)} tau\n")
-    out.write(f"dt = {'auto' if g.dt is None else _g(g.dt) + ' tau'}\n")
-    out.write(f"record_stride = {'auto' if g.record_stride is None else g.record_stride}\n")
-    out.write(f"snapshot_stride = {'auto' if g.snapshot_stride is None else g.snapshot_stride}\n\n")
-
-    out.write("[outputs]\n")
-    out.write(f"observables = {', '.join(s.outputs)}\n")
-    return out.getvalue()
+    blocks = (("medium", s.medium, _MEDIUM, []),
+              ("control.profile", s.profile, _PROFILES[kind][1], [f"kind = {kind}"]),
+              ("control.schedule", s.schedule, _SCHEDULE, [f"segments = {segs}"]),
+              ("probe", s.probe, _PROBE, []),
+              ("grid", s.grid, _GRID, []))
+    out = []
+    for section, obj, fields, special in blocks:
+        lines = [f"[{section}]", *special]
+        lines += [f"{f.name} = {_format_value(f, getattr(obj, f.name))}" for f in fields]
+        out.append("\n".join(lines) + "\n\n")
+    out.append(f"[outputs]\nobservables = {', '.join(s.outputs)}\n")
+    return "".join(out)
 
 
 def config_hash(s: Scenario) -> str:

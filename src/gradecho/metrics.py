@@ -28,6 +28,7 @@ __all__ = [
     "FeasibilityReport",
     "delay_bandwidth",
     "compute_echo_metrics",
+    "ambiguous_echo_metrics",
 ]
 
 NO_ECHO_FLOOR = 1e-10  # relative to the input intensity peak
@@ -125,6 +126,15 @@ def detect_echo(record: FieldRecord, after: float,
             vpk = y1 - 0.25 * (y0 - y2) * delta
             return EchoDetection(float(tpk), float(vpk))
     return EchoDetection(float(tw[i]), float(yw[i]))
+
+
+def ambiguous_echo_metrics(record: FieldRecord, after: float, t_cut: float) -> dict:
+    """The metrics that stay defined when ``compute_echo_metrics`` raises
+    AmbiguousPeakError: the echo is multimodal, so widths are meaningless,
+    but the storage efficiency and the peak location are not."""
+    det = detect_echo(record, after)
+    return {"efficiency_R": storage_efficiency(record, t_cut),
+            "echo_peak_time": det.peak_time, "echo_peak_value": det.peak_value}
 
 
 def storage_efficiency(record: FieldRecord, t_cut: float) -> float:

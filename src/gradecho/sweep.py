@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .config import config_hash
 from .metrics import (AmbiguousPeakError, EchoMetrics, UndefinedMetricError,
-                      compute_echo_metrics, detect_echo, storage_efficiency)
+                      ambiguous_echo_metrics, compute_echo_metrics, detect_echo)
 from .model import Scenario, validate_scenario
 from .solver import integrate, step_plan
 
@@ -98,9 +98,14 @@ class SweepSpec:
     def size(self) -> int:
         return int(np.prod(self.shape))
 
-    def point(self, index: int) -> tuple[dict, Scenario]:
+    def coordinates(self, index: int) -> dict:
+        """Axis path -> value at grid point ``index``, without building the
+        point's scenario."""
         coords = np.unravel_index(index, self.shape)
-        values = {path: vals[c] for (path, vals), c in zip(self.axes, coords)}
+        return {path: vals[c] for (path, vals), c in zip(self.axes, coords)}
+
+    def point(self, index: int) -> tuple[dict, Scenario]:
+        values = self.coordinates(index)
         s = self.base
         for path, v in values.items():
             s = set_scenario_field(s, path, v)
@@ -171,8 +176,7 @@ def dispersion_flag(metrics: EchoMetrics) -> bool:
 
 def _run_point(args) -> PointResult:
     spec, index = args
-    coords = np.unravel_index(index, spec.shape)
-    values = {path: vals[c] for (path, vals), c in zip(spec.axes, coords)}
+    values = spec.coordinates(index)
     try:
         _, scenario = spec.point(index)
         issues = validate_scenario(scenario)
@@ -198,13 +202,10 @@ def _run_point(args) -> PointResult:
             flags = {"no_echo": False, "dispersion": dispersion_flag(m)}
             return PointResult(index, values, m.as_dict(), flags)
         except AmbiguousPeakError:
-            # deep-dispersion corner: the echo is multimodal, so widths are
-            # meaningless, but efficiency and peak location still are
-            partial = {"efficiency_R": storage_efficiency(record, t_cut),
-                       "echo_peak_time": det.peak_time,
-                       "echo_peak_value": det.peak_value}
+            # deep-dispersion corner: the echo is multimodal
             flags = {"no_echo": False, "dispersion": "ambiguous"}
-            return PointResult(index, values, partial, flags)
+            return PointResult(index, values,
+                               ambiguous_echo_metrics(record, after, t_cut), flags)
     except (UndefinedMetricError, ValueError, RuntimeError) as exc:
         return PointResult(index, values, None, {}, error=f"{type(exc).__name__}: {exc}")
 

@@ -103,6 +103,25 @@ def test_phase_area_antisymmetric_flip():
     assert phase_area(sched, prof, 0.0, t0, 2 * 2.0 - t0) == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("segments", [
+    ((0.0, 1.0), (1.0, -1.0), (3.0, 2.0)),   # every ramp runs its full width
+    ((0.0, 1.0), (1.0, -2.0), (1.2, 3.0)),   # the next segment cuts the first ramp short
+])
+@pytest.mark.parametrize("t0, t", [(0.0, 4.0), (0.3, 1.1), (1.1, 1.6), (1.25, 3.3)])
+def test_phase_area_of_cosine_ramps_matches_quadrature(segments, t0, t):
+    from scipy.integrate import quad
+
+    sched = ControlSchedule(segments=segments, ramp_time=0.5)
+    starts = [tk for tk, _ in sched.segments] + [math.inf]
+    ramp_ends = [min(tk + 0.5, nxt) for tk, nxt in zip(starts[1:-1], starts[2:])]
+    # the gain is smooth only between segment starts and ramp ends
+    knots = sorted({t0, t, *(x for x in starts[:-1] + ramp_ends if t0 < x < t)})
+    ref = sum(quad(sched.gain, a, b, epsabs=1e-14)[0]
+              for a, b in zip(knots, knots[1:]))
+    prof = Uniform(b=3.0)
+    assert phase_area(sched, prof, 0.5, t0, t) == pytest.approx(1.5 * ref, rel=1e-13, abs=1e-14)
+
+
 def test_phase_area_fig3a_first_crossing():
     sched = ControlSchedule(segments=((0.0, 4.0), (1.0 * UTAU, -1.0)))
     prof = GaussianBeam(b=1e7, z_focus=1.0, rayleigh=0.2)

@@ -8,6 +8,7 @@ import pytest
 import gradecho
 from gradecho.cli import main
 from gradecho.config import serialize_scenario
+from gradecho.scenarios import builtin_sweep
 from gradecho.sweep import SweepSpec
 
 from .conftest import small_scenario
@@ -70,6 +71,54 @@ def test_run_under_resolved_grid_exits_2(tmp_path):
     code = main(["run", str(cfg), "--output", str(out), "--grid-override", "dt=0.5"])
     assert code == 2
     assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("override", ["t_end=1.5 tau", "t_end=1500000 utau",
+                                      "dt=auto, t_end=1.5"])
+def test_grid_override_reads_the_config_grammar(tmp_path, override):
+    cfg = _write_small_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out), "--grid-override", override]) == 0
+    manifest = json.loads((out / "small_manifest.json").read_text())
+    assert manifest["grid_used"]["t_end"] == pytest.approx(1.5, rel=1e-15)
+
+
+@pytest.mark.parametrize("override", ["nz=64.0", "n_z=64", "t_end", "t_end=1.5 gamma",
+                                      "record_stride=2.5"])
+def test_bad_grid_override_exits_2(tmp_path, override):
+    cfg = _write_small_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out), "--grid-override", override]) == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_run_records_a_multimodal_echo_like_the_sweep(tmp_path):
+    # fig4a-coarse point 22 (xi = 8000, zeta = 1000): the echo has a
+    # secondary peak at 0.87 of its maximum, so its width is undefined
+    cfg = tmp_path / "pt22.cfg"
+    cfg.write_text(serialize_scenario(builtin_sweep("fig4a-coarse").point(22)[1]),
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    metrics = json.loads((out / "pt22_metrics.json").read_text())
+    assert metrics["echo"].startswith("ambiguous: ")
+    assert set(metrics) == {"builtin", "config_hash", "echo", "efficiency_R",
+                            "echo_peak_time", "echo_peak_value"}
+    assert 0 < metrics["efficiency_R"] < 1
+    manifest = json.loads((out / "pt22_manifest.json").read_text())
+    assert len(manifest["outputs"]) == 2
+
+
+@pytest.mark.parametrize("module, names", [
+    (gradecho.cli, ("parse_scenario_file", "validate_scenario", "integrate",
+                    "compute_echo_metrics", "write_timeseries_csv", "rho31_closed",
+                    "rho21_closed", "probe_closed")),
+    (gradecho.sweep, ("validate_scenario", "integrate", "compute_echo_metrics")),
+])
+def test_names_the_benchmark_traces_exist(module, names):
+    # benchmarks/workloads.py rebinds these module attributes to time each layer
+    for name in names:
+        assert callable(getattr(module, name, None)), f"{module.__name__}.{name}"
 
 
 def test_unknown_builtin_exits_2(tmp_path):

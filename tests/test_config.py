@@ -60,6 +60,51 @@ def test_roundtrip_complex_amplitude():
     assert parse_scenario(serialize_scenario(s)) == s
 
 
+FIG3A_TEXT = """\
+[medium]
+xi = 1000000
+gamma_decay = 1 gamma
+gamma_ground = 0 gamma
+delta_p = 0 gamma
+delta_c = 0 gamma
+length = 1
+
+[control.profile]
+kind = gaussian_beam
+b = 10000000 gamma
+z_focus = 1
+rayleigh = 0.20000000000000001
+
+[control.schedule]
+segments = 0 tau: 4, 9.9999999999999995e-07 tau: -1, 4.5000000000000001e-06 tau: 4, 6.4999999999999996e-06 tau: -8
+ramp_time = 0 tau
+
+[probe]
+amplitude = 1
+center_time = 5.5000000000000003e-07 tau
+width = 5.0000000000000001e-09 tau
+shape = regularized_delta
+
+[grid]
+nz = 1024
+t_end = 7.9999999999999996e-06 tau
+dt = auto
+record_stride = auto
+snapshot_stride = auto
+
+[outputs]
+observables = probe_in, probe_out, coherences
+"""
+
+
+def test_serialized_text_is_pinned():
+    # the text is the config-hash input and is stored in run manifests and
+    # checkpoint headers: a change of format changes every hash
+    assert serialize_scenario(builtin_scenario("fig3a")) == FIG3A_TEXT
+    assert config_hash(builtin_scenario("fig3a")) == (
+        "33be6dbbfa781883cfe60a6288ed52d1969f08a29afa3127515bcb3565b1ab97")
+
+
 def test_hash_stable_and_sensitive():
     s = builtin_scenario("fig4b")
     assert config_hash(s) == config_hash(builtin_scenario("fig4b"))
