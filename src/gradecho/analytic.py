@@ -107,33 +107,24 @@ def probe_closed(p: AnalyticParams, T):
 
 
 def _gain_integral(schedule: ControlSchedule, t0: float, t: float) -> float:
-    """Exact integral of gain(t') over [t0, t], closed form on ramp pieces."""
+    """Exact integral of gain(t') over [t0, t], closed form on ramp stretches."""
     if t < t0:
         raise ValueError("t must be >= t0")
-    total = 0.0
-    segs = schedule.segments
     w = schedule.ramp_time
-    bounds = [s[0] for s in segs] + [math.inf]
-    for k, (tk, gk) in enumerate(segs):
-        a = max(tk, t0)
-        b = min(bounds[k + 1], t)
-        if b <= a:
+    total = 0.0
+    for ta, tb, g_from, gain in schedule.stretches(t):
+        a = max(ta, t0)
+        if tb <= a:
             continue
-        if w > 0 and k > 0:
-            g_prev = segs[k - 1][1]
-            ramp_end = min(tk + w, bounds[k + 1])
-            ra, rb = max(a, tk), min(b, ramp_end)
-            if rb > ra:
-                # integral of g_prev + (gk - g_prev)(1 - cos(pi x / w))/2 over [ra, rb]
-                def F(x):
-                    u = x - tk
-                    return (g_prev * u
-                            + (gk - g_prev) / 2.0 * (u - (w / math.pi) * math.sin(math.pi * u / w)))
-                total += F(rb) - F(ra)
-            if b > ramp_end:
-                total += gk * (b - max(a, ramp_end))
+        if g_from is None:
+            total += gain * (tb - a)
         else:
-            total += gk * (b - a)
+            # integral of g_from + (gain - g_from)(1 - cos(pi u / w))/2, u = x - ta
+            def F(x):
+                u = x - ta
+                return (g_from * u
+                        + (gain - g_from) / 2.0 * (u - (w / math.pi) * math.sin(math.pi * u / w)))
+            total += F(tb) - F(a)
     return total
 
 
@@ -147,35 +138,36 @@ def phase_area(schedule: ControlSchedule, profile: SpatialProfile,
 def predict_echo_time(schedule: ControlSchedule, profile: SpatialProfile,
                       t0: float, t_end: float, z_ref: Optional[float] = None,
                       length: float = 1.0) -> Optional[float]:
-    """Earliest zero crossing of the phase area after the last gain sign flip.
+    """Earliest zero crossing of the phase area after both t0 and the last
+    gain sign flip.
 
     Defaults z_ref to the profile maximum (echo emission is dominated by the
     highest-coherence region).  Returns None when the area never crosses zero
-    before t_end.
+    before t_end.  The search runs between the schedule's stretch edges and
+    the gain's zero inside each sign-changing ramp: between those points the
+    gain keeps one sign, so the area is monotone and a sign test is exact.
     """
     from scipy.optimize import brentq
 
     last_flip = schedule.last_flip_time()
     if last_flip is None or last_flip >= t_end:
         return None
+    start = max(last_flip, t0)  # the area vanishes trivially at t0
     z_ref = profile.focus(length) if z_ref is None else z_ref
 
     def area(t: float) -> float:
         return phase_area(schedule, profile, z_ref, t0, t, length)
 
-    # breakpoints: segment starts and ramp ends after the flip, then t_end
-    pts = [last_flip]
-    for tk, _ in schedule.segments:
-        for cand in (tk, tk + schedule.ramp_time if schedule.ramp_time > 0 else tk):
-            if last_flip < cand < t_end:
-                pts.append(cand)
-    pts.append(t_end)
-    pts = sorted(set(pts))
+    pts = {start, t_end}
+    for ta, tb, g_from, gain in schedule.stretches(t_end):
+        pts.add(ta)
+        if g_from is not None and g_from * gain < 0:  # the ramp's gain crosses zero
+            x = math.acos(1.0 - 2.0 * g_from / (g_from - gain)) / math.pi
+            pts.add(min(ta + x * schedule.ramp_time, tb))
+    pts = sorted(p for p in pts if p >= start)
     eps = 1e-15 * max(1.0, t_end)
     for a, b in zip(pts, pts[1:]):
-        fa, fb = area(a), area(b)
-        if fa == 0.0 and a > last_flip:
-            return a
+        fa, fb = area(a), area(b)  # a zero at a later a was returned as b
         if fa * fb < 0:
             return float(brentq(area, a, b, xtol=eps))
         if fb == 0.0:

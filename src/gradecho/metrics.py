@@ -21,7 +21,6 @@ __all__ = [
     "detect_echo",
     "storage_efficiency",
     "classical_fidelity",
-    "overlap_amplitude",
     "eit_baseline",
     "EitBaseline",
     "feasibility",
@@ -216,16 +215,6 @@ def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
     return min(float(np.max(power) / (eau * ebu)), 1.0)
 
 
-def overlap_amplitude(t_in, in_trace, t_out, out_trace) -> float:
-    """Unnormalized companion to classical_fidelity:
-    max over delay of |int out* in|^2 / (int |in|^2)^2, sensitive to
-    amplitude mismatch between the traces."""
-    if _energy(t_in, in_trace) <= 0:
-        raise UndefinedMetricError("input trace carries no energy")
-    power, _, eau, _ = _correlation(t_in, in_trace, t_out, out_trace)
-    return float(np.max(power) / eau**2)
-
-
 class EitBaseline(NamedTuple):
     value: float
     flagged: bool  # True when xi <= 2.9 and the formula has no meaning
@@ -327,28 +316,25 @@ def delay_bandwidth(echo_peak_time: float, input_peak_time: float,
     return (echo_peak_time - input_peak_time) / echo_fwhm
 
 
-def compute_echo_metrics(record: FieldRecord, after: float, t_cut: float,
-                         before: Optional[float] = None) -> EchoMetrics:
+def compute_echo_metrics(record: FieldRecord, after: float, t_cut: float) -> EchoMetrics:
     """Bundle the standard per-run diagnostics for a flip protocol.
 
     ``after`` restricts echo detection (usually the last flip time); ``t_cut``
     is the storage-efficiency lower integration limit.
     """
-    det = detect_echo(record, after, before)
+    det = detect_echo(record, after)
     if det is None:
         raise UndefinedMetricError("no echo above the detection floor")
     t = record.times
     iout = np.abs(record.probe_out) ** 2
     iin = np.abs(record.probe_in) ** 2
     m = t > after
-    if before is not None:
-        m &= t <= before
     echo_fwhm = fwhm(t[m], iout[m])
     input_fwhm = fwhm(t, iin)
     input_peak_time = float(t[np.argmax(iin)])
     eff = storage_efficiency(record, t_cut)
-    # classical_fidelity and overlap_amplitude from one correlation; the
-    # detected echo and storage_efficiency already guarantee both energies
+    # fidelity and overlap_fidelity from one correlation; the detected echo
+    # and storage_efficiency already guarantee both energies
     power, _, eau, ebu = _correlation(t, record.probe_in, t[m], record.probe_out[m])
     fid = min(float(np.max(power) / (eau * ebu)), 1.0)
     ovl = float(np.max(power) / eau**2)

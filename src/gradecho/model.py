@@ -134,6 +134,11 @@ class ControlSchedule:
     change of the gain realizes the pi phase shift of the control field.
     With ``ramp_time > 0`` each transition follows a cosine half-wave of that
     width starting at the segment boundary instead of an instantaneous jump.
+
+    ``stretches(t_end)`` is the one walk of this timeline: every later
+    segment opens with a cosine ramp from the previous segment's gain, cut
+    short by the next segment or t_end, and holds its own gain after it.
+    ``gain``, ``solver.step_plan`` and ``analytic.phase_area`` all read it.
     """
 
     segments: Tuple[Tuple[float, float], ...]
@@ -152,22 +157,31 @@ class ControlSchedule:
         if self.ramp_time < 0:
             raise ValueError("ramp_time must be >= 0")
 
+    def stretches(self, t_end: float = math.inf):
+        """Consecutive stretches (t_a, t_b, g_from, gain) tiling [0, t_end]:
+        a cosine ramp from ``g_from`` towards ``gain`` that starts at t_a
+        (see ``gain``), or ``gain`` held constant, with ``g_from`` None."""
+        segs = self.segments
+        for k, (ta, gain) in enumerate(segs):
+            tb = min(segs[k + 1][0], t_end) if k + 1 < len(segs) else t_end
+            if tb <= ta:
+                return
+            if self.ramp_time > 0 and k > 0:
+                t_ramp = min(ta + self.ramp_time, tb)
+                yield ta, t_ramp, segs[k - 1][1], gain
+                ta = t_ramp
+            if tb > ta:
+                yield ta, tb, None, gain
+
     def gain(self, t: float) -> float:
         if t < 0:
             raise ValueError("schedule gain is defined for t >= 0")
-        idx = 0
-        for k, (tk, _) in enumerate(self.segments):
-            if t >= tk:
-                idx = k
-            else:
+        for ta, tb, g_from, g in self.stretches():
+            if t < tb:
                 break
-        g = self.segments[idx][1]
-        if self.ramp_time > 0 and idx > 0:
-            t0 = self.segments[idx][0]
-            if t < t0 + self.ramp_time:
-                g_prev = self.segments[idx - 1][1]
-                x = (t - t0) / self.ramp_time
-                g = g_prev + (g - g_prev) * 0.5 * (1.0 - math.cos(math.pi * x))
+        if g_from is not None:
+            x = (t - ta) / self.ramp_time
+            g = g_from + (g - g_from) * 0.5 * (1.0 - math.cos(math.pi * x))
         return g
 
     def max_abs_gain(self) -> float:
@@ -223,14 +237,10 @@ class ProbePulse:
 class GridSpec:
     """Space-time grid: nz cells over [0, length], time step dt up to t_end.
 
-    ``dt=None`` lets ``solver.step_plan`` choose the steps:
-    ``Scenario.resolved_dt()`` = min(width/20, 0.1/max|Omega_c|, t_end/50)
-    while the probe enters (center +- 8 widths), and outside that window
-    the control and medium limit min(0.1/max|Omega_c|, 0.1/(eta length),
-    t_end/50), never finer than resolved_dt().  A given ``dt`` steps the
-    whole window at that dt.  ``record_stride=None`` keeps at most 1e5
-    probe samples and ``snapshot_stride=None`` at most 512 coherence
-    snapshots.
+    ``dt=None`` lets ``solver.step_plan`` choose the steps (its docstring
+    gives the rule); a given ``dt`` steps the whole window at that dt.
+    ``record_stride=None`` keeps at most 1e5 probe samples and
+    ``snapshot_stride=None`` at most 512 coherence snapshots.
     """
 
     t_end: float

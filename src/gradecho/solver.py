@@ -153,44 +153,29 @@ def _dt_after(scenario: Scenario, dt_fine: float) -> float:
 def step_plan(scenario: Scenario) -> tuple[Piece, ...]:
     """The time steps ``integrate`` runs, as consecutive pieces over [0, t_end].
 
-    Pieces are cut at segment starts and cosine-ramp edges, so a gain change
-    never happens mid-step; ramp pieces take at least 8 steps.  A user-given
+    The pieces follow ``schedule.stretches(t_end)``, so a gain change never
+    happens mid-step; ramp pieces take at least 8 steps.  A user-given
     ``grid.dt`` steps every piece at that dt.  Otherwise ``resolved_dt()``
     is used only while the probe enters (center +- 8 widths) and the coarser
     control/medium step (see ``_dt_after``) elsewhere, with two more cuts at
     the window edges.
     """
-    sched = scenario.schedule
-    t_end = scenario.grid.t_end
     dt_fine = scenario.resolved_dt()
     dt_after = dt_fine if scenario.grid.dt is not None else _dt_after(scenario, dt_fine)
     lo = scenario.probe.center_time - PROBE_WINDOW * scenario.probe.width
     hi = scenario.probe.center_time + PROBE_WINDOW * scenario.probe.width
     window_cuts = (lo, hi) if dt_after > dt_fine else ()
 
-    controls = []  # (t_a, t_b, gain_or_None)
-    bounds = [t for t, _ in sched.segments] + [t_end]
-    for k, (t0, gain) in enumerate(sched.segments):
-        t1 = min(bounds[k + 1], t_end)
-        if t1 <= t0 or t0 >= t_end:
-            continue
-        if sched.ramp_time > 0 and k > 0:
-            t_ramp = min(t0 + sched.ramp_time, t1)
-            controls.append((t0, t_ramp, None))
-            if t1 > t_ramp:
-                controls.append((t_ramp, t1, gain))
-        else:
-            controls.append((t0, t1, gain))
-
     plan = []
-    for ta, tb, gain in controls:
+    for ta, tb, g_from, gain in scenario.schedule.stretches(scenario.grid.t_end):
         edges = [ta] + [c for c in window_cuts if ta < c < tb] + [tb]
         for a, b in zip(edges, edges[1:]):
             dt = dt_fine if lo <= 0.5 * (a + b) <= hi else dt_after
             steps = max(1, int(math.ceil((b - a) / dt - 1e-12)))
-            if gain is None:
+            if g_from is not None:
                 steps = max(steps, 8)  # resolve the cosine ramp itself
-            plan.append(Piece(a, b, steps, (b - a) / steps, gain))
+            plan.append(Piece(a, b, steps, (b - a) / steps,
+                              gain if g_from is None else None))
     return tuple(plan)
 
 

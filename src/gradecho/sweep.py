@@ -14,7 +14,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple
+from typing import Optional, Tuple, get_args, get_type_hints
 
 import numpy as np
 
@@ -62,14 +62,30 @@ def set_scenario_field(scenario: Scenario, path: str, value) -> Scenario:
     return rebuild(scenario, parts, value)
 
 
+def _axis_value(base: Scenario, path: str, value):
+    """``value`` as a float, or as an int on a field declared int (such as
+    ``grid.nz`` or ``grid.record_stride``); raises KeyError for a bad path and
+    ValueError for a non-integral value of an int field."""
+    get_scenario_field(base, path)  # a spec error, naming the path, before any run
+    *head, name = path.split(".")
+    owner = get_scenario_field(base, ".".join(head)) if head else base
+    hint = get_type_hints(type(owner))[name]
+    if int not in (hint, *get_args(hint)):
+        return float(value)
+    if not float(value).is_integer():
+        raise ValueError(f"axis {path!r} takes integers, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid definition over a base scenario.
 
     ``axes`` maps dotted scenario paths (e.g. "medium.xi", "profile.zeta") to
-    value lists; the grid is their Cartesian product in axis order, indexed
-    row-major.  ``detect_after`` defaults to the last flip time of each
-    point's schedule; ``efficiency_cut`` to the same.
+    value lists (floats, or ints on a field declared int, e.g. "grid.nz");
+    the grid is their Cartesian product in axis order, indexed row-major.
+    ``detect_after`` defaults to the last flip time of each point's
+    schedule; ``efficiency_cut`` to the same.
     """
 
     base: Scenario
@@ -82,10 +98,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if not self.axes:
             raise ValueError("axes must be nonempty")
-        axes = tuple((str(p), tuple(float(v) for v in vals)) for p, vals in self.axes)
+        axes = tuple((str(p), tuple(_axis_value(self.base, str(p), v) for v in vals))
+                     for p, vals in self.axes)
         object.__setattr__(self, "axes", axes)
         for p, vals in axes:
-            get_scenario_field(self.base, p)  # spec error before any run
             if not vals:
                 raise ValueError(f"axis {p!r} has no values")
         if self.workers < 1:

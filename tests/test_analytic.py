@@ -163,6 +163,24 @@ def test_predict_echo_none_without_crossing():
     assert predict_echo_time(sched2, Uniform(b=1.0), t0=0.0, t_end=5.0) is None
 
 
+def test_predict_echo_finds_the_crossing_inside_a_sign_changing_ramp():
+    # the area is -0.115 at both stretch edges 1.3 and 2.3, but the ramp from
+    # +1 to -1 carries it through zero at 1.557 and back at 2.043
+    sched = ControlSchedule(segments=((0.0, -2.0), (0.01, 1.0), (1.3, -1.0)), ramp_time=1.0)
+    prof = Uniform(b=1.0)
+    assert phase_area(sched, prof, 0.0, 0.0, 1.3) == pytest.approx(
+        phase_area(sched, prof, 0.0, 0.0, 2.3), rel=1e-12)
+    t = predict_echo_time(sched, prof, t0=0.0, t_end=2.4)
+    assert t == pytest.approx(1.55704, abs=1e-5)
+    assert phase_area(sched, prof, 0.0, 0.0, t) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_predict_echo_after_a_t0_past_the_last_flip():
+    # from t0 = 0.1 on the gain stays -1, so the area never returns to zero
+    sched = ControlSchedule(segments=((0.0, 1.0), (0.05, -1.0)))
+    assert predict_echo_time(sched, Uniform(b=1.0), t0=0.1, t_end=1.0) is None
+
+
 @settings(max_examples=50, deadline=None)
 @given(t_f=st.floats(min_value=0.5, max_value=3.0),
        g2=st.floats(min_value=0.2, max_value=5.0),

@@ -79,6 +79,39 @@ def test_schedule_cosine_ramp_monotone():
     assert np.all(np.diff(gains) <= 1e-12)  # monotone transition
 
 
+@settings(max_examples=200, deadline=None)
+@given(steps=st.lists(st.floats(min_value=1e-3, max_value=1.0), max_size=4),
+       gains=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=5, max_size=5),
+       ramp=st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.5)),
+       t_end=st.floats(min_value=1e-3, max_value=5.0),
+       cuts=st.tuples(st.floats(min_value=0.0, max_value=1.0),
+                      st.floats(min_value=0.0, max_value=1.0)))
+def test_stretches_tile_the_timeline(steps, gains, ramp, t_end, cuts):
+    from gradecho.analytic import phase_area
+
+    starts = list(np.cumsum([0.0] + steps))
+    segs = tuple(zip(starts, gains))
+    sched = ControlSchedule(segments=segs, ramp_time=ramp)
+    parts = list(sched.stretches(t_end))
+    # consecutive, nonempty, from 0 to t_end
+    assert parts[0][0] == 0.0 and parts[-1][1] == t_end
+    assert all(a < b for a, b, _, _ in parts)
+    assert all(p[1] == q[0] for p, q in zip(parts, parts[1:]))
+    for ta, tb, g_from, gain in parts:
+        k = max(i for i, (tk, _) in enumerate(segs) if tk <= ta)
+        assert gain == segs[k][1]
+        if g_from is not None:
+            # a ramp opens a later segment, from the previous gain, at most ramp long
+            assert k > 0 and ta == segs[k][0] and g_from == segs[k - 1][1]
+            assert tb <= ta + ramp
+    # the phase area adds up over a split interval
+    t0, tm = sorted(c * t_end for c in cuts)
+    prof = Uniform(b=1.0)
+    whole = phase_area(sched, prof, 0.5, t0, t_end)
+    split = phase_area(sched, prof, 0.5, t0, tm) + phase_area(sched, prof, 0.5, tm, t_end)
+    assert split == pytest.approx(whole, rel=1e-12, abs=1e-12)
+
+
 def test_validate_fig2_scenario_clean():
     issues = validate_scenario(builtin_scenario("fig2b"))
     assert issues == []

@@ -245,6 +245,21 @@ def test_pinned_dt_gives_uniform_plan():
     assert all(p.dt == pytest.approx(2e-3, rel=1e-12) for p in plan)
 
 
+def test_plan_of_a_cut_short_ramp_and_a_t_end_inside_a_ramp_is_pinned():
+    # the 0.85 segment cuts the 0.8 ramp short; t_end = 2 falls inside the
+    # ramp that opens at 1.9; the probe window ends at 0.6
+    s = small_scenario(schedule=ControlSchedule(
+        segments=((0.0, 1.0), (0.8, -1.0), (0.85, 2.0), (1.9, -0.5)), ramp_time=0.2))
+    assert [tuple(p) for p in step_plan(s)] == [
+        (0.0, 0.6000000000000001, 240, 0.0025000000000000005, 1.0),
+        (0.6000000000000001, 0.8, 50, 0.003999999999999999, 1.0),
+        (0.8, 0.85, 13, 0.003846153846153841, None),
+        (0.85, 1.05, 50, 0.004000000000000001, None),
+        (1.05, 1.9, 213, 0.003990610328638497, 2.0),
+        (1.9, 2.0, 25, 0.0040000000000000036, None),
+    ]
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_auto_plan_respects_step_limits(name):
     s = builtin_scenario(name)

@@ -40,6 +40,24 @@ def test_spec_rejects_bad_axis_before_running():
         SweepSpec(base=small_scenario(), axes=())
 
 
+def test_integer_axis_keeps_ints_and_points_round_trip():
+    from gradecho.config import parse_scenario, serialize_scenario
+
+    spec = SweepSpec(base=small_scenario(), axes=(("grid.nz", (64, 128.0)),))
+    assert spec.axes == (("grid.nz", (64, 128)),)
+    assert all(type(v) is int for v in spec.axes[0][1])
+    result = run_sweep(spec)
+    assert [r.error for r in result.rows] == [None, None]
+    for i in range(spec.size()):
+        _, s = spec.point(i)
+        assert parse_scenario(serialize_scenario(s)) == s
+    # an optional int field left at None in the base is still an int field
+    stride = SweepSpec(base=small_scenario(), axes=(("grid.record_stride", (1, 2.0)),))
+    assert stride.axes == (("grid.record_stride", (1, 2)),)
+    with pytest.raises(ValueError, match="integers"):
+        SweepSpec(base=small_scenario(), axes=(("grid.nz", (64.5,)),))
+
+
 def test_singleton_grid_matches_direct_call():
     spec = _spec(xis=(50.0,))
     result = run_sweep(spec)
