@@ -21,7 +21,7 @@ from .config import (ConfigError, apply_grid_override, config_hash,
 from .io import (RunManifestWriter, write_csv, write_metrics_json,
                  write_timeseries_csv)
 from .metrics import (AmbiguousPeakError, UndefinedMetricError,
-                      ambiguous_echo_metrics, compute_echo_metrics, feasibility)
+                      compute_echo_metrics, feasibility)
 from .model import Scenario, Uniform, broadband_ordering_ok, validate_scenario
 from .scenarios import (BUILTIN_SCENARIOS, BUILTIN_SWEEPS, builtin_scenario,
                         builtin_sweep, scenario_notes)
@@ -73,28 +73,26 @@ def cmd_run(args) -> int:
                                  note=note)
     record = integrate(scenario)
 
-    csv_path = outdir / f"{name}_timeseries.csv"
-    write_timeseries_csv(record, csv_path)
-    manifest.add_output(csv_path)
-
+    # score before writing: a scoring error (exit 2) leaves no files
     after = scenario.schedule.last_flip_time()
     t_cut = args.efficiency_cut if args.efficiency_cut is not None else after
     metrics_payload: dict = {"builtin": name, "config_hash": config_hash(scenario)}
-    if after is not None:
+    if after is None:
+        metrics_payload["echo"] = "no control flip in schedule"
+    else:
         try:
-            m = compute_echo_metrics(record, after=after, t_cut=t_cut)
-            metrics_payload.update(m.as_dict())
+            metrics_payload.update(compute_echo_metrics(record, after, t_cut).as_dict())
         except AmbiguousPeakError as exc:
-            metrics_payload.update(ambiguous_echo_metrics(record, after, t_cut))
-            metrics_payload["echo"] = f"ambiguous: {exc}"
+            metrics_payload.update(exc.metrics, echo=f"ambiguous: {exc}")
         except UndefinedMetricError as exc:
             metrics_payload["echo"] = f"undefined: {exc}"
-    else:
-        metrics_payload["echo"] = "no control flip in schedule"
-    metrics_path = outdir / f"{name}_metrics.json"
-    write_metrics_json(metrics_payload, metrics_path)
-    manifest.add_output(metrics_path)
 
+    csv_path = outdir / f"{name}_timeseries.csv"
+    metrics_path = outdir / f"{name}_metrics.json"
+    write_timeseries_csv(record, csv_path)
+    write_metrics_json(metrics_payload, metrics_path)
+    manifest.add_output(csv_path)
+    manifest.add_output(metrics_path)
     manifest.write(outdir / f"{name}_manifest.json")
     print(f"wrote {csv_path} and {metrics_path}")
     return EXIT_OK

@@ -15,6 +15,7 @@ from .solver import FieldRecord
 __all__ = [
     "AmbiguousPeakError",
     "UndefinedMetricError",
+    "NoEchoError",
     "EchoMetrics",
     "EchoDetection",
     "fwhm",
@@ -27,19 +28,26 @@ __all__ = [
     "FeasibilityReport",
     "delay_bandwidth",
     "compute_echo_metrics",
-    "ambiguous_echo_metrics",
 ]
 
 NO_ECHO_FLOOR = 1e-10  # relative to the input intensity peak
 NOISE_FLOOR = 1e-12    # relative to the trace maximum, for width search
+_MAX_RESAMPLE = 2**22  # most samples of a trace resampled for a correlation
 
 
 class AmbiguousPeakError(ValueError):
-    """Trace has competing peaks; a single width is not meaningful."""
+    """Trace has competing peaks; a single width is not meaningful.  From
+    ``compute_echo_metrics``, ``metrics`` holds what stays defined."""
+
+    metrics: Optional[dict] = None
 
 
 class UndefinedMetricError(ValueError):
     """Metric undefined for this input (zero energy, no echo, ...)."""
+
+
+class NoEchoError(UndefinedMetricError):
+    """Nothing rises above the echo detection floor in the detection window."""
 
 
 def fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
@@ -127,15 +135,6 @@ def detect_echo(record: FieldRecord, after: float,
     return EchoDetection(float(tw[i]), float(yw[i]))
 
 
-def ambiguous_echo_metrics(record: FieldRecord, after: float, t_cut: float) -> dict:
-    """The metrics that stay defined when ``compute_echo_metrics`` raises
-    AmbiguousPeakError: the echo is multimodal, so widths are meaningless,
-    but the storage efficiency and the peak location are not."""
-    det = detect_echo(record, after)
-    return {"efficiency_R": storage_efficiency(record, t_cut),
-            "echo_peak_time": det.peak_time, "echo_peak_value": det.peak_value}
-
-
 def storage_efficiency(record: FieldRecord, t_cut: float) -> float:
     """Transmitted intensity integral for t > t_cut over total input integral.
 
@@ -155,8 +154,12 @@ def storage_efficiency(record: FieldRecord, t_cut: float) -> float:
 
 
 def _uniform(t: np.ndarray, y: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """Linear resampling of complex ``y`` onto a grid of step ``dt`` from t[0]."""
+    """Linear resampling of complex ``y`` onto a grid of step ``dt`` from t[0];
+    UndefinedMetricError if that takes more than _MAX_RESAMPLE samples."""
     n = int(round((t[-1] - t[0]) / dt)) + 1
+    if n > _MAX_RESAMPLE:
+        raise UndefinedMetricError(f"resampling needs {n} samples at spacing "
+                                   f"{dt:.3g}, above {_MAX_RESAMPLE}")
     tu = t[0] + dt * np.arange(n)
     return tu, np.interp(tu, t, y.real) + 1j * np.interp(tu, t, y.imag)
 
@@ -320,19 +323,26 @@ def compute_echo_metrics(record: FieldRecord, after: float, t_cut: float) -> Ech
     """Bundle the standard per-run diagnostics for a flip protocol.
 
     ``after`` restricts echo detection (usually the last flip time); ``t_cut``
-    is the storage-efficiency lower integration limit.
+    is the storage-efficiency lower integration limit.  Raises NoEchoError
+    when nothing rises above the detection floor, and AmbiguousPeakError with
+    the still-defined ``metrics`` for a multimodal echo.
     """
     det = detect_echo(record, after)
     if det is None:
-        raise UndefinedMetricError("no echo above the detection floor")
+        raise NoEchoError("no echo above the detection floor")
+    eff = storage_efficiency(record, t_cut)
     t = record.times
     iout = np.abs(record.probe_out) ** 2
     iin = np.abs(record.probe_in) ** 2
     m = t > after
-    echo_fwhm = fwhm(t[m], iout[m])
-    input_fwhm = fwhm(t, iin)
+    try:
+        echo_fwhm = fwhm(t[m], iout[m])
+        input_fwhm = fwhm(t, iin)
+    except AmbiguousPeakError as exc:
+        exc.metrics = {"efficiency_R": eff, "echo_peak_time": det.peak_time,
+                       "echo_peak_value": det.peak_value}
+        raise
     input_peak_time = float(t[np.argmax(iin)])
-    eff = storage_efficiency(record, t_cut)
     # fidelity and overlap_fidelity from one correlation; the detected echo
     # and storage_efficiency already guarantee both energies
     power, _, eau, ebu = _correlation(t, record.probe_in, t[m], record.probe_out[m])

@@ -131,7 +131,8 @@ class ControlSchedule:
 
     ``segments`` is an ordered tuple of (t_start, gain); the first segment
     must start at t = 0 and start times must be strictly increasing.  A sign
-    change of the gain realizes the pi phase shift of the control field.
+    change of the gain, also across zero-gain segments, realizes the pi
+    phase shift of the control field (``flip_times``).
     With ``ramp_time > 0`` each transition follows a cosine half-wave of that
     width starting at the segment boundary instead of an instantaneous jump.
 
@@ -188,11 +189,15 @@ class ControlSchedule:
         return max(abs(g) for _, g in self.segments)
 
     def flip_times(self) -> Tuple[float, ...]:
-        """Start times of segments whose gain changes sign w.r.t. the previous one."""
-        out = []
-        for (t0, g0), (t1, g1) in zip(self.segments, self.segments[1:]):
-            if g0 * g1 < 0:
-                out.append(t1)
+        """Start times of segments whose gain has the opposite sign of the last
+        nonzero gain before it, so a flip may pass through zero-gain segments
+        (control off, the memory protocol's storage interval)."""
+        out, last = [], 0.0
+        for t, g in self.segments:
+            if g * last < 0:
+                out.append(t)
+            if g != 0:
+                last = g
         return tuple(out)
 
     def last_flip_time(self) -> Optional[float]:

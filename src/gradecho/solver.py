@@ -158,24 +158,30 @@ def step_plan(scenario: Scenario) -> tuple[Piece, ...]:
     ``grid.dt`` steps every piece at that dt.  Otherwise ``resolved_dt()``
     is used only while the probe enters (center +- 8 widths) and the coarser
     control/medium step (see ``_dt_after``) elsewhere, with two more cuts at
-    the window edges.
+    the window edges.  No piece is a rounding sliver (1e-12 t_end or less):
+    a window cut that close to a stretch edge is dropped, and a stretch that
+    short after a ramp joins the ramp's last piece.
     """
     dt_fine = scenario.resolved_dt()
     dt_after = dt_fine if scenario.grid.dt is not None else _dt_after(scenario, dt_fine)
     lo = scenario.probe.center_time - PROBE_WINDOW * scenario.probe.width
     hi = scenario.probe.center_time + PROBE_WINDOW * scenario.probe.width
     window_cuts = (lo, hi) if dt_after > dt_fine else ()
+    tol = 1e-12 * scenario.grid.t_end
 
     plan = []
     for ta, tb, g_from, gain in scenario.schedule.stretches(scenario.grid.t_end):
-        edges = [ta] + [c for c in window_cuts if ta < c < tb] + [tb]
+        ramp = g_from is not None
+        if tb - ta <= tol and plan and plan[-1].gain is None:
+            # a rounding sliver joins the ramp before it: ramp steps read schedule.gain
+            ta, ramp = plan.pop().t_start, True
+        edges = [ta] + [c for c in window_cuts if ta + tol < c < tb - tol] + [tb]
         for a, b in zip(edges, edges[1:]):
             dt = dt_fine if lo <= 0.5 * (a + b) <= hi else dt_after
             steps = max(1, int(math.ceil((b - a) / dt - 1e-12)))
-            if g_from is not None:
+            if ramp:
                 steps = max(steps, 8)  # resolve the cosine ramp itself
-            plan.append(Piece(a, b, steps, (b - a) / steps,
-                              gain if g_from is None else None))
+            plan.append(Piece(a, b, steps, (b - a) / steps, None if ramp else gain))
     return tuple(plan)
 
 
@@ -216,8 +222,13 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRe
             f"coarsen dt or shorten t_end")
 
     rec_stride = grid.record_stride or max(1, int(math.ceil(total_steps / 1e5)))
-    want_coh = "coherences" in scenario.outputs
     snap_stride = grid.snapshot_stride or max(1, int(math.ceil(total_steps / 512)))
+    # every stride-th step and the last one, step n into sample ceil(n / stride)
+    n_rec = 1 + -(-total_steps // rec_stride)
+    n_snap = 1 + -(-total_steps // snap_stride) if "coherences" in scenario.outputs else 0
+    times, snap_t = np.zeros(n_rec), np.zeros(n_snap)
+    pin, pout = np.empty((2, n_rec), dtype=complex)
+    rho31, rho21 = np.zeros((2, n_snap, nz + 1), dtype=complex)  # sample 0: rho = 0
 
     def step_map(gains, dt):
         """RK4 map for the gains at a step's start, middle and end, laid out
@@ -240,10 +251,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRe
 
     probe = scenario.probe.boundary_value
     op = np.full(nz + 1, probe(0.0), dtype=complex)  # field at the step start
-    times = [0.0]
-    pin = [op[0]]
-    pout = [op[-1]]
-    snap_t, snaps31, snaps21 = [0.0], [r31.copy()], [r21.copy()]
+    pin[0], pout[0] = op[0], op[-1]
 
     n_global = 0
     for (ta, _, nsteps, dt, gain) in plan:
@@ -278,26 +286,14 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRe
             n_global += 1
             if n_global % rec_stride == 0 or n_global == total_steps:
                 _check_coherences(r31, r21, n_global, t1)
-                times.append(t1)
-                pin.append(op[0])
-                pout.append(op[-1])
-            if want_coh and (n_global % snap_stride == 0 or n_global == total_steps):
-                snap_t.append(t1)
-                snaps31.append(r31.copy())
-                snaps21.append(r21.copy())
+                k = -(-n_global // rec_stride)
+                times[k], pin[k], pout[k] = t1, op[0], op[-1]
+            if n_snap and (n_global % snap_stride == 0 or n_global == total_steps):
+                k = -(-n_global // snap_stride)
+                snap_t[k], rho31[k], rho21[k] = t1, r31, r21
 
-    if want_coh:
-        snap_times = np.array(snap_t)
-        rho31 = np.vstack(snaps31)
-        rho21 = np.vstack(snaps21)
-    else:
-        snap_times = np.empty(0)
-        rho31 = np.empty((0, nz + 1), dtype=complex)
-        rho21 = np.empty((0, nz + 1), dtype=complex)
-
-    return FieldRecord(times=np.array(times), probe_in=np.array(pin),
-                       probe_out=np.array(pout), snapshot_times=snap_times,
-                       z=zs, rho31=rho31, rho21=rho21)
+    return FieldRecord(times=times, probe_in=pin, probe_out=pout,
+                       snapshot_times=snap_t, z=zs, rho31=rho31, rho21=rho21)
 
 
 class ConvergenceReport(NamedTuple):

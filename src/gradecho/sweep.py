@@ -20,8 +20,8 @@ import numpy as np
 
 from . import __version__
 from .config import config_hash
-from .metrics import (AmbiguousPeakError, EchoMetrics, UndefinedMetricError,
-                      ambiguous_echo_metrics, compute_echo_metrics, detect_echo)
+from .metrics import (AmbiguousPeakError, EchoMetrics, NoEchoError,
+                      compute_echo_metrics)
 from .model import Scenario, validate_scenario
 from .solver import integrate, step_plan
 
@@ -156,16 +156,8 @@ class SweepResult:
     rows: Tuple[PointResult, ...]
 
     def to_csv(self, path) -> None:
-        keys = set()
-        for r in self.rows:
-            if r.metrics:
-                keys.update(r.metrics.keys())
-        cols = sorted(keys)
-        flag_cols: list[str] = []
-        for r in self.rows:
-            if r.flags:
-                flag_cols = sorted(r.flags.keys())
-                break
+        cols = sorted({k for r in self.rows if r.metrics for k in r.metrics})
+        flag_cols = next((sorted(r.flags) for r in self.rows if r.flags), [])
         header = (["index"] + list(self.axis_paths) + cols + flag_cols + ["error"])
         lines = [",".join(header)]
         for r in self.rows:
@@ -203,27 +195,21 @@ def _run_point(args) -> PointResult:
         after = spec.detect_after
         if after is None:
             after = scenario.schedule.last_flip_time()
-        t_cut = spec.efficiency_cut if spec.efficiency_cut is not None else after
         if after is None:
-            det = None
-        else:
-            det = detect_echo(record, after)
-        if det is None:
-            flags = {"no_echo": True, "dispersion": ""}
-            return PointResult(index, values, None, flags,
-                               error=None if after is not None else
-                               "schedule has no flip; echo metrics undefined")
-        try:
-            m = compute_echo_metrics(record, after, t_cut)
-            flags = {"no_echo": False, "dispersion": dispersion_flag(m)}
-            return PointResult(index, values, m.as_dict(), flags)
-        except AmbiguousPeakError:
-            # deep-dispersion corner: the echo is multimodal
-            flags = {"no_echo": False, "dispersion": "ambiguous"}
-            return PointResult(index, values,
-                               ambiguous_echo_metrics(record, after, t_cut), flags)
-    except (UndefinedMetricError, ValueError, RuntimeError) as exc:
+            return PointResult(index, values, None, {"no_echo": True, "dispersion": ""},
+                               error="schedule has no flip; echo metrics undefined")
+        t_cut = spec.efficiency_cut if spec.efficiency_cut is not None else after
+        m = compute_echo_metrics(record, after, t_cut)
+    except NoEchoError:
+        return PointResult(index, values, None, {"no_echo": True, "dispersion": ""})
+    except AmbiguousPeakError as exc:
+        # deep-dispersion corner: the echo is multimodal
+        return PointResult(index, values, exc.metrics,
+                           {"no_echo": False, "dispersion": "ambiguous"})
+    except (ValueError, RuntimeError) as exc:  # UndefinedMetricError is a ValueError
         return PointResult(index, values, None, {}, error=f"{type(exc).__name__}: {exc}")
+    return PointResult(index, values, m.as_dict(),
+                       {"no_echo": False, "dispersion": dispersion_flag(m)})
 
 
 def _longest_first(spec: SweepSpec, indices) -> list[int]:

@@ -181,6 +181,13 @@ def test_predict_echo_after_a_t0_past_the_last_flip():
     assert predict_echo_time(sched, Uniform(b=1.0), t0=0.1, t_end=1.0) is None
 
 
+def test_predict_echo_after_a_flip_through_zero_gain():
+    # area 1 at t = 1, held while the control is off, undone by 1.5 + 1
+    sched = ControlSchedule(segments=((0.0, 1.0), (1.0, 0.0), (1.5, -1.0)))
+    assert predict_echo_time(sched, Uniform(b=1.0), t0=0.0, t_end=5.0) == pytest.approx(
+        2.5, abs=1e-12)
+
+
 @settings(max_examples=50, deadline=None)
 @given(t_f=st.floats(min_value=0.5, max_value=3.0),
        g2=st.floats(min_value=0.2, max_value=5.0),

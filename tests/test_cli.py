@@ -8,6 +8,7 @@ import pytest
 import gradecho
 from gradecho.cli import main
 from gradecho.config import serialize_scenario
+from gradecho.model import ControlSchedule, MediumParams
 from gradecho.scenarios import builtin_sweep
 from gradecho.sweep import SweepSpec
 
@@ -16,9 +17,9 @@ from .conftest import small_scenario
 SMALL_OVERRIDE = "nz=128,t_end=2.0"
 
 
-def _write_small_config(tmp_path):
+def _write_small_config(tmp_path, **overrides):
     cfg = tmp_path / "small.cfg"
-    cfg.write_text(serialize_scenario(small_scenario()), encoding="utf-8")
+    cfg.write_text(serialize_scenario(small_scenario(**overrides)), encoding="utf-8")
     return cfg
 
 
@@ -107,6 +108,52 @@ def test_run_records_a_multimodal_echo_like_the_sweep(tmp_path):
     assert 0 < metrics["efficiency_R"] < 1
     manifest = json.loads((out / "pt22_manifest.json").read_text())
     assert len(manifest["outputs"]) == 2
+
+
+def test_run_with_no_echo_records_undefined_and_writes_every_file(tmp_path):
+    cfg = _write_small_config(tmp_path, medium=MediumParams(xi=0.0))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    metrics = json.loads((out / "small_metrics.json").read_text())
+    assert metrics["echo"] == "undefined: no echo above the detection floor"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "small_manifest.json", "small_metrics.json", "small_timeseries.csv"]
+
+
+@pytest.mark.parametrize("extra", [
+    ["--grid-override", "t_end=0.1, nz=128"],  # the last flip lies past t_end
+    ["--grid-override", "t_end=0.3, nz=128", "--efficiency-cut", "0.5"],
+])
+def test_scoring_error_exits_2_and_writes_nothing(tmp_path, extra):
+    out = tmp_path / "out"
+    assert main(["run", "fig4b", "--output", str(out), *extra]) == 2
+    assert not any(out.iterdir())
+
+
+@pytest.mark.parametrize("segments, ramp", [
+    # the ramp from 0.7 ends one ulp before the 0.8 segment
+    (((0.0, 1.0), (0.7, -1.0), (0.8, 1.0), (1.2, -1.0)), 0.1),
+    # a flip through zero gain, with the probe window ending one ulp past 0.6
+    (((0.0, 1.0), (0.6, 0.0), (0.8, -1.0)), 0.0),
+], ids=["ramp-end", "zero-gain-flip"])
+def test_run_scores_schedules_near_rounding_edges(tmp_path, segments, ramp):
+    cfg = _write_small_config(tmp_path, schedule=ControlSchedule(segments, ramp_time=ramp))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    metrics = json.loads((out / "small_metrics.json").read_text())
+    assert "echo" not in metrics
+    assert metrics["echo_peak_time"] > segments[-1][0]
+
+
+def test_run_with_a_short_segment_records_undefined(tmp_path):
+    # a 1e-10 segment makes the finest record spacing 2e10 times below the
+    # window: the correlation refuses the resample grid instead of allocating it
+    cfg = _write_small_config(tmp_path, schedule=ControlSchedule(
+        ((0.0, 1.0), (0.8, -1.0), (0.8000000001, -1.0))))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    metrics = json.loads((out / "small_metrics.json").read_text())
+    assert metrics["echo"].startswith("undefined: resampling needs")
 
 
 @pytest.mark.parametrize("module, names", [

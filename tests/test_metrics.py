@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradecho.metrics import (AmbiguousPeakError, UndefinedMetricError,
-                              classical_fidelity, delay_bandwidth, detect_echo,
+from gradecho.metrics import (AmbiguousPeakError, NoEchoError,
+                              UndefinedMetricError, classical_fidelity,
+                              compute_echo_metrics, delay_bandwidth, detect_echo,
                               eit_baseline, feasibility, fwhm,
                               storage_efficiency)
 from gradecho.metrics import _xcorr
 from gradecho.model import MediumParams, ProbePulse
+from gradecho.scenarios import builtin_sweep
 from gradecho.solver import integrate
 
 from .conftest import small_scenario
@@ -183,3 +185,23 @@ def test_fft_correlation_equals_direct_correlation():
         got = _xcorr(a, b)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_echo_metrics_of_a_flipped_empty_medium_raise_no_echo():
+    rec = integrate(small_scenario(medium=MediumParams(xi=0.0)))
+    with pytest.raises(NoEchoError, match="no echo above the detection floor"):
+        compute_echo_metrics(rec, after=0.8, t_cut=0.8)
+
+
+def test_multimodal_echo_carries_its_defined_metrics():
+    # fig4a-coarse point 22 (xi = 8000, zeta = 1000): the echo has a
+    # secondary peak at 0.87 of its maximum
+    scenario = builtin_sweep("fig4a-coarse").point(22)[1]
+    rec = integrate(scenario)
+    after = scenario.schedule.last_flip_time()
+    with pytest.raises(AmbiguousPeakError) as info:
+        compute_echo_metrics(rec, after=after, t_cut=after)
+    det = detect_echo(rec, after)
+    assert info.value.metrics == {"efficiency_R": storage_efficiency(rec, after),
+                                  "echo_peak_time": det.peak_time,
+                                  "echo_peak_value": det.peak_value}

@@ -70,6 +70,13 @@ def test_schedule_gain_and_flips():
     assert sched.last_flip_time() == 4.5
 
 
+def test_a_flip_through_zero_gain_is_a_flip():
+    # control off between the two signs: the storage interval of the protocol
+    assert ControlSchedule(((0.0, 1.0), (1.0, 0.0), (1.5, -1.0))).flip_times() == (1.5,)
+    assert ControlSchedule(((0.0, 1.0), (1.0, 0.0), (1.5, 2.0))).flip_times() == ()
+    assert ControlSchedule(((0.0, 0.0), (1.0, 1.0), (2.0, -1.0))).flip_times() == (2.0,)
+
+
 def test_schedule_cosine_ramp_monotone():
     sched = ControlSchedule(segments=((0.0, 1.0), (1.0, -1.0)), ramp_time=0.2)
     ts = np.linspace(1.0, 1.2, 41)

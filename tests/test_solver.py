@@ -260,6 +260,23 @@ def test_plan_of_a_cut_short_ramp_and_a_t_end_inside_a_ramp_is_pinned():
     ]
 
 
+@pytest.mark.parametrize("schedule", [
+    # the ramp from 0.7 ends at 0.7 + 0.1 = 0.7999999999999999, one ulp
+    # before the 0.8 segment
+    ControlSchedule(((0.0, 1.0), (0.7, -1.0), (0.8, 1.0), (1.2, -1.0)), ramp_time=0.1),
+    # the probe window ends at 0.2 + 8 * 0.05 = 0.6000000000000001, one ulp
+    # after the 0.6 segment starts
+    ControlSchedule(((0.0, 1.0), (0.6, 0.0), (0.8, -1.0))),
+], ids=["ramp-end", "window-edge"])
+def test_plan_has_no_rounding_sliver(schedule):
+    s = small_scenario(schedule=schedule)
+    plan = step_plan(s)
+    assert plan[0].t_start == 0.0 and plan[-1].t_end == s.grid.t_end
+    assert all(a.t_end == b.t_start for a, b in zip(plan, plan[1:]))
+    assert min(p.t_end - p.t_start for p in plan) > 1e-3
+    assert {t for t, _ in schedule.segments} <= {p.t_start for p in plan}
+
+
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_auto_plan_respects_step_limits(name):
     s = builtin_scenario(name)

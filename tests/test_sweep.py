@@ -4,6 +4,7 @@ import pytest
 
 import gradecho.sweep
 from gradecho.metrics import compute_echo_metrics
+from gradecho.model import MediumParams
 from gradecho.solver import integrate
 from gradecho.scenarios import builtin_sweep
 from gradecho.sweep import (PointResult, SweepSpec, _longest_first,
@@ -120,6 +121,15 @@ def test_no_flip_point_marked_no_echo():
     row = run_sweep(spec).rows[0]
     assert row.metrics is None
     assert row.flags.get("no_echo") is True
+
+
+def test_flipped_no_echo_point_is_a_result_not_an_error():
+    spec = SweepSpec(base=small_scenario(medium=MediumParams(xi=0.0)),
+                     axes=(("medium.xi", (0.0,)),))
+    row = run_sweep(spec).rows[0]
+    assert row.flags == {"no_echo": True, "dispersion": ""}
+    assert row.metrics is None
+    assert row.error is None
 
 
 def test_point_result_json_roundtrip():
