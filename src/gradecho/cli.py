@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -99,17 +98,16 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    checkpoint = outdir / "sweep_checkpoint.jsonl"
-    if not args.resume and checkpoint.exists():
-        checkpoint.unlink()
-    if args.spec in BUILTIN_SWEEPS:
-        spec = builtin_sweep(args.spec, workers=args.workers,
-                             checkpoint=str(checkpoint))
-    else:
+    if args.spec not in BUILTIN_SWEEPS:
         raise ConfigError(f"unknown sweep {args.spec!r}; available: "
                           f"{', '.join(sorted(BUILTIN_SWEEPS))}")
+    outdir = Path(args.output)
+    checkpoint = outdir / "sweep_checkpoint.jsonl"
+    # the spec first: a sweep that cannot start keeps the old checkpoint
+    spec = builtin_sweep(args.spec, workers=args.workers, checkpoint=str(checkpoint))
+    outdir.mkdir(parents=True, exist_ok=True)
+    if not args.resume:
+        checkpoint.unlink(missing_ok=True)
     manifest = RunManifestWriter(sweep=args.spec, grid_shape=list(spec.shape),
                                  axes=[[p, list(vals)] for p, vals in spec.axes],
                                  base_config_hash=config_hash(spec.base),
@@ -129,11 +127,16 @@ def cmd_compare(args) -> int:
     if not isinstance(scenario.profile, Uniform) or len(scenario.schedule.segments) != 1:
         raise ConfigError("compare needs a constant control field: a uniform "
                           "profile and a single-segment schedule")
+    if "coherences" not in scenario.outputs:
+        raise ConfigError("compare needs the coherences observable in [outputs]")
+    t0 = scenario.probe.center_time
+    tail = max(8 * scenario.probe.width, 1e-9)  # the tail: 8 widths past the center
+    if scenario.grid.t_end - t0 <= tail:
+        raise ConfigError(f"compare needs t_end > center + 8 widths = {t0 + tail:g} tau")
     record = integrate(scenario)
     med = scenario.medium
     omega_c = scenario.schedule.segments[0][1] * scenario.profile.b
     amp = impulse_equivalent_amplitude(scenario.probe)
-    t0 = scenario.probe.center_time
 
     ok = broadband_ordering_ok(1.0 / scenario.probe.width, abs(omega_c),
                                med.gamma_decay)
@@ -148,10 +151,10 @@ def cmd_compare(args) -> int:
     r21_ref = rho21_closed(p_mid, Tc[mc])
 
     T = record.times - t0
-    mt = T > max(8 * scenario.probe.width, 1e-9)
+    mt = T > tail
     p_out = AnalyticParams(omega_c=omega_c, eta_z=med.eta * med.length,
                            gamma_decay=med.gamma_decay, probe_amp=amp)
-    tail_ref = amp * probe_closed(replace(p_out, probe_amp=1.0), T[mt])
+    tail_ref = amp * probe_closed(p_out, T[mt])
 
     def rel_l2(a, b):
         return float(np.linalg.norm(a - b) / np.linalg.norm(b))
@@ -183,7 +186,7 @@ def cmd_analytic(args) -> int:
     T = T[T > 0]
     r31 = rho31_closed(p, T)
     r21 = rho21_closed(p, T)
-    tail = args.amp * probe_closed(replace(p, probe_amp=1.0), T)
+    tail = args.amp * probe_closed(p, T)
     path = outdir / "analytic.csv"
     write_csv(path, "T,im_rho31,re_rho31,re_rho21,im_rho21,probe_tail",
               [T, r31.imag, r31.real, r21.real, r21.imag, tail.real])

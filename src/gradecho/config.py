@@ -40,6 +40,7 @@ exactly, and the serialized text doubles as the config-hash input.
 """
 from __future__ import annotations
 
+import cmath
 import configparser
 import hashlib
 from dataclasses import replace
@@ -100,6 +101,7 @@ def _parse_number(text: str, where: str, kind: str = "plain") -> float:
         value = float(parts[0])
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse number from {text!r}") from exc
+    _finite(value, text, where)
     if len(parts) == 1:
         return value
     if len(parts) > 2:
@@ -112,6 +114,13 @@ def _parse_number(text: str, where: str, kind: str = "plain") -> float:
     return value * table[suffix]
 
 
+def _finite(value, text: str, where: str):
+    """``value``, refused unless finite: an inf or nan breaks the run later."""
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{where}: {text.strip()!r} is not a finite number")
+    return value
+
+
 def _parse_value(field: _Field, text: str, where: str):
     text = text.strip()
     if field.default == "auto" and text.lower() == "auto":
@@ -121,9 +130,10 @@ def _parse_value(field: _Field, text: str, where: str):
     if field.kind == "str":
         return text.lower()
     try:
-        return int(text) if field.kind == "int" else complex(text.replace(" ", ""))
+        value = int(text) if field.kind == "int" else complex(text.replace(" ", ""))
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {field.kind} from {text!r}") from exc
+    return _finite(value, text, where)
 
 
 def _format_value(field: _Field, value) -> str:
@@ -161,6 +171,23 @@ def _build(section: str, make, **values):
         raise ConfigError(f"[{section}]: {exc}") from exc
 
 
+def _refuse_unknown(cp: configparser.ConfigParser, profile_fields) -> None:
+    """Raise on a section or key the grammar does not declare, so a typo
+    never falls back to a default; ``profile_fields`` are the chosen kind's."""
+    tables = {"medium": _MEDIUM, "control.profile": ("kind", *profile_fields),
+              "control.schedule": ("segments", *_SCHEDULE), "probe": _PROBE,
+              "grid": _GRID, "outputs": ("observables",)}
+    for section in cp.sections():
+        if section not in tables:
+            raise ConfigError(f"unknown section [{section}] (expected one of "
+                              f"{', '.join(f'[{t}]' for t in tables)})")
+        names = [f if isinstance(f, str) else f.name for f in tables[section]]
+        unknown = [k for k in cp.options(section) if k not in names]
+        if unknown:
+            raise ConfigError(f"[{section}]: unknown field {unknown[0]!r} "
+                              f"(expected one of {', '.join(names)})")
+
+
 def parse_scenario(text: str) -> Scenario:
     cp = configparser.ConfigParser(interpolation=None, delimiters=("=",),
                                    inline_comment_prefixes=("#",))
@@ -174,6 +201,7 @@ def parse_scenario(text: str) -> Scenario:
     if kind not in _PROFILES:
         raise ConfigError(f"[control.profile]: unknown kind {kind!r}")
     cls, fields = _PROFILES[kind]
+    _refuse_unknown(cp, fields)
     profile = _build("control.profile", cls, **_read(cp, "control.profile", fields))
     segments = []
     for item in _get(cp, "control.schedule", "segments").split(","):

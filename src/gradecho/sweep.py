@@ -8,6 +8,7 @@ by a hash in its header line, so a resume never mixes rows of two specs.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -25,17 +26,9 @@ from .metrics import (AmbiguousPeakError, EchoMetrics, NoEchoError,
 from .model import Scenario, validate_scenario
 from .solver import integrate, step_plan
 
-__all__ = [
-    "SweepSpec",
-    "PointResult",
-    "SweepResult",
-    "run_sweep",
-    "dispersion_flag",
-    "set_scenario_field",
-    "get_scenario_field",
-]
+__all__ = ["SweepSpec", "PointResult", "SweepResult", "run_sweep", "dispersion_flag",
+           "set_scenario_field", "get_scenario_field"]
 
-CHECKPOINT_FSYNC_BATCH = 8
 DISPERSION_BROADENING = 0.25  # echo fwhm > (1 + this) * input fwhm marks distortion
 
 
@@ -137,16 +130,12 @@ class PointResult:
     error: Optional[str] = None
 
     def to_json(self) -> str:
-        return json.dumps({"index": self.index, "values": self.values,
-                           "metrics": self.metrics, "flags": self.flags,
-                           "error": self.error}, sort_keys=True)
+        return json.dumps(dataclasses.asdict(self), sort_keys=True)
 
     @staticmethod
     def from_json(line: str) -> "PointResult":
-        d = json.loads(line)
-        return PointResult(index=d["index"], values=d["values"],
-                           metrics=d["metrics"], flags=d["flags"],
-                           error=d.get("error"))
+        """The point of a checkpoint line; a missing or extra key raises TypeError."""
+        return PointResult(**json.loads(line))
 
 
 @dataclass(frozen=True)
@@ -187,19 +176,17 @@ def _run_point(args) -> PointResult:
     values = spec.coordinates(index)
     try:
         _, scenario = spec.point(index)
-        issues = validate_scenario(scenario)
-        if any(i.severity == "error" for i in issues):
-            msgs = "; ".join(i.message for i in issues if i.severity == "error")
-            return PointResult(index, values, None, {}, error=f"validation: {msgs}")
-        record = integrate(scenario, check=False)
-        after = spec.detect_after
-        if after is None:
-            after = scenario.schedule.last_flip_time()
-        if after is None:
+        errors = [i.message for i in validate_scenario(scenario) if i.severity == "error"]
+        if errors:
+            return PointResult(index, values, None, {},
+                               error=f"validation: {'; '.join(errors)}")
+        after = (spec.detect_after if spec.detect_after is not None
+                 else scenario.schedule.last_flip_time())
+        if after is None:  # nothing to score: the record is not computed
             return PointResult(index, values, None, {"no_echo": True, "dispersion": ""},
                                error="schedule has no flip; echo metrics undefined")
         t_cut = spec.efficiency_cut if spec.efficiency_cut is not None else after
-        m = compute_echo_metrics(record, after, t_cut)
+        m = compute_echo_metrics(integrate(scenario, check=False), after, t_cut)
     except NoEchoError:
         return PointResult(index, values, None, {"no_echo": True, "dispersion": ""})
     except AmbiguousPeakError as exc:
@@ -214,13 +201,11 @@ def _run_point(args) -> PointResult:
 
 def _longest_first(spec: SweepSpec, indices) -> list[int]:
     """``indices`` by decreasing cost, total steps x (nz + 1) of the point's
-    step plan, ties in the given order.  A point that does not build or
-    fails validation costs 0: its error row takes no time."""
+    step plan, ties in the given order.  A point that does not build costs
+    0: its error row takes no time."""
     def cost(index: int) -> int:
         try:
             _, scenario = spec.point(index)
-            if any(i.severity == "error" for i in validate_scenario(scenario)):
-                return 0
             return sum(p.steps for p in step_plan(scenario)) * (scenario.grid.nz + 1)
         except (ValueError, RuntimeError):
             return 0
@@ -239,13 +224,12 @@ def _spec_hash(spec: SweepSpec) -> str:
 
 class _Checkpoint:
     """Append-only JSON-lines file: a header line holding the spec hash, then
-    one finished point per line."""
+    one finished point per line, flushed and fsynced as it arrives."""
 
     def __init__(self, path: Optional[str], spec_hash: str):
         self.path = Path(path) if path else None
         self.header = json.dumps({"gradecho_checkpoint": spec_hash})
         self._fh = None
-        self._pending = 0
 
     def load(self) -> dict[int, PointResult]:
         """Finished points of a matching checkpoint.
@@ -266,7 +250,7 @@ class _Checkpoint:
         for n, line in enumerate(lines[1:], start=2):
             try:
                 r = PointResult.from_json(line)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, TypeError) as exc:
                 raise ValueError(f"checkpoint {self.path} line {n} is corrupt: "
                                  f"{exc}") from None
             done[r.index] = r
@@ -283,50 +267,35 @@ class _Checkpoint:
             if self._fh.tell() == 0:
                 self._fh.write(self.header + "\n")
         self._fh.write(r.to_json() + "\n")
-        self._pending += 1
-        if self._pending >= CHECKPOINT_FSYNC_BATCH:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._fh is not None:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._pending = 0
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
 
     def close(self) -> None:
         if self._fh is not None:
-            self.flush()
             self._fh.close()
-            self._fh = None
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point; deterministic per point regardless of
     worker count or completion order.  Failed points carry their error
-    string instead of poisoning the sweep.  A pool gets the points longest
-    first, so its workers do not end on the most expensive ones; the
-    checkpoint lines follow that order."""
+    string instead of poisoning the sweep.  One worker runs the points in
+    index order, in process; a pool gets them longest first, so its workers
+    do not end on the most expensive ones.  Each finished point reaches the
+    checkpoint, fsynced, as it arrives, so the lines follow that order."""
     n = spec.size()
     ckpt = _Checkpoint(spec.checkpoint, _spec_hash(spec))
     done = ckpt.load()
     todo = [i for i in range(n) if i not in done]
-    try:
-        if todo:
-            if spec.workers == 1:
-                for i in todo:
-                    r = _run_point((spec, i))
-                    done[r.index] = r
-                    ckpt.append(r)
-            else:
-                from concurrent.futures import ProcessPoolExecutor
+    with contextlib.ExitStack() as stack:
+        stack.callback(ckpt.close)
+        mapper = map
+        if spec.workers > 1 and todo:
+            from concurrent.futures import ProcessPoolExecutor
 
-                order = _longest_first(spec, todo)
-                with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                    for r in pool.map(_run_point, [(spec, i) for i in order]):
-                        done[r.index] = r
-                        ckpt.append(r)
-    finally:
-        ckpt.close()
-    rows = tuple(done[i] for i in range(n))
-    return SweepResult(spec_shape=spec.shape,
-                       axis_paths=tuple(p for p, _ in spec.axes), rows=rows)
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=spec.workers))
+            mapper, todo = pool.map, _longest_first(spec, todo)
+        for r in mapper(_run_point, [(spec, i) for i in todo]):
+            done[r.index] = r
+            ckpt.append(r)
+    return SweepResult(spec_shape=spec.shape, axis_paths=tuple(p for p, _ in spec.axes),
+                       rows=tuple(done[i] for i in range(n)))

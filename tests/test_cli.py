@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ import gradecho
 from gradecho.cli import main
 from gradecho.config import serialize_scenario
 from gradecho.model import ControlSchedule, MediumParams
-from gradecho.scenarios import builtin_sweep
+from gradecho.scenarios import builtin_scenario, builtin_sweep
 from gradecho.sweep import SweepSpec
 
 from .conftest import small_scenario
@@ -85,7 +86,7 @@ def test_grid_override_reads_the_config_grammar(tmp_path, override):
 
 
 @pytest.mark.parametrize("override", ["nz=64.0", "n_z=64", "t_end", "t_end=1.5 gamma",
-                                      "record_stride=2.5"])
+                                      "record_stride=2.5", "t_end=inf", "dt=nan"])
 def test_bad_grid_override_exits_2(tmp_path, override):
     cfg = _write_small_config(tmp_path)
     out = tmp_path / "out"
@@ -200,6 +201,15 @@ def test_sweep_cli_with_injected_tiny_grid(tmp_path, monkeypatch):
     assert main(["sweep", "tiny", "--output", str(out1), "--resume"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["fig4a-corse"], ["fig4a-coarse", "--workers", "0"]],
+                         ids=["unknown-spec", "no-workers"])
+def test_failed_sweep_keeps_the_old_checkpoint(tmp_path, argv):
+    ckpt = tmp_path / "sweep_checkpoint.jsonl"
+    ckpt.write_bytes(b'{"gradecho_checkpoint": "abc"}\n')
+    assert main(["sweep", *argv, "--output", str(tmp_path)]) == 2
+    assert ckpt.read_bytes() == b'{"gradecho_checkpoint": "abc"}\n'
+
+
 def test_sweep_manifest(tmp_path, monkeypatch):
     import gradecho.cli as cli_mod
 
@@ -236,6 +246,30 @@ def test_compare_emits_residuals(tmp_path):
 
 def test_compare_rejects_structured_profile(tmp_path):
     assert main(["compare", "fig4b", "--output", str(tmp_path / "x")]) == 2
+
+
+def _no_integrate(*args, **kwargs):
+    raise AssertionError("integrate called")
+
+
+def test_compare_refuses_an_empty_tail_window(tmp_path, monkeypatch):
+    # oracle-ats: the tail starts 8 widths past the center, at t = 0.016
+    monkeypatch.setattr(gradecho.cli, "integrate", _no_integrate)
+    out = tmp_path / "out"
+    assert main(["compare", "oracle-ats", "--output", str(out),
+                 "--grid-override", "t_end=0.01"]) == 2
+    assert not any(out.iterdir())
+
+
+def test_compare_refuses_a_run_without_coherences(tmp_path, monkeypatch):
+    cfg = tmp_path / "ats.cfg"
+    cfg.write_text(serialize_scenario(replace(builtin_scenario("oracle-ats"),
+                                              outputs=("probe_in", "probe_out"))),
+                   encoding="utf-8")
+    monkeypatch.setattr(gradecho.cli, "integrate", _no_integrate)
+    out = tmp_path / "out"
+    assert main(["compare", str(cfg), "--output", str(out)]) == 2
+    assert not any(out.iterdir())
 
 
 def test_analytic_emission(tmp_path):

@@ -122,6 +122,32 @@ def test_missing_field_is_config_error():
         parse_scenario(broken)
 
 
+@pytest.mark.parametrize("old, new", [
+    ("gamma_decay = 1 gamma", "gama_decay = 2 gamma"),  # a mistyped key
+    ("[grid]", "[gird]\nnz = 64\n\n[grid]"),  # a mistyped section
+    ("zeta = 1000 gamma", "zeta = 1000 gamma\nb = 3 gamma"),  # a key of another kind
+], ids=["key", "section", "other-kind"])
+def test_unknown_section_or_key_is_config_error(old, new):
+    # a typo must not fall back to a default: each of these parsed at 0.3.0
+    with pytest.raises(ConfigError, match=r"unknown (field 'gama_decay'|section \[gird\]"
+                                          r"|field 'b')"):
+        parse_scenario(EXAMPLE.replace(old, new))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("xi = 2000", "xi = nan"),
+    ("zeta = 1000 gamma", "zeta = inf gamma"),
+    ("0.16 tau: -1", "0.16 tau: nan"),
+    ("0 tau: 1", "1e999 tau: 1"),
+    ("amplitude = 1", "amplitude = nan+1j"),
+    ("width = 5e-3 tau", "width = -inf tau"),
+    ("t_end = 0.6 tau", "t_end = inf tau"),
+], ids=["xi", "zeta", "gain", "segment-time", "amplitude", "width", "t_end"])
+def test_non_finite_number_is_config_error(old, new):
+    with pytest.raises(ConfigError, match="not a finite number"):
+        parse_scenario(EXAMPLE.replace(old, new))
+
+
 def test_unknown_unit_suffix():
     with pytest.raises(ConfigError, match="suffix"):
         parse_scenario(EXAMPLE.replace("0.048 tau", "0.048 seconds"))

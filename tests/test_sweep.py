@@ -115,12 +115,18 @@ def test_failed_point_recorded_not_fatal():
     assert result.rows[1].metrics is None
 
 
-def test_no_flip_point_marked_no_echo():
+def test_no_flip_point_marked_no_echo(monkeypatch):
+    # nothing to score, so the point runs no integrate
+    def no_integrate(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(gradecho.sweep, "integrate", no_integrate)
     spec = SweepSpec(base=small_scenario(flip=False),
                      axes=(("medium.xi", (50.0,)),))
     row = run_sweep(spec).rows[0]
-    assert row.metrics is None
-    assert row.flags.get("no_echo") is True
+    assert row == PointResult(0, {"medium.xi": 50.0}, None,
+                              {"no_echo": True, "dispersion": ""},
+                              error="schedule has no flip; echo metrics undefined")
 
 
 def test_flipped_no_echo_point_is_a_result_not_an_error():
@@ -174,6 +180,26 @@ def test_checkpoint_of_another_spec_is_refused(tmp_path, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError, match="gradecho version"):
         run_sweep(_spec(tmp_path, xis=(20.0,)))
+
+
+def test_each_finished_point_is_on_disk_before_the_next_starts(tmp_path, monkeypatch):
+    # a kill between two points must lose neither: every earlier point is
+    # readable through a separate open when the next one starts
+    ckpt = tmp_path / "ckpt.jsonl"
+    finished = []
+    run_point = gradecho.sweep._run_point
+
+    def checked(args):
+        lines = ckpt.read_text(encoding="utf-8").splitlines() if finished else []
+        assert [json.loads(line)["index"] for line in lines[1:]] == finished
+        r = run_point(args)
+        finished.append(r.index)
+        return r
+
+    monkeypatch.setattr(gradecho.sweep, "_run_point", checked)
+    run_sweep(_spec(tmp_path, xis=(20.0, 35.0, 50.0)))
+    assert finished == [0, 1, 2]
+    assert len(ckpt.read_text(encoding="utf-8").splitlines()) == 4
 
 
 def test_cut_off_last_line_is_dropped_and_recomputed(tmp_path):
