@@ -18,6 +18,7 @@ load it.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,6 +51,13 @@ class AnalyticParams:
     eta_z: float
     gamma_decay: float = 1.0
     probe_amp: complex = 1.0
+
+    def __post_init__(self) -> None:
+        values = (self.omega_c, self.eta_z, self.gamma_decay, self.probe_amp)
+        if not all(cmath.isfinite(v) for v in values):
+            raise ValueError("closed-form parameters must be finite")
+        if self.eta_z < 0 or self.gamma_decay < 0:
+            raise ValueError("eta_z and gamma_decay must be >= 0")
 
 
 def impulse_equivalent_amplitude(probe: ProbePulse) -> complex:
@@ -136,16 +144,16 @@ def phase_area(schedule: ControlSchedule, profile: SpatialProfile,
 
 
 def predict_echo_time(schedule: ControlSchedule, profile: SpatialProfile,
-                      t0: float, t_end: float, z_ref: Optional[float] = None,
-                      length: float = 1.0) -> Optional[float]:
+                      t0: float, t_end: float, length: float = 1.0) -> Optional[float]:
     """Earliest zero crossing of the phase area after both t0 and the last
     gain sign flip.
 
-    Defaults z_ref to the profile maximum (echo emission is dominated by the
-    highest-coherence region).  Returns None when the area never crosses zero
-    before t_end.  The search runs between the schedule's stretch edges and
-    the gain's zero inside each sign-changing ramp: between those points the
-    gain keeps one sign, so the area is monotone and a sign test is exact.
+    The area is taken at ``profile.focus(length)``, the profile maximum (echo
+    emission is dominated by the highest-coherence region).  Returns None
+    when the area never crosses zero before t_end.  The search runs between
+    the schedule's stretch edges and the gain's zero inside each
+    sign-changing ramp: between those points the gain keeps one sign, so the
+    area is monotone and a sign test is exact.
     """
     from scipy.optimize import brentq
 
@@ -153,10 +161,10 @@ def predict_echo_time(schedule: ControlSchedule, profile: SpatialProfile,
     if last_flip is None or last_flip >= t_end:
         return None
     start = max(last_flip, t0)  # the area vanishes trivially at t0
-    z_ref = profile.focus(length) if z_ref is None else z_ref
+    focus = profile.focus(length)
 
     def area(t: float) -> float:
-        return phase_area(schedule, profile, z_ref, t0, t, length)
+        return phase_area(schedule, profile, focus, t0, t, length)
 
     pts = {start, t_end}
     for ta, tb, g_from, gain in schedule.stretches(t_end):

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +19,14 @@ from .analytic import (AnalyticParams, impulse_equivalent_amplitude,
                        probe_closed, rho21_closed, rho31_closed)
 from .config import (ConfigError, apply_grid_override, config_hash,
                      parse_scenario_file, serialize_scenario)
-from .io import (RunManifestWriter, write_csv, write_metrics_json,
-                 write_timeseries_csv)
+from .io import RunManifestWriter, write_csv, write_json, write_timeseries_csv
 from .metrics import (AmbiguousPeakError, UndefinedMetricError,
                       compute_echo_metrics, feasibility)
 from .model import Scenario, Uniform, broadband_ordering_ok, validate_scenario
 from .scenarios import (BUILTIN_SCENARIOS, BUILTIN_SWEEPS, builtin_scenario,
                         builtin_sweep, scenario_notes)
-from .solver import DivergenceError, ResourceLimitError, integrate, step_plan
+from .solver import (PROBE_WINDOW, DivergenceError, ResourceLimitError,
+                     integrate, step_plan)
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -80,7 +82,7 @@ def cmd_run(args) -> int:
         metrics_payload["echo"] = "no control flip in schedule"
     else:
         try:
-            metrics_payload.update(compute_echo_metrics(record, after, t_cut).as_dict())
+            metrics_payload.update(asdict(compute_echo_metrics(record, after, t_cut)))
         except AmbiguousPeakError as exc:
             metrics_payload.update(exc.metrics, echo=f"ambiguous: {exc}")
         except UndefinedMetricError as exc:
@@ -89,7 +91,7 @@ def cmd_run(args) -> int:
     csv_path = outdir / f"{name}_timeseries.csv"
     metrics_path = outdir / f"{name}_metrics.json"
     write_timeseries_csv(record, csv_path)
-    write_metrics_json(metrics_payload, metrics_path)
+    write_json(metrics_payload, metrics_path)
     manifest.add_output(csv_path)
     manifest.add_output(metrics_path)
     manifest.write(outdir / f"{name}_manifest.json")
@@ -129,12 +131,16 @@ def cmd_compare(args) -> int:
                           "profile and a single-segment schedule")
     if "coherences" not in scenario.outputs:
         raise ConfigError("compare needs the coherences observable in [outputs]")
-    t0 = scenario.probe.center_time
-    tail = max(8 * scenario.probe.width, 1e-9)  # the tail: 8 widths past the center
-    if scenario.grid.t_end - t0 <= tail:
-        raise ConfigError(f"compare needs t_end > center + 8 widths = {t0 + tail:g} tau")
-    record = integrate(scenario)
     med = scenario.medium
+    if med.delta_p or med.delta_c or med.gamma_ground or med.xi == 0:
+        raise ConfigError("compare needs the medium its closed forms describe: "
+                          "xi > 0 and delta_p = delta_c = gamma_ground = 0")
+    t0 = scenario.probe.center_time
+    tail = max(PROBE_WINDOW * scenario.probe.width, 1e-9)  # the tail past the probe window
+    if scenario.grid.t_end - t0 <= tail:
+        raise ConfigError(f"compare needs t_end > center + {PROBE_WINDOW:g} widths "
+                          f"= {t0 + tail:g} tau")
+    record = integrate(scenario)
     omega_c = scenario.schedule.segments[0][1] * scenario.profile.b
     amp = impulse_equivalent_amplitude(scenario.probe)
 
@@ -152,8 +158,7 @@ def cmd_compare(args) -> int:
 
     T = record.times - t0
     mt = T > tail
-    p_out = AnalyticParams(omega_c=omega_c, eta_z=med.eta * med.length,
-                           gamma_decay=med.gamma_decay, probe_amp=amp)
+    p_out = replace(p_mid, eta_z=med.eta * med.length)
     tail_ref = amp * probe_closed(p_out, T[mt])
 
     def rel_l2(a, b):
@@ -168,20 +173,20 @@ def cmd_compare(args) -> int:
         "impulse_amplitude": {"re": amp.real, "im": amp.imag},
     }
 
+    write_json(residuals, outdir / "compare_residuals.json")  # refuses a NaN first
     write_csv(outdir / "compare.csv",
               "T,re_solver_tail,im_solver_tail,re_closed_tail,im_closed_tail",
               [T[mt], record.probe_out[mt].real, record.probe_out[mt].imag,
                tail_ref.real, tail_ref.imag])
-    write_metrics_json(residuals, outdir / "compare_residuals.json")
     print(json.dumps(residuals, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_analytic(args) -> int:
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
     p = AnalyticParams(omega_c=args.omega_c, eta_z=args.eta_z,
                        gamma_decay=args.gamma, probe_amp=args.amp)
+    outdir = Path(args.output)
+    outdir.mkdir(parents=True, exist_ok=True)
     T = np.linspace(args.t_min, args.t_max, args.samples)
     T = T[T > 0]
     r31 = rho31_closed(p, T)
@@ -198,8 +203,17 @@ def cmd_feasibility(args) -> int:
     report = feasibility(b=args.b, length_cm=args.length_cm,
                          wavelength_nm=args.wavelength_nm,
                          geometry=args.geometry, lifetime_s=args.tau_s)
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     return EXIT_OK
+
+
+def finite_number(text: str) -> float:
+    """argparse type: a finite float; argparse turns the ValueError of
+    ``nan``, ``inf`` or a non-number into exit 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--grid-override", default="",
                       help="comma list of key=value pairs for the [grid] "
                            "section, read as in a config file (units, auto)")
-    runp.add_argument("--efficiency-cut", type=float, default=None,
+    runp.add_argument("--efficiency-cut", type=finite_number, default=None,
                       dest="efficiency_cut",
                       help="storage-efficiency lower time limit "
                            "(default: last control flip)")
@@ -238,24 +252,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analytic", help="emit closed-form curves as CSV")
     ana.add_argument("--output", required=True)
-    ana.add_argument("--omega-c", type=float, required=True, dest="omega_c")
-    ana.add_argument("--eta-z", type=float, required=True, dest="eta_z")
-    ana.add_argument("--gamma", type=float, default=1.0)
-    ana.add_argument("--amp", type=float, default=1.0)
-    ana.add_argument("--t-min", type=float, default=1e-3, dest="t_min")
-    ana.add_argument("--t-max", type=float, default=10.0, dest="t_max")
+    ana.add_argument("--omega-c", type=finite_number, required=True, dest="omega_c")
+    ana.add_argument("--eta-z", type=finite_number, required=True, dest="eta_z")
+    ana.add_argument("--gamma", type=finite_number, default=1.0)
+    ana.add_argument("--amp", type=finite_number, default=1.0)
+    ana.add_argument("--t-min", type=finite_number, default=1e-3, dest="t_min")
+    ana.add_argument("--t-max", type=finite_number, default=10.0, dest="t_max")
     ana.add_argument("--samples", type=int, default=2000)
     ana.set_defaults(func=cmd_analytic)
 
     fea = sub.add_parser("feasibility", help="laboratory-scale control beam estimates")
-    fea.add_argument("--b", type=float, required=True,
+    fea.add_argument("--b", type=finite_number, required=True,
                      help="focal Rabi frequency in units of 1/tau")
-    fea.add_argument("--length-cm", type=float, default=5.0, dest="length_cm")
-    fea.add_argument("--wavelength-nm", type=float, default=780.0,
+    fea.add_argument("--length-cm", type=finite_number, default=5.0, dest="length_cm")
+    fea.add_argument("--wavelength-nm", type=finite_number, default=780.0,
                      dest="wavelength_nm")
     fea.add_argument("--geometry", choices=("gaussian", "perpendicular"),
                      default="gaussian")
-    fea.add_argument("--tau-s", type=float, default=5e-9, dest="tau_s",
+    fea.add_argument("--tau-s", type=finite_number, default=5e-9, dest="tau_s",
                      help="excited-state lifetime in seconds")
     fea.set_defaults(func=cmd_feasibility)
     return ap

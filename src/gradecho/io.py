@@ -13,8 +13,7 @@ import numpy as np
 from . import __version__
 from .solver import FieldRecord
 
-__all__ = ["write_csv", "write_timeseries_csv", "write_metrics_json",
-           "RunManifestWriter"]
+__all__ = ["write_csv", "write_timeseries_csv", "write_json", "RunManifestWriter"]
 
 _CSV_HEADER = "t,re_probe_in,im_probe_in,re_probe_out,im_probe_out,probe_out_intensity"
 
@@ -37,10 +36,11 @@ def write_timeseries_csv(record: FieldRecord, path) -> None:
     ])
 
 
-def write_metrics_json(metrics_dict: dict, path) -> None:
+def write_json(payload: dict, path) -> None:
+    """Indented, key-sorted JSON; a NaN or infinity raises before the file opens."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(metrics_dict, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 class RunManifestWriter:
@@ -62,6 +62,4 @@ class RunManifestWriter:
 
     def write(self, path, **fields) -> None:
         self.payload.update(fields, wall_time_s=time.monotonic() - self._t0)
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(self.payload, path)

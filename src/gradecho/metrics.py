@@ -5,7 +5,8 @@ product, and experimental feasibility estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -129,7 +130,7 @@ def detect_echo(record: FieldRecord, after: float,
         if denom != 0:
             delta = 0.5 * (y0 - y2) / denom
             delta = float(np.clip(delta, -0.5, 0.5))
-            tpk = tw[i] + delta * (tw[min(i + 1, yw.size - 1)] - tw[i - 1]) / 2.0
+            tpk = tw[i] + delta * (tw[i + 1] - tw[i - 1]) / 2.0
             vpk = y1 - 0.25 * (y0 - y2) * delta
             return EchoDetection(float(tpk), float(vpk))
     return EchoDetection(float(tw[i]), float(yw[i]))
@@ -191,11 +192,6 @@ def _correlation(t_in, in_trace, t_out, out_trace):
             float(np.sum(np.abs(bu) ** 2) * dt))
 
 
-def _energy(t, trace) -> float:
-    return float(np.trapezoid(np.abs(np.asarray(trace, complex)) ** 2,
-                              np.asarray(t, float)))
-
-
 def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
                        t_out: np.ndarray, out_trace: np.ndarray,
                        delay_range: Optional[tuple[float, float]] = None) -> float:
@@ -207,9 +203,9 @@ def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
     a value in [0, 1], invariant under global phase, amplitude scaling and
     (within the searched range) time translation of either trace.
     """
-    if _energy(t_in, in_trace) <= 0 or _energy(t_out, out_trace) <= 0:
-        raise UndefinedMetricError("fidelity needs two traces with energy")
     power, lags, eau, ebu = _correlation(t_in, in_trace, t_out, out_trace)
+    if eau <= 0 or ebu <= 0:
+        raise UndefinedMetricError("fidelity needs two traces with energy")
     if delay_range is not None:
         sel = (lags >= delay_range[0]) & (lags <= delay_range[1])
         if not np.any(sel):
@@ -242,9 +238,6 @@ class FeasibilityReport:
     power_w: Optional[float] = None
     spot_um2: Optional[float] = None
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def feasibility(b: float, length_cm: float, wavelength_nm: float,
                 geometry: str = "gaussian",
@@ -259,26 +252,21 @@ def feasibility(b: float, length_cm: float, wavelength_nm: float,
     example at b = 1000, L = 5 cm, lambda = 780 nm; pass the actual excited
     state lifetime (e.g. 26.2e-9 for the Rb D2 line) for a specific atom.
     """
-    if b <= 1:
+    if not b > 1:
         raise ValueError("b must exceed 1: the gradient needs the Rabi "
                          "frequency to fall to 1/tau inside the medium")
+    if not all(v > 0 for v in (length_cm, wavelength_nm, lifetime_s)):
+        raise ValueError("length_cm, wavelength_nm and lifetime_s must be > 0")
     intensity = 1e-17 * (b / lifetime_s) ** 2  # W/cm^2
+    report = partial(FeasibilityReport, geometry=geometry, b=b, length_cm=length_cm,
+                     wavelength_nm=wavelength_nm, lifetime_s=lifetime_s,
+                     intensity_w_cm2=intensity)
     if geometry == "gaussian":
         r_cm = length_cm / math.sqrt(b * b - 1.0)
         lam_cm = wavelength_nm * 1e-7
-        power = 0.5 * intensity * lam_cm * r_cm
-        return FeasibilityReport(geometry=geometry, b=b, length_cm=length_cm,
-                                 wavelength_nm=wavelength_nm,
-                                 lifetime_s=lifetime_s,
-                                 intensity_w_cm2=intensity,
-                                 rayleigh_um=r_cm * 1e4, power_w=power)
+        return report(rayleigh_um=r_cm * 1e4, power_w=0.5 * intensity * lam_cm * r_cm)
     if geometry == "perpendicular":
-        spot_cm2 = math.pi * length_cm**2 / math.log(b)
-        return FeasibilityReport(geometry=geometry, b=b, length_cm=length_cm,
-                                 wavelength_nm=wavelength_nm,
-                                 lifetime_s=lifetime_s,
-                                 intensity_w_cm2=intensity,
-                                 spot_um2=spot_cm2 * 1e8)
+        return report(spot_um2=math.pi * length_cm**2 / math.log(b) * 1e8)
     raise ValueError(f"unknown geometry {geometry!r}")
 
 
@@ -291,11 +279,11 @@ class EchoMetrics:
     efficiency_R: float
     fidelity: float
     delay_bandwidth: float
-    echo_peak_value: float = math.nan
-    input_peak_time: float = math.nan
-    input_fwhm: float = math.nan
-    overlap_fidelity: float = math.nan
-    truncation_time: float = math.nan
+    echo_peak_value: float
+    input_peak_time: float
+    input_fwhm: float
+    overlap_fidelity: float
+    truncation_time: float
 
     def __post_init__(self) -> None:
         for name in ("echo_peak_time", "echo_fwhm", "efficiency_R",
@@ -306,9 +294,6 @@ class EchoMetrics:
             raise ValueError("efficiency_R outside [0, 1]")
         if not 0.0 <= self.fidelity <= 1.0:
             raise ValueError("fidelity outside [0, 1]")
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def delay_bandwidth(echo_peak_time: float, input_peak_time: float,

@@ -99,8 +99,7 @@ class GaussianBeam:
         return self.b / np.sqrt(1.0 + ((zz - self.z_focus) / self.rayleigh) ** 2)
 
     def peak(self, length: float = 1.0) -> float:
-        zstar = min(max(self.z_focus, 0.0), length)
-        return abs(float(self.value(zstar, length)))
+        return abs(float(self.value(self.focus(length), length)))
 
     def focus(self, length: float = 1.0) -> float:
         return min(max(self.z_focus, 0.0), length)

@@ -8,7 +8,7 @@ is inferred from the phase-area cancellation that puts the first echo at
 from __future__ import annotations
 
 from .model import (ControlSchedule, GaussianBeam, GridSpec, Linear,
-                    MediumParams, ProbePulse, Scenario, Uniform)
+                    MediumParams, ProbePulse, Scenario, Uniform, scale_scenario)
 from .sweep import SweepSpec
 
 __all__ = ["builtin_scenario", "builtin_sweep", "scenario_notes",
@@ -58,7 +58,7 @@ def _oracle(omega_c: float) -> Scenario:
         schedule=ControlSchedule(segments=((0.0, 1.0),)),
         probe=ProbePulse(amplitude=1.0, center_time=8e-3, width=1e-3,
                          shape="regularized_delta"),
-        grid=GridSpec(t_end=10.05, nz=512, snapshot_stride=None),
+        grid=GridSpec(t_end=10.05, nz=512),
     )
 
 
@@ -68,7 +68,7 @@ BUILTIN_SCENARIOS = {
     "fig2a-beta4": lambda: _fig2(4.0, flip=False),
     "fig2b": lambda: _fig2(2.0, flip=True),
     "fig3a": _fig3a,
-    "fig3b": lambda: _scaled_fig3a(),
+    "fig3b": lambda: scale_scenario(_fig3a(), 1e-5),
     "fig4b": lambda: _fig4(-1.0),
     "fig4c": lambda: _fig4(-2.0),
     "oracle": lambda: _oracle(0.3),
@@ -86,12 +86,6 @@ _NOTES = {
     "oracle-ats": "constant-control comparison point inside the broadband "
                   "regime 1/width >> Omega_c >> Gamma",
 }
-
-
-def _scaled_fig3a() -> Scenario:
-    from .model import scale_scenario
-
-    return scale_scenario(_fig3a(), 1e-5)
 
 
 def builtin_scenario(name: str) -> Scenario:

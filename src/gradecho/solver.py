@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 MAX_COHERENCE = 10.0  # weak-probe normalization: any |rho| above this is blow-up
-MAX_STEPS = 20_000_000  # default step budget of one run
+MAX_STEPS = 20_000_000  # step budget of one run
 
 
 class DivergenceError(RuntimeError):
@@ -92,8 +92,8 @@ def _rk4_map(A0: np.ndarray, Ah: np.ndarray, A1: np.ndarray, dt: float):
     the step's start, middle and end and the probe linear across the step.
 
     The four stages run on the per-z 2x4 basis [I | e_g0 | e_g1]; returns
-    (M, V0, V1) with rho_{n+1} = M rho_n + V0 Omega_p(t_n) + V1 Omega_p(t_{n+1}),
-    shapes (nz, 2, 2), (nz, 2), (nz, 2).
+    y of shape (nz, 2, 4) with rho_{n+1} = M rho_n + V0 Omega_p(t_n) +
+    V1 Omega_p(t_{n+1}) for M = y[:, :, :2], V0 = y[:, :, 2], V1 = y[:, :, 3].
     """
     y = np.zeros((A0.shape[0], 2, 4), dtype=complex)
     y[:, 0, 0] = y[:, 1, 1] = 1.0
@@ -105,7 +105,7 @@ def _rk4_map(A0: np.ndarray, Ah: np.ndarray, A1: np.ndarray, dt: float):
     k3 = Ah @ (y + 0.5 * dt * k2) + drive[1]
     k4 = A1 @ (y + dt * k3) + drive[2]
     y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y[:, :, :2], y[:, :, 2], y[:, :, 3]
+    return y
 
 
 def _check_coherences(r31: np.ndarray, r21: np.ndarray, step: int, t: float) -> None:
@@ -185,17 +185,16 @@ def step_plan(scenario: Scenario) -> tuple[Piece, ...]:
     return tuple(plan)
 
 
-def integrate(scenario: Scenario, check: bool = True,
-              max_steps: int = MAX_STEPS) -> FieldRecord:
+def integrate(scenario: Scenario, check: bool = True) -> FieldRecord:
     """Run the scenario through ``step_plan(scenario)`` and return the
     sampled fields.
 
     With ``check=True`` (default) validation errors abort the run; warnings
-    are allowed.  ``max_steps`` bounds the total number of steps of the plan.
+    are allowed.  A plan above ``MAX_STEPS`` steps raises ResourceLimitError.
     """
     if check:
         _raise_on_errors(scenario)
-    return _run(scenario, step_plan(scenario), max_steps)
+    return _run(scenario, step_plan(scenario))
 
 
 def _raise_on_errors(scenario: Scenario) -> None:
@@ -205,7 +204,7 @@ def _raise_on_errors(scenario: Scenario) -> None:
                          + "; ".join(i.message for i in errors))
 
 
-def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRecord:
+def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
     """Step ``scenario`` through ``plan`` (no validation)."""
     med = scenario.medium
     grid = scenario.grid
@@ -216,9 +215,9 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRe
     c = 0.5j * med.eta * (L / nz)  # trapezoid weight of i eta rho31
 
     total_steps = sum(p.steps for p in plan)
-    if total_steps > max_steps:
+    if total_steps > MAX_STEPS:
         raise ResourceLimitError(
-            f"run needs {total_steps} steps, above the budget of {max_steps}; "
+            f"run needs {total_steps} steps, above the budget of {MAX_STEPS}; "
             f"coarsen dt or shorten t_end")
 
     rec_stride = grid.record_stride or max(1, int(math.ceil(total_steps / 1e5)))
@@ -234,7 +233,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], max_steps: int) -> FieldRe
         """RK4 map for the gains at a step's start, middle and end, laid out
         as ``coef``: rows (M11, M12, V01, V11) and (M21, M22, V02, V12)."""
         A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
-        return np.dstack(_rk4_map(A0, Ah, A1, dt)).transpose(1, 2, 0)
+        return _rk4_map(A0, Ah, A1, dt).transpose(1, 2, 0)
 
     coef = np.empty((2, 4, nz + 1), dtype=complex)
     (M11, M12, V01, V11), (M21, M22, V02, V12) = coef
@@ -323,7 +322,7 @@ def convergence_check(scenario: Scenario, refinements: int = 2,
         f = 2**k
         grid = replace(scenario.grid, nz=scenario.grid.nz * f, record_stride=1)
         refined = tuple(p._replace(steps=p.steps * f, dt=p.dt / f) for p in plan)
-        rec = _run(replace(scenario, grid=grid), refined, MAX_STEPS)
+        rec = _run(replace(scenario, grid=grid), refined)
         outs.append((rec.times, rec.probe_out))
     errs = []
     t0, y0 = outs[0]

@@ -195,7 +195,7 @@ def _run_point(args) -> PointResult:
                            {"no_echo": False, "dispersion": "ambiguous"})
     except (ValueError, RuntimeError) as exc:  # UndefinedMetricError is a ValueError
         return PointResult(index, values, None, {}, error=f"{type(exc).__name__}: {exc}")
-    return PointResult(index, values, m.as_dict(),
+    return PointResult(index, values, dataclasses.asdict(m),
                        {"no_echo": False, "dispersion": dispersion_flag(m)})
 
 

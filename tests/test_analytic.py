@@ -49,6 +49,14 @@ def test_rho21_antinode_value(params):
     assert rho21_closed(params, T) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("bad", [dict(omega_c=math.nan), dict(eta_z=math.inf),
+                                 dict(gamma_decay=math.nan), dict(probe_amp=complex(0, math.inf)),
+                                 dict(eta_z=-5.0), dict(gamma_decay=-1.0)])
+def test_params_refuse_non_finite_or_negative_fields(bad):
+    with pytest.raises(ValueError):
+        AnalyticParams(**(dict(omega_c=100.0, eta_z=5.0) | bad))
+
+
 def test_probe_closed_no_medium():
     p = AnalyticParams(omega_c=0.3, eta_z=0.0)
     assert probe_closed(p, 1.0) == 0.0

@@ -272,6 +272,49 @@ def test_compare_refuses_a_run_without_coherences(tmp_path, monkeypatch):
     assert not any(out.iterdir())
 
 
+@pytest.mark.parametrize("medium", [dict(xi=0.0), dict(delta_p=50.0, gamma_ground=5.0)],
+                         ids=["uncoupled", "detuned-dephased"])
+def test_compare_refuses_a_medium_its_closed_forms_do_not_describe(tmp_path, monkeypatch,
+                                                                  medium):
+    # xi = 0 wrote an Infinity residual; a detuned, dephased medium was
+    # scored against forms that assume neither (residuals ~1), both exit 0
+    s = builtin_scenario("oracle-ats")
+    s = replace(s, medium=replace(s.medium, **medium), grid=replace(s.grid, t_end=0.5))
+    cfg = tmp_path / "ats.cfg"
+    cfg.write_text(serialize_scenario(s), encoding="utf-8")
+    monkeypatch.setattr(gradecho.cli, "integrate", _no_integrate)
+    out = tmp_path / "out"
+    assert main(["compare", str(cfg), "--output", str(out)]) == 2
+    assert not any(out.iterdir())
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse refuses a flag's value
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    ["feasibility", "--b", "nan"],
+    ["feasibility", "--b", "inf"],
+    ["feasibility", "--b", "1000", "--tau-s", "0"],
+    ["feasibility", "--b", "1000", "--length-cm", "-5"],
+    ["feasibility", "--b", "1000", "--wavelength-nm", "0", "--geometry", "perpendicular"],
+    ["analytic", "--omega-c", "nan", "--eta-z", "5"],
+    ["analytic", "--omega-c", "100", "--eta-z", "-5"],
+    ["analytic", "--omega-c", "100", "--eta-z", "5", "--gamma", "-1"],
+    ["analytic", "--omega-c", "100", "--eta-z", "5", "--t-max", "inf"],
+])
+def test_bad_command_line_number_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    if argv[0] == "analytic":
+        argv = argv + ["--output", str(out)]
+    assert _exit_code(argv) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_analytic_emission(tmp_path):
     out = tmp_path / "ana"
     code = main(["analytic", "--output", str(out), "--omega-c", "0.3",

@@ -1,6 +1,10 @@
-import numpy as np
+import json
+import math
 
-from gradecho.io import write_csv
+import numpy as np
+import pytest
+
+from gradecho.io import write_csv, write_json
 
 
 def _per_value_csv(path, header, columns):
@@ -25,3 +29,16 @@ def test_write_csv_is_byte_identical_to_per_value_format(tmp_path):
 def test_write_csv_of_empty_columns_is_the_header(tmp_path):
     write_csv(tmp_path / "e.csv", "x,y", [np.empty(0), np.empty(0)])
     assert (tmp_path / "e.csv").read_bytes() == b"x,y\n"
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_write_json_refuses_a_non_finite_number_and_writes_no_file(tmp_path, value):
+    with pytest.raises(ValueError):
+        write_json({"ok": 1.0, "bad": {"x": value}}, tmp_path / "m.json")
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_write_json_is_indented_sorted_json(tmp_path):
+    write_json({"b": 1.5, "a": [1, 2]}, tmp_path / "m.json")
+    text = (tmp_path / "m.json").read_text(encoding="utf-8")
+    assert text == json.dumps({"a": [1, 2], "b": 1.5}, indent=2) + "\n"

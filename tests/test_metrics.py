@@ -87,6 +87,16 @@ def test_fidelity_perfect_for_delayed_phase_rotated_copy():
     assert classical_fidelity(t, pulse, t, delayed) == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("silent", ["in", "out"])
+def test_fidelity_of_a_trace_without_energy_is_undefined(silent):
+    t = np.linspace(0, 10, 2001)
+    pulse = np.exp(-(((t - 3) / 0.4) ** 2)).astype(complex)
+    traces = {"in": pulse, "out": pulse}
+    traces[silent] = np.zeros_like(pulse)
+    with pytest.raises(UndefinedMetricError, match="fidelity needs two traces with energy"):
+        classical_fidelity(t, traces["in"], t, traces["out"])
+
+
 def test_fidelity_zero_for_disjoint_with_bounded_delay():
     t = np.linspace(0, 10, 2001)
     a = np.where(np.abs(t - 2) < 0.5, 1.0, 0.0).astype(complex)
@@ -120,6 +130,15 @@ def test_feasibility_gaussian_reference_point():
     rep = feasibility(b=1000.0, length_cm=5.0, wavelength_nm=780.0)
     assert rep.rayleigh_um == pytest.approx(50.0, rel=0.02)
     assert rep.power_w == pytest.approx(0.08, rel=0.10)
+
+
+@pytest.mark.parametrize("bad", [dict(b=math.nan), dict(length_cm=-5.0),
+                                 dict(wavelength_nm=0.0), dict(lifetime_s=0.0),
+                                 dict(lifetime_s=math.nan)])
+def test_feasibility_refuses_out_of_range_input(bad):
+    args = dict(b=1000.0, length_cm=5.0, wavelength_nm=780.0, lifetime_s=5e-9) | bad
+    with pytest.raises(ValueError):
+        feasibility(**args)
 
 
 def test_feasibility_perpendicular_spot():

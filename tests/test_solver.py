@@ -184,7 +184,8 @@ def test_rk4_map_of_a_constant_control_is_the_taylor_map():
     dt = 2.5e-3
     med = MediumParams(xi=1.0, gamma_ground=0.01, delta_p=0.3, delta_c=-0.2)
     A = _coherence_matrix(np.linspace(-40.0, 40.0, 33), med)
-    for got, want in zip(_rk4_map(A, A, A, dt), _taylor_map(A, dt)):
+    y = _rk4_map(A, A, A, dt)
+    for got, want in zip((y[:, :, :2], y[:, :, 2], y[:, :, 3]), _taylor_map(A, dt)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
@@ -218,12 +219,13 @@ def test_method_of_lines_error_falls_with_dt():
     assert errs[0] >= 3 * errs[1] and errs[1] >= 3 * errs[2]
 
 
-def test_resource_limit():
+def test_resource_limit(monkeypatch):
+    monkeypatch.setattr("gradecho.solver.MAX_STEPS", 10)
     with pytest.raises(ResourceLimitError):
-        integrate(small_scenario(), max_steps=10)
+        integrate(small_scenario())
 
 
-def test_resource_limit_counts_the_real_plan():
+def test_resource_limit_counts_the_real_plan(monkeypatch):
     # oracle-ats steps ~10k times, far fewer than a uniform resolved_dt
     # plan (~201k): a budget between the two runs, one below the real count
     # fails and quotes it
@@ -231,10 +233,12 @@ def test_resource_limit_counts_the_real_plan():
     real = sum(p.steps for p in step_plan(s))
     uniform = math.ceil(s.grid.t_end / s.resolved_dt())
     assert 10 * real < uniform
-    rec = integrate(s, max_steps=real)
+    monkeypatch.setattr("gradecho.solver.MAX_STEPS", real)
+    rec = integrate(s)
     assert rec.times.size == real + 1
+    monkeypatch.setattr("gradecho.solver.MAX_STEPS", real - 1)
     with pytest.raises(ResourceLimitError, match=f"needs {real} steps"):
-        integrate(s, max_steps=real - 1)
+        integrate(s)
 
 
 def test_pinned_dt_gives_uniform_plan():
