@@ -62,6 +62,10 @@ def cmd_run(args) -> int:
     if any(i.severity == "error" for i in issues):
         return EXIT_CONFIG
 
+    t_end = scenario.grid.t_end
+    if args.efficiency_cut is not None and not 0.0 <= args.efficiency_cut <= t_end:
+        raise ConfigError(f"--efficiency-cut {args.efficiency_cut:g} lies outside the "
+                          f"recorded window [0, t_end = {t_end:g}]")
     name = Path(args.scenario).stem if Path(args.scenario).exists() else args.scenario
     plan = step_plan(scenario)
     manifest = RunManifestWriter(config_hash=config_hash(scenario),

@@ -25,7 +25,7 @@ Example::
     ramp_time = 0 tau
 
     [grid]
-    nz = 1024
+    nz = 256
     t_end = 0.6 tau
     dt = auto
 
@@ -88,7 +88,7 @@ _PROFILES = {"uniform": (Uniform, (_Field("b", "gamma"),)),
 _SCHEDULE = (_Field("ramp_time", "tau", "0"),)  # after the segments line
 _PROBE = (_Field("amplitude", "complex", "1"), _Field("center_time", "tau"),
           _Field("width", "tau"), _Field("shape", "str", "gaussian"))
-_GRID = (_Field("nz", "int", "1024"), _Field("t_end", "tau"),
+_GRID = (_Field("nz", "int", "256"), _Field("t_end", "tau"),
          _Field("dt", "tau", "auto"), _Field("record_stride", "int", "auto"),
          _Field("snapshot_stride", "int", "auto"))
 

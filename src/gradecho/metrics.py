@@ -257,7 +257,11 @@ def feasibility(b: float, length_cm: float, wavelength_nm: float,
                          "frequency to fall to 1/tau inside the medium")
     if not all(v > 0 for v in (length_cm, wavelength_nm, lifetime_s)):
         raise ValueError("length_cm, wavelength_nm and lifetime_s must be > 0")
-    intensity = 1e-17 * (b / lifetime_s) ** 2  # W/cm^2
+    rate = b / lifetime_s
+    intensity = 1e-17 * (rate * rate)  # W/cm^2
+    if not (math.isfinite(intensity) and math.isfinite(b * b)):
+        raise ValueError(f"b = {b:g} is too large: the control intensity "
+                         f"estimate overflows")
     report = partial(FeasibilityReport, geometry=geometry, b=b, length_cm=length_cm,
                      wavelength_nm=wavelength_nm, lifetime_s=lifetime_s,
                      intensity_w_cm2=intensity)

@@ -28,6 +28,7 @@ __all__ = [
     "SpatialProfile",
     "ControlSchedule",
     "ProbePulse",
+    "GLL_ORDER",
     "GridSpec",
     "Scenario",
     "ValidationIssue",
@@ -237,9 +238,18 @@ class ProbePulse:
         return self.amplitude * self.width * math.sqrt(math.pi)
 
 
+GLL_ORDER = 8  # Gauss-Lobatto-Legendre nodes per z element, less one
+
+
 @dataclass(frozen=True)
 class GridSpec:
-    """Space-time grid: nz cells over [0, length], time step dt up to t_end.
+    """Space-time grid: nz + 1 distinct z nodes over [0, length], time step
+    dt up to t_end.
+
+    The z grid is nz / GLL_ORDER equal elements, each carrying the
+    GLL_ORDER + 1 Gauss-Lobatto-Legendre nodes of its interval; neighbouring
+    elements share their edge node.  So nz must be a positive multiple of
+    GLL_ORDER (8), and refining doubles nz to double the elements.
 
     ``dt=None`` lets ``solver.step_plan`` choose the steps (its docstring
     gives the rule); a given ``dt`` steps the whole window at that dt.
@@ -248,14 +258,14 @@ class GridSpec:
     """
 
     t_end: float
-    nz: int = 1024
+    nz: int = 256
     dt: Optional[float] = None
     record_stride: Optional[int] = None
     snapshot_stride: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.nz < 2:
-            raise ValueError("nz must be >= 2")
+        if self.nz < GLL_ORDER or self.nz % GLL_ORDER:
+            raise ValueError(f"nz must be a positive multiple of {GLL_ORDER}, got {self.nz}")
         if self.t_end <= 0:
             raise ValueError("t_end must be > 0")
         if self.dt is not None and not 0 < self.dt < self.t_end:

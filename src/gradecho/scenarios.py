@@ -58,7 +58,7 @@ def _oracle(omega_c: float) -> Scenario:
         schedule=ControlSchedule(segments=((0.0, 1.0),)),
         probe=ProbePulse(amplitude=1.0, center_time=8e-3, width=1e-3,
                          shape="regularized_delta"),
-        grid=GridSpec(t_end=10.05, nz=512),
+        grid=GridSpec(t_end=10.05),
     )
 
 

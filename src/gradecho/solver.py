@@ -8,15 +8,24 @@ at fixed T.  Per time step the two coherence ODEs
     d(rho21)/dT = i (Dc - Dp + i gamma) rho21 + (i/2) conj(Omega_c) rho31
 
 are advanced at every z with a classical 4-stage Runge-Kutta step, the field
-is rebuilt by trapezoidal integration of i eta rho31 from the boundary, and
-the pair is iterated once as a corrector.  The system is linear, so one RK4
-step with the probe interpolated linearly across it is an affine map
+is rebuilt by integrating i eta rho31 from the boundary, and the pair is
+iterated once as a corrector.  The system is linear, so one RK4 step with
+the probe interpolated linearly across it is an affine map
 rho+ = M rho + V0 Omega_p(t0) + V1 Omega_p(t1) per z (``_rk4_map``): a
 constant-gain piece builds it once, a cosine-ramp piece rebuilds it every
 step from the control at the step's start, middle and end, and both run the
 same step body.  ``step_plan`` lays out the time steps: they are aligned to
 segment boundaries so a gain change never happens mid-step, and with an
 automatic dt the short probe is resolved only while it enters the medium.
+
+The z grid is nz / 8 equal elements, each with the 9 Gauss-Lobatto-Legendre
+nodes of its interval, and the field rebuild is exact for the degree-8
+interpolant of rho31 in every element (``_gll_rule``): one real matrix
+product gives the field gained up to each node of each element, and a
+running sum of the element totals gives the field at each element's left
+edge.  Every element stores its own 9 nodes, so the edge node two elements
+share is kept twice; the coherence update is node-local, so both copies stay
+equal.  The record holds the nz + 1 distinct nodes.
 """
 from __future__ import annotations
 
@@ -26,7 +35,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .model import MediumParams, Scenario, validate_scenario
+from .model import GLL_ORDER, MediumParams, Scenario, validate_scenario
 
 __all__ = [
     "FieldRecord",
@@ -56,8 +65,9 @@ class FieldRecord:
     """Immutable simulation output.
 
     ``times/probe_in/probe_out`` sample the boundary and transmitted probe;
-    ``rho31/rho21`` hold coherence snapshots of shape
-    (len(snapshot_times), len(z)), empty if coherences were not requested.
+    ``z`` holds the nz + 1 distinct grid nodes and ``rho31/rho21`` coherence
+    snapshots of shape (len(snapshot_times), len(z)), empty if coherences
+    were not requested.
     """
 
     times: np.ndarray
@@ -204,17 +214,39 @@ def _raise_on_errors(scenario: Scenario) -> None:
                          + "; ".join(i.message for i in errors))
 
 
+def _gll_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Lobatto-Legendre nodes x on [-1, 1] (+-1 and the roots of P_p')
+    and the matrix Q with (Q f)_i = integral from -1 to x_i of the degree-p
+    interpolant of f at the nodes: Q = W V^-1 for V = legvander(x, p) and
+    W[:, n] = legval(x, legint(e_n, lbnd=-1)).  Q's first row is exactly 0."""
+    from numpy.polynomial import legendre as leg
+
+    unit = np.eye(p + 1)
+    x = np.concatenate(([-1.0], np.sort(leg.legroots(leg.legder(unit[p]))), [1.0]))
+    x = 0.5 * (x - x[::-1])  # exactly symmetric about 0
+    W = np.stack([leg.legval(x, leg.legint(e, lbnd=-1)) for e in unit], axis=1)
+    Q = np.linalg.solve(leg.legvander(x, p).T, W.T).T
+    Q[0] = 0.0
+    return x, Q
+
+
 def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
     """Step ``scenario`` through ``plan`` (no validation)."""
     med = scenario.medium
     grid = scenario.grid
     L = med.length
     nz = grid.nz
-    zs = np.linspace(0.0, L, nz + 1)
-    prof_z = np.asarray(scenario.profile.value(zs, L), dtype=float)
-    c = 0.5j * med.eta * (L / nz)  # trapezoid weight of i eta rho31
+    p, E = GLL_ORDER, nz // GLL_ORDER
+    x, Q = _gll_rule(p)
+    h = L / E
+    # the nz + 1 distinct nodes; element e stores nodes e p .. (e + 1) p, so
+    # the node it shares with element e + 1 is stored twice, with equal values
+    zs = np.append((np.arange(E)[:, None] * h + 0.5 * h * (x[:-1] + 1.0)).ravel(), L)
+    stored = (np.arange(E)[:, None] * p + np.arange(p + 1)).ravel()
+    distinct = np.append(np.arange(nz) + np.arange(nz) // p, stored.size - 1)
+    prof_z = np.asarray(scenario.profile.value(zs, L), dtype=float)[stored]
 
-    total_steps = sum(p.steps for p in plan)
+    total_steps = sum(piece.steps for piece in plan)
     if total_steps > MAX_STEPS:
         raise ResourceLimitError(
             f"run needs {total_steps} steps, above the budget of {MAX_STEPS}; "
@@ -235,21 +267,35 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
         A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
         return _rk4_map(A0, Ah, A1, dt).transpose(1, 2, 0)
 
-    coef = np.empty((2, 4, nz + 1), dtype=complex)
+    coef = np.empty((2, 4, stored.size), dtype=complex)
     (M11, M12, V01, V11), (M21, M22, V02, V12) = coef
-    r31, r21, r31n, r21n, w, tmp, op_pred = np.zeros((7, nz + 1), dtype=complex)
-    half = np.empty(nz, dtype=complex)
-    acc = np.zeros(nz + 1, dtype=complex)  # acc[0] stays 0: the boundary node
+    r31, r21, r31n, r21n, w, tmp, op_pred, op = np.zeros((8, stored.size), dtype=complex)
 
-    def rebuild_field(r, boundary, out):
-        """out = boundary + cumulative trapezoid of i eta r from z = 0."""
-        np.add(r[1:], r[:-1], out=half)
-        np.add.accumulate(half, out=acc[1:])  # cumsum without its wrapper
-        np.multiply(acc, c, out=out)
-        out += boundary
+    # i eta (h / 2) Q on every element, as one real matrix acting on the
+    # interleaved (re, im) view: a multiply by i maps (re, im) to (-im, re)
+    K = np.kron((0.5 * med.eta * h) * Q.T, [[0.0, 1.0], [-1.0, 0.0]])
+    seeded = np.zeros((E + 1, p + 1), dtype=complex)
+    gained = seeded[1:]  # row e: the field gained from element e's left edge
+    gained_f = gained.view(float)
+    seeds = seeded[:-1, p]  # the boundary value, then every element total but the last
+    edge = np.empty(E, dtype=complex)  # the field at each element's left edge
+    edge_col = edge[:, None]
+
+    def rebuild_field(r_f, boundary, out):
+        """out = boundary + integral of i eta r from z = 0, exact for the
+        degree-p interpolant of r in every element; ``r_f`` is the
+        (E, 2 (p + 1)) real view of r and ``out`` an (E, p + 1) view."""
+        np.dot(r_f, K, out=gained_f)
+        seeded[0, p] = boundary
+        np.add.accumulate(seeds, out=edge)
+        np.add(gained, edge_col, out=out)
+
+    # views for the rebuild, built once: r31 and r31n swap every step
+    r31_f, r31n_f = (a.view(float).reshape(E, 2 * (p + 1)) for a in (r31, r31n))
+    op_el, op_pred_el = op.reshape(E, p + 1), op_pred.reshape(E, p + 1)
 
     probe = scenario.probe.boundary_value
-    op = np.full(nz + 1, probe(0.0), dtype=complex)  # field at the step start
+    op[:] = probe(0.0)  # field at the step start
     pin[0], pout[0] = op[0], op[-1]
 
     n_global = 0
@@ -271,7 +317,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
             # predictor: the probe held at its start value across the step
             np.multiply(V11, op, out=r31n)
             r31n += w
-            rebuild_field(r31n, boundary[n], op_pred)
+            rebuild_field(r31n_f, boundary[n], op_pred_el)
             # corrector with the predicted field at the step end
             np.multiply(V11, op_pred, out=r31n)
             r31n += w
@@ -279,8 +325,9 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
             r21n += np.multiply(M22, r21, out=tmp)
             r21n += np.multiply(V02, op, out=tmp)
             r21n += np.multiply(V12, op_pred, out=tmp)
-            rebuild_field(r31n, boundary[n], op)
+            rebuild_field(r31n_f, boundary[n], op_el)
             r31, r31n = r31n, r31
+            r31_f, r31n_f = r31n_f, r31_f
             r21, r21n = r21n, r21
             n_global += 1
             if n_global % rec_stride == 0 or n_global == total_steps:
@@ -289,7 +336,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
                 times[k], pin[k], pout[k] = t1, op[0], op[-1]
             if n_snap and (n_global % snap_stride == 0 or n_global == total_steps):
                 k = -(-n_global // snap_stride)
-                snap_t[k], rho31[k], rho21[k] = t1, r31, r21
+                snap_t[k], rho31[k], rho21[k] = t1, r31[distinct], r21[distinct]
 
     return FieldRecord(times=times, probe_in=pin, probe_out=pout,
                        snapshot_times=snap_t, z=zs, rho31=rho31, rho21=rho21)
@@ -306,9 +353,9 @@ def convergence_check(scenario: Scenario, refinements: int = 2,
 
     Level 0 is ``integrate(scenario)`` with every step recorded; level k
     runs ``step_plan(scenario)`` with 2**k times the steps in every piece
-    and 2**k times nz.  Returns the relative L2 differences between
-    consecutive levels; a non-monotone sequence flags an under-resolved
-    base grid.
+    and 2**k times nz, that is 2**k times the z elements.  Returns the
+    relative L2 differences between consecutive levels; a non-monotone
+    sequence flags an under-resolved base grid.
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")

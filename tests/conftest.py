@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.polynomial.legendre as leg
 import pytest
 from scipy.integrate import solve_ivp
 
@@ -122,30 +123,59 @@ def constant_control_response(scenario: Scenario, z: float, times):
             to_times(field))
 
 
-def method_of_lines_response(scenario: Scenario, times) -> np.ndarray:
-    """Transmitted probe Omega_p(L, t) on ``times`` from an adaptive
-    integrator, for any profile, schedule and ramp.
+def gll_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Lobatto-Legendre nodes x on [-1, 1] (+-1 and the roots of
+    P_order') and Q with (Q f)_i the integral from -1 to x_i of the
+    degree-``order`` interpolant of f at the nodes: Q = W V^-1 for
+    V = legvander(x, order) and W[:, n] = legval(x, legint(e_n, lbnd=-1))."""
+    unit = np.eye(order + 1)
+    x = np.concatenate(([-1.0], np.sort(leg.legroots(leg.legder(unit[order]))), [1.0]))
+    W = np.stack([leg.legval(x, leg.legint(e, lbnd=-1)) for e in unit], axis=1)
+    Q = np.linalg.solve(leg.legvander(x, order).T, W.T).T
+    Q[0] = 0.0
+    return x, Q
 
-    Method of lines on the solver's equations: nz + 1 nodes in z with the
-    field rebuilt by the same trapezoid rule, and the 2 (nz + 1) coherences
-    integrated in t by ``solve_ivp`` (DOP853, rtol 1e-10, atol 1e-12).  The
-    control is evaluated at the exact time inside each right-hand side and
-    the integration restarts at every segment start and ramp edge, where the
-    gain or its derivative jumps; nothing of ``gradecho.solver`` is used.
+
+def method_of_lines_response(scenario: Scenario, times, elements: int = 64,
+                             order: int = 8, rtol: float = 1e-12,
+                             atol: float = 1e-14) -> np.ndarray:
+    """Transmitted probe Omega_p(L, t) on ``times`` from an adaptive
+    integrator, for any profile, schedule and ramp; exact in z to the
+    degree-``order`` interpolant and in t to DOP853's tolerance.
+
+    Method of lines on the solver's equations, on its own z grid: ``elements``
+    equal elements of ``order`` + 1 Gauss-Lobatto-Legendre nodes each (the
+    grid's ``nz`` is not used), with the field the exact cumulative integral
+    of the per-element interpolant of i eta rho31 (``gll_rule``).  The
+    coherences are integrated in t by ``solve_ivp`` (DOP853).  The control is
+    evaluated at the exact time inside each right-hand side, and the
+    integration restarts at every segment start and ramp edge, where the gain
+    or its derivative jumps, and at the probe window (center +- 8 widths)
+    with a first step of width / 20, so the short probe is not stepped over.
+    Nothing of ``gradecho.solver`` is used.
     """
-    med, sched, nz = scenario.medium, scenario.schedule, scenario.grid.nz
-    zs = np.linspace(0.0, med.length, nz + 1)
+    med, sched, probe = scenario.medium, scenario.schedule, scenario.probe
+    x, Q = gll_rule(order)
+    h = med.length / elements
+    n = elements * order + 1  # distinct nodes; element e holds e order .. (e + 1) order
+    zs = np.append((np.arange(elements)[:, None] * h
+                    + 0.5 * h * (x[:-1] + 1.0)).ravel(), med.length)
+    element = np.arange(elements)[:, None] * order + np.arange(order + 1)
     prof = np.asarray(scenario.profile.value(zs, med.length), dtype=float)
-    c = 0.5j * med.eta * med.length / nz
+    c = 0.5j * med.eta * h
     a11 = -(med.gamma_decay / 2.0 + 1j * med.delta_p)
     a22 = 1j * (med.delta_c - med.delta_p + 1j * med.gamma_ground)
+    to_end = np.zeros(n)  # the field gained from 0 to L, as weights on the nodes
+    np.add.at(to_end, element, np.broadcast_to(Q[-1], element.shape))
 
     def field(t, r31):
-        acc = np.concatenate(([0.0], np.cumsum(r31[1:] + r31[:-1])))
-        return scenario.probe.boundary_value(t) + c * acc
+        gained = c * (r31[element] @ Q.T)
+        edge = np.concatenate(([0.0], np.cumsum(gained[:-1, -1])))
+        inner = (edge[:, None] + gained)[:, :-1].ravel()
+        return probe.boundary_value(t) + np.append(inner, edge[-1] + gained[-1, -1])
 
     def rhs(t, y):
-        r31, r21 = y[:nz + 1], y[nz + 1:]
+        r31, r21 = y[:n], y[n:]
         oc = sched.gain(t) * prof
         return np.concatenate((a11 * r31 + 0.5j * oc * r21 + 0.5j * field(t, r31),
                                a22 * r21 + 0.5j * np.conj(oc) * r31))
@@ -154,13 +184,14 @@ def method_of_lines_response(scenario: Scenario, times) -> np.ndarray:
     cuts = {t0 for t0, _ in sched.segments[1:]}
     if sched.ramp_time > 0:
         cuts |= {t0 + sched.ramp_time for t0 in cuts}
+    cuts |= {probe.center_time - 8 * probe.width, probe.center_time + 8 * probe.width}
     edges = sorted({0.0, t_out[-1]} | {t for t in cuts if 0.0 < t < t_out[-1]})
-    y = np.zeros(2 * (nz + 1), dtype=complex)
+    y = np.zeros(2 * n, dtype=complex)
     out = np.empty(t_out.size, dtype=complex)
     for a, b in zip(edges, edges[1:]):
-        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=1e-10, atol=1e-12,
-                        dense_output=True)
+        sol = solve_ivp(rhs, (a, b), y, method="DOP853", rtol=rtol, atol=atol,
+                        first_step=min(probe.width / 20.0, b - a), dense_output=True)
         m = (t_out >= a) & (t_out <= b)
-        out[m] = [field(t, sol.sol(t)[:nz + 1])[-1] for t in t_out[m]]
+        out[m] = probe.boundary_value(t_out[m]) + c * (to_end @ sol.sol(t_out[m])[:n])
         y = sol.y[:, -1]
     return out

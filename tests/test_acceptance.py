@@ -91,7 +91,7 @@ def test_criterion_1_oracle_equivalence(timed_run):
     closed forms are its broadband limit Omega_c >> Gamma and do not
     describe this overdamped point (Omega_c < Gamma/2): against them the
     residuals are 1.11 (rho31), 0.94 (rho21) and 1.02 (tail), while against
-    the exact response they are 7.5e-5, 3.5e-4 and 2.9e-4.  The closed forms
+    the exact response they are 8.4e-5, 3.9e-4 and 2.9e-4.  The closed forms
     themselves are checked in test_criterion_1_supplement below.
     """
     c = Criterion("1 (oracle equivalence, Omega_c = 0.3 Gamma)")

@@ -86,7 +86,8 @@ def test_grid_override_reads_the_config_grammar(tmp_path, override):
 
 
 @pytest.mark.parametrize("override", ["nz=64.0", "n_z=64", "t_end", "t_end=1.5 gamma",
-                                      "record_stride=2.5", "t_end=inf", "dt=nan"])
+                                      "record_stride=2.5", "t_end=inf", "dt=nan",
+                                      "nz=100"])  # nz must be a multiple of 8
 def test_bad_grid_override_exits_2(tmp_path, override):
     cfg = _write_small_config(tmp_path)
     out = tmp_path / "out"
@@ -252,6 +253,15 @@ def _no_integrate(*args, **kwargs):
     raise AssertionError("integrate called")
 
 
+@pytest.mark.parametrize("cut", ["5", "-0.1"])
+def test_efficiency_cut_outside_the_record_exits_2_before_integrating(tmp_path, monkeypatch,
+                                                                      cut):
+    monkeypatch.setattr(gradecho.cli, "integrate", _no_integrate)
+    out = tmp_path / "out"
+    assert main(["run", "fig4b", "--output", str(out), "--efficiency-cut", cut]) == 2
+    assert not any(out.iterdir())
+
+
 def test_compare_refuses_an_empty_tail_window(tmp_path, monkeypatch):
     # oracle-ats: the tail starts 8 widths past the center, at t = 0.016
     monkeypatch.setattr(gradecho.cli, "integrate", _no_integrate)
@@ -297,6 +307,7 @@ def _exit_code(argv) -> int:
 
 @pytest.mark.parametrize("argv", [
     ["feasibility", "--b", "nan"],
+    ["feasibility", "--b", "1e200"],  # the intensity estimate overflows
     ["feasibility", "--b", "inf"],
     ["feasibility", "--b", "1000", "--tau-s", "0"],
     ["feasibility", "--b", "1000", "--length-cm", "-5"],

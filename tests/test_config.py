@@ -23,7 +23,7 @@ center_time = 0.048 tau
 width = 5e-3 tau
 
 [grid]
-nz = 1024
+nz = 256
 t_end = 0.6 tau
 """
 
@@ -86,7 +86,7 @@ width = 5.0000000000000001e-09 tau
 shape = regularized_delta
 
 [grid]
-nz = 1024
+nz = 256
 t_end = 7.9999999999999996e-06 tau
 dt = auto
 record_stride = auto
@@ -102,7 +102,7 @@ def test_serialized_text_is_pinned():
     # checkpoint headers: a change of format changes every hash
     assert serialize_scenario(builtin_scenario("fig3a")) == FIG3A_TEXT
     assert config_hash(builtin_scenario("fig3a")) == (
-        "33be6dbbfa781883cfe60a6288ed52d1969f08a29afa3127515bcb3565b1ab97")
+        "0d531459974022cea2ba42232b0f058a8496a018f90167ab11b2c62476104a63")
 
 
 def test_hash_stable_and_sensitive():

@@ -134,7 +134,8 @@ def test_feasibility_gaussian_reference_point():
 
 @pytest.mark.parametrize("bad", [dict(b=math.nan), dict(length_cm=-5.0),
                                  dict(wavelength_nm=0.0), dict(lifetime_s=0.0),
-                                 dict(lifetime_s=math.nan)])
+                                 dict(lifetime_s=math.nan), dict(b=1e200),
+                                 dict(lifetime_s=1e-300)])
 def test_feasibility_refuses_out_of_range_input(bad):
     args = dict(b=1000.0, length_cm=5.0, wavelength_nm=780.0, lifetime_s=5e-9) | bad
     with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ from gradecho.model import (ControlSchedule, GridSpec, Linear, MediumParams,
                             ProbePulse, Scenario, Uniform)
 from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 from gradecho.solver import (DivergenceError, ResourceLimitError,
-                             _check_coherences, _coherence_matrix, _rk4_map,
-                             convergence_check, integrate, step_plan)
+                             _check_coherences, _coherence_matrix, _gll_rule,
+                             _rk4_map, convergence_check, integrate, step_plan)
 
 from .conftest import (constant_control_response, method_of_lines_response,
                        rel_l2, small_scenario)
@@ -189,6 +189,24 @@ def test_rk4_map_of_a_constant_control_is_the_taylor_map():
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
+def test_gll_rule_integrates_degree_8_exactly():
+    x, Q = _gll_rule(8)
+    assert x[0] == -1.0 and x[-1] == 1.0 and x[4] == 0.0
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+    assert np.all(Q[0] == 0.0)
+    for k in range(9):
+        exact = (x ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        assert np.max(np.abs(Q @ x**k - exact)) < 1e-14
+
+
+def test_record_holds_the_distinct_nodes(small_record):
+    # 16 elements of 8 intervals: element edges at multiples of 1/16
+    z = small_record.z
+    assert z.size == small_scenario().grid.nz + 1 == 129
+    assert z[0] == 0.0 and z[-1] == 1.0 and np.all(np.diff(z) > 0)
+    assert np.allclose(z[::8], np.arange(17) / 16, rtol=0, atol=1e-15)
+
+
 MOL_GRID = GridSpec(t_end=2.0, nz=64)
 MOL_CASES = {
     "flipped": {},
@@ -200,16 +218,19 @@ MOL_CASES = {
 
 @pytest.mark.parametrize("case", sorted(MOL_CASES))
 def test_matches_method_of_lines_oracle(case):
-    # an adaptive integrator of the same equations on the same z grid, for
-    # a switched, a ramped and a gradient control (measured 1.8e-4 each)
+    # an adaptive integrator of the same equations, exact in z, for a
+    # switched, a ramped and a gradient control (measured 1.8e-4 each)
     s = small_scenario(grid=MOL_GRID, **MOL_CASES[case])
     rec = integrate(s)
     assert rel_l2(rec.probe_out, method_of_lines_response(s, rec.times)) <= 1e-3
 
 
 def test_method_of_lines_error_falls_with_dt():
-    # the oracle shares the z grid, so what is left is the time-stepping
-    # error: halving a pinned dt cuts it ~4x (measured 1.7e-4, 4.3e-5, 1.1e-5)
+    # at nz = 64 the solver's z error is below a tenth of its smallest time
+    # error (measured 5e-16 against nz = 128; the uniform control's field
+    # is smooth in z), so what is left against the oracle is the
+    # time-stepping error: halving a pinned dt cuts it ~4x (measured
+    # 1.7e-4, 4.3e-5, 1.1e-5)
     base = small_scenario(grid=MOL_GRID, **MOL_CASES["ramped"])
     errs = []
     for f in (1, 2, 4):
@@ -217,6 +238,19 @@ def test_method_of_lines_error_falls_with_dt():
         rec = integrate(s)
         errs.append(rel_l2(rec.probe_out, method_of_lines_response(s, rec.times)))
     assert errs[0] >= 3 * errs[1] and errs[1] >= 3 * errs[2]
+    finer = integrate(replace(s, grid=replace(s.grid, nz=2 * MOL_GRID.nz)))
+    assert rel_l2(rec.probe_out, finer.probe_out) < errs[2] / 10
+
+
+@pytest.mark.parametrize("name, bound", [("fig4b", 2.5e-4), ("fig4c", 3.9e-4)])
+def test_echo_window_error_against_the_exact_in_z_reference(request, name, bound):
+    # the bounds are the trapezoid rule's errors at nz = 1024; the GLL grid
+    # at nz = 256 measures 5.3e-5 (fig4b) and 3.2e-5 (fig4c), time error
+    s = builtin_scenario(name)
+    rec = request.getfixturevalue(f"{name}_record")
+    m = rec.times > s.schedule.last_flip_time()
+    ref = method_of_lines_response(s, rec.times)
+    assert rel_l2(rec.probe_out[m], ref[m]) <= bound
 
 
 def test_resource_limit(monkeypatch):
