@@ -21,14 +21,20 @@ automatic dt the short probe is resolved only while it enters the medium.
 The z grid is nz / 8 equal elements, each with the 9 Gauss-Lobatto-Legendre
 nodes of its interval, and the field rebuild is exact for the degree-8
 interpolant of rho31 in every element (``_gll_rule``): one real matrix
-product gives the field gained up to each node of each element, and a
-running sum of the element totals gives the field at each element's left
-edge.  Every element stores its own 9 nodes, so the edge node two elements
-share is kept twice; the coherence update is node-local, so both copies stay
-equal.  The record holds the nz + 1 distinct nodes.
+product gives the field gained from each node to the next, and one running
+sum over all stored nodes, seeded with the boundary value, gives the field.
+Every element stores its own 9 nodes, so the edge node two elements share is
+kept twice; its increment within the next element is exactly 0 and the
+coherence update is node-local, so both copies stay equal.  The record holds
+the nz + 1 distinct nodes.
+
+The step state is one (4, nodes) complex buffer per parity, rows (rho31,
+rho21, field at the step start, predicted field at the step end), so the
+predictor and the corrector are each one multiply and one sum over rows.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -118,15 +124,16 @@ def _rk4_map(A0: np.ndarray, Ah: np.ndarray, A1: np.ndarray, dt: float):
     return y
 
 
-def _check_coherences(r31: np.ndarray, r21: np.ndarray, step: int, t: float) -> None:
-    """Raise DivergenceError if any |rho| is non-finite or above MAX_COHERENCE.
+def _check_coherences(rho: np.ndarray, step: int, t: float) -> None:
+    """Raise DivergenceError if any |rho| is non-finite or above MAX_COHERENCE;
+    ``rho`` holds the rho31 and rho21 rows stacked, shape (2, nodes).
 
     The sum of squares bounds the max, so the cheap test passes only steps
     the exact test would pass; NaN, inf and large sums go to the exact test.
     """
-    if (np.vdot(r31, r31) + np.vdot(r21, r21)).real < 0.81 * MAX_COHERENCE**2:
+    if np.vdot(rho, rho).real < 0.81 * MAX_COHERENCE**2:
         return
-    peak = np.maximum(np.max(np.abs(r31)), np.max(np.abs(r21)))  # keeps a NaN
+    peak = np.max(np.abs(rho))  # keeps a NaN
     if not np.isfinite(peak) or peak > MAX_COHERENCE:
         raise DivergenceError(
             f"coherences diverged at step {step} (t = {t:.6g}): "
@@ -214,11 +221,13 @@ def _raise_on_errors(scenario: Scenario) -> None:
                          + "; ".join(i.message for i in errors))
 
 
+@functools.cache
 def _gll_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Lobatto-Legendre nodes x on [-1, 1] (+-1 and the roots of P_p')
     and the matrix Q with (Q f)_i = integral from -1 to x_i of the degree-p
     interpolant of f at the nodes: Q = W V^-1 for V = legvander(x, p) and
-    W[:, n] = legval(x, legint(e_n, lbnd=-1)).  Q's first row is exactly 0."""
+    W[:, n] = legval(x, legint(e_n, lbnd=-1)).  Q's first row is exactly 0.
+    Built once per process and order; both arrays are read-only."""
     from numpy.polynomial import legendre as leg
 
     unit = np.eye(p + 1)
@@ -227,6 +236,7 @@ def _gll_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
     W = np.stack([leg.legval(x, leg.legint(e, lbnd=-1)) for e in unit], axis=1)
     Q = np.linalg.solve(leg.legvander(x, p).T, W.T).T
     Q[0] = 0.0
+    x.flags.writeable = Q.flags.writeable = False
     return x, Q
 
 
@@ -243,7 +253,8 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
     # the node it shares with element e + 1 is stored twice, with equal values
     zs = np.append((np.arange(E)[:, None] * h + 0.5 * h * (x[:-1] + 1.0)).ravel(), L)
     stored = (np.arange(E)[:, None] * p + np.arange(p + 1)).ravel()
-    distinct = np.append(np.arange(nz) + np.arange(nz) // p, stored.size - 1)
+    S = stored.size
+    distinct = np.append(np.arange(nz) + np.arange(nz) // p, S - 1)
     prof_z = np.asarray(scenario.profile.value(zs, L), dtype=float)[stored]
 
     total_steps = sum(piece.steps for piece in plan)
@@ -259,87 +270,86 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
     n_snap = 1 + -(-total_steps // snap_stride) if "coherences" in scenario.outputs else 0
     times, snap_t = np.zeros(n_rec), np.zeros(n_snap)
     pin, pout = np.empty((2, n_rec), dtype=complex)
-    rho31, rho21 = np.zeros((2, n_snap, nz + 1), dtype=complex)  # sample 0: rho = 0
+    snaps = np.zeros((2, n_snap, nz + 1), dtype=complex)  # sample 0: rho = 0
 
-    def step_map(gains, dt):
-        """RK4 map for the gains at a step's start, middle and end, laid out
-        as ``coef``: rows (M11, M12, V01, V11) and (M21, M22, V02, V12)."""
+    # The step state, one buffer per parity with rows (rho31, rho21, the
+    # field at the step start, the predicted field at the step end); a step
+    # reads one buffer and writes the other.  The RK4 map is laid out to
+    # match: ``coef`` rows (M11, M12, V01, V11) and (M21, M22, V02, V12)
+    # take the whole buffer, and the predictor, which holds the probe at its
+    # start value across the step, takes rows (M11, M12, V01 + V11).
+    X = np.zeros((2, 4, S), dtype=complex)
+    coef, prod4 = np.empty((2, 2, 4, S), dtype=complex)
+    pred, prod3 = np.empty((2, 3, S), dtype=complex)
+
+    def load_map(gains, dt):
+        """The RK4 map for the gains at a step's start, middle and end."""
         A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
-        return _rk4_map(A0, Ah, A1, dt).transpose(1, 2, 0)
+        coef[...] = _rk4_map(A0, Ah, A1, dt).transpose(1, 2, 0)
+        pred[:2] = coef[0, :2]
+        np.add(coef[0, 2], coef[0, 3], out=pred[2])
 
-    coef = np.empty((2, 4, stored.size), dtype=complex)
-    (M11, M12, V01, V11), (M21, M22, V02, V12) = coef
-    r31, r21, r31n, r21n, w, tmp, op_pred, op = np.zeros((8, stored.size), dtype=complex)
+    # i eta (h / 2) times Q's row differences on every element, as one real
+    # matrix acting on the interleaved (re, im) view (a multiply by i maps
+    # (re, im) to (-im, re)): the field gained from each node to the next.
+    # Q's first row is 0, so each element's first increment is exactly 0 and
+    # the running sum keeps both copies of a shared node equal.
+    K = np.kron((0.5 * med.eta * h) * np.diff(Q, axis=0, prepend=0.0).T,
+                [[0.0, 1.0], [-1.0, 0.0]])
+    inc = np.empty(S, dtype=complex)
+    inc_f = inc.view(float).reshape(E, 2 * (p + 1))
 
-    # i eta (h / 2) Q on every element, as one real matrix acting on the
-    # interleaved (re, im) view: a multiply by i maps (re, im) to (-im, re)
-    K = np.kron((0.5 * med.eta * h) * Q.T, [[0.0, 1.0], [-1.0, 0.0]])
-    seeded = np.zeros((E + 1, p + 1), dtype=complex)
-    gained = seeded[1:]  # row e: the field gained from element e's left edge
-    gained_f = gained.view(float)
-    seeds = seeded[:-1, p]  # the boundary value, then every element total but the last
-    edge = np.empty(E, dtype=complex)  # the field at each element's left edge
-    edge_col = edge[:, None]
+    def rebuild_field(r31_f, boundary, out):
+        """out = boundary + integral of i eta r31 from z = 0, exact for the
+        degree-p interpolant of r31 in every element; ``r31_f`` is the
+        (E, 2 (p + 1)) real view of r31."""
+        np.dot(r31_f, K, out=inc_f)
+        inc[0] = boundary
+        np.add.accumulate(inc, out=out)
 
-    def rebuild_field(r_f, boundary, out):
-        """out = boundary + integral of i eta r from z = 0, exact for the
-        degree-p interpolant of r in every element; ``r_f`` is the
-        (E, 2 (p + 1)) real view of r and ``out`` an (E, p + 1) view."""
-        np.dot(r_f, K, out=gained_f)
-        seeded[0, p] = boundary
-        np.add.accumulate(seeds, out=edge)
-        np.add(gained, edge_col, out=out)
-
-    # views for the rebuild, built once: r31 and r31n swap every step
-    r31_f, r31n_f = (a.view(float).reshape(E, 2 * (p + 1)) for a in (r31, r31n))
-    op_el, op_pred_el = op.reshape(E, p + 1), op_pred.reshape(E, p + 1)
+    # per parity, built once: (state, rows read by the predictor, rho rows,
+    # rho31, its real element view, field at the start, field at the end)
+    cur, nxt = ((B, B[:3], B[:2], B[0], B[0].view(float).reshape(E, 2 * (p + 1)),
+                 B[2], B[3]) for B in X)
 
     probe = scenario.probe.boundary_value
-    op[:] = probe(0.0)  # field at the step start
-    pin[0], pout[0] = op[0], op[-1]
+    X[0, 2] = probe(0.0)
+    pin[0], pout[0] = X[0, 2, 0], X[0, 2, -1]
 
     n_global = 0
     for (ta, _, nsteps, dt, gain) in plan:
         t1s = ta + dt * np.arange(1, nsteps + 1)
         boundary = probe(t1s)
         if gain is not None:
-            coef[...] = step_map((gain,) * 3, dt)
+            load_map((gain,) * 3, dt)
         for n in range(nsteps):
             t1 = t1s[n]
             if gain is None:
                 t0 = ta + n * dt
-                coef[...] = step_map([scenario.schedule.gain(t) for t in
-                                      (t0, t0 + 0.5 * dt, t0 + dt)], dt)
-            # w = M11 rho31 + M12 rho21 + V01 Omega_p(t0), shared by both passes
-            np.multiply(M11, r31, out=w)
-            w += np.multiply(M12, r21, out=tmp)
-            w += np.multiply(V01, op, out=tmp)
-            # predictor: the probe held at its start value across the step
-            np.multiply(V11, op, out=r31n)
-            r31n += w
-            rebuild_field(r31n_f, boundary[n], op_pred_el)
+                load_map([scenario.schedule.gain(t) for t in
+                          (t0, t0 + 0.5 * dt, t0 + dt)], dt)
+            B, head, _, _, _, _, end = cur
+            _, _, rho, r31, r31_f, op, _ = nxt
+            # predictor into the next rho31 row, then its field at the step end
+            np.multiply(pred, head, out=prod3)
+            np.add.reduce(prod3, axis=0, out=r31)
+            rebuild_field(r31_f, boundary[n], end)
             # corrector with the predicted field at the step end
-            np.multiply(V11, op_pred, out=r31n)
-            r31n += w
-            np.multiply(M21, r31, out=r21n)
-            r21n += np.multiply(M22, r21, out=tmp)
-            r21n += np.multiply(V02, op, out=tmp)
-            r21n += np.multiply(V12, op_pred, out=tmp)
-            rebuild_field(r31n_f, boundary[n], op_el)
-            r31, r31n = r31n, r31
-            r31_f, r31n_f = r31n_f, r31_f
-            r21, r21n = r21n, r21
+            np.multiply(coef, B, out=prod4)
+            np.add.reduce(prod4, axis=1, out=rho)
+            rebuild_field(r31_f, boundary[n], op)
+            cur, nxt = nxt, cur
             n_global += 1
             if n_global % rec_stride == 0 or n_global == total_steps:
-                _check_coherences(r31, r21, n_global, t1)
+                _check_coherences(rho, n_global, t1)
                 k = -(-n_global // rec_stride)
                 times[k], pin[k], pout[k] = t1, op[0], op[-1]
             if n_snap and (n_global % snap_stride == 0 or n_global == total_steps):
                 k = -(-n_global // snap_stride)
-                snap_t[k], rho31[k], rho21[k] = t1, r31[distinct], r21[distinct]
+                snap_t[k], snaps[:, k] = t1, rho[:, distinct]
 
     return FieldRecord(times=times, probe_in=pin, probe_out=pout,
-                       snapshot_times=snap_t, z=zs, rho31=rho31, rho21=rho21)
+                       snapshot_times=snap_t, z=zs, rho31=snaps[0], rho21=snaps[1])
 
 
 class ConvergenceReport(NamedTuple):

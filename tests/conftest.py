@@ -10,8 +10,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from gradecho import builtin_scenario, integrate
-from gradecho.model import (ControlSchedule, GridSpec, MediumParams,
+from gradecho.model import (GLL_ORDER, ControlSchedule, GridSpec, MediumParams,
                             ProbePulse, Scenario, Uniform)
+from gradecho.solver import _coherence_matrix, _gll_rule, _rk4_map, step_plan
 
 UTAU = 1e-6
 
@@ -121,6 +122,68 @@ def constant_control_response(scenario: Scenario, z: float, times):
     return (to_times(0.5j * (s - a22) / d * field),
             to_times(0.5j * np.conj(omega_c) * 0.5j / d * field),
             to_times(field))
+
+
+def unfused_step_loop(scenario: Scenario):
+    """(times, probe_out, rho31, rho21) after every step of
+    ``step_plan(scenario)``, at the distinct z nodes, from the solver's scheme
+    written one quantity at a time.
+
+    The same inputs as ``gradecho.solver`` (``step_plan``, ``_rk4_map``,
+    ``_gll_rule``) in a loop of its own: per step, w = M11 rho31 + M12 rho21
+    + V01 Omega_p(t0); the predictor rho31 = w + V11 Omega_p(t0) gives the
+    predicted field at the step end; the corrector puts that field in place
+    of V11's and V12's Omega_p(t1); and each field rebuild adds the field
+    gained inside every element to a running sum of the element totals,
+    seeded with the boundary value.  The solver fuses these sums into one
+    stacked buffer, so the two agree to rounding, not bitwise.
+    """
+    med, sched = scenario.medium, scenario.schedule
+    probe = scenario.probe.boundary_value
+    p = GLL_ORDER
+    E = scenario.grid.nz // p
+    x, Q = _gll_rule(p)
+    h = med.length / E
+    zs = np.append((np.arange(E)[:, None] * h + 0.5 * h * (x[:-1] + 1.0)).ravel(),
+                   med.length)
+    stored = (np.arange(E)[:, None] * p + np.arange(p + 1)).ravel()
+    distinct = np.append(np.arange(E * p) + np.arange(E * p) // p, stored.size - 1)
+    prof = np.asarray(scenario.profile.value(zs, med.length), dtype=float)[stored]
+    iQ = (0.5j * med.eta * h) * Q.T
+
+    def step_map(gains, dt):
+        A0, Ah, A1 = (_coherence_matrix(g * prof, med) for g in gains)
+        return _rk4_map(A0, Ah, A1, dt).transpose(1, 2, 0)
+
+    def field(r31, boundary):
+        gained = r31.reshape(E, p + 1) @ iQ
+        edge = np.cumsum(np.concatenate(([boundary], gained[:-1, p])))
+        return (edge[:, None] + gained).ravel()
+
+    r31 = np.zeros(stored.size, dtype=complex)
+    r21 = np.zeros(stored.size, dtype=complex)
+    op = np.full(stored.size, probe(0.0), dtype=complex)
+    times, out, s31, s21 = [0.0], [op[-1]], [r31[distinct]], [r21[distinct]]
+    for ta, _, steps, dt, gain in step_plan(scenario):
+        t1s = ta + dt * np.arange(1, steps + 1)
+        boundary = probe(t1s)
+        if gain is not None:
+            coef = step_map((gain,) * 3, dt)
+        for n in range(steps):
+            if gain is None:
+                t0 = ta + n * dt
+                coef = step_map([sched.gain(t) for t in (t0, t0 + 0.5 * dt, t0 + dt)], dt)
+            (M11, M12, V01, V11), (M21, M22, V02, V12) = coef
+            w = M11 * r31 + M12 * r21 + V01 * op
+            predicted = field(w + V11 * op, boundary[n])
+            r31, r21 = (w + V11 * predicted,
+                        M21 * r31 + M22 * r21 + V02 * op + V12 * predicted)
+            op = field(r31, boundary[n])
+            times.append(t1s[n])
+            out.append(op[-1])
+            s31.append(r31[distinct])
+            s21.append(r21[distinct])
+    return np.array(times), np.array(out), np.array(s31), np.array(s21)
 
 
 def gll_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ from gradecho.solver import (DivergenceError, ResourceLimitError,
                              _rk4_map, convergence_check, integrate, step_plan)
 
 from .conftest import (constant_control_response, method_of_lines_response,
-                       rel_l2, small_scenario)
+                       rel_l2, small_scenario, unfused_step_loop)
 
 
 def test_empty_medium_passes_probe_through():
@@ -155,14 +155,14 @@ def test_guard_stops_one_bad_cell(bad, which):
     bad_r[512] = bad
     args = (bad_r, r) if which == "rho31" else (r, bad_r)
     with pytest.raises(DivergenceError, match="at step 17 "):
-        _check_coherences(*args, step=17, t=0.5)
+        _check_coherences(np.stack(args), step=17, t=0.5)
 
 
 def test_guard_passes_large_but_bounded_coherences():
     # the sum of squares is far above the one-call bound, so this goes
     # through the exact max|rho| test, which passes it
     r = np.full(1025, 9.99, dtype=complex)
-    _check_coherences(r, 1j * r, step=1, t=0.0)
+    _check_coherences(np.stack((r, 1j * r)), step=1, t=0.0)
 
 
 def _taylor_map(A, dt):
@@ -191,6 +191,8 @@ def test_rk4_map_of_a_constant_control_is_the_taylor_map():
 
 def test_gll_rule_integrates_degree_8_exactly():
     x, Q = _gll_rule(8)
+    assert _gll_rule(8)[1] is Q  # built once per process, shared read-only
+    assert not (x.flags.writeable or Q.flags.writeable)
     assert x[0] == -1.0 and x[-1] == 1.0 and x[4] == 0.0
     assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
     assert np.all(Q[0] == 0.0)
@@ -223,6 +225,21 @@ def test_matches_method_of_lines_oracle(case):
     s = small_scenario(grid=MOL_GRID, **MOL_CASES[case])
     rec = integrate(s)
     assert rel_l2(rec.probe_out, method_of_lines_response(s, rec.times)) <= 1e-3
+
+
+@pytest.mark.parametrize("case", sorted(MOL_CASES))
+def test_step_matches_the_unfused_reference_loop(case):
+    # the fused step changes only the rounding (measured ~1e-15); a slip in
+    # the predictor or corrector of one coefficient is far above 1e-13 and
+    # far below the 1e-3 oracle gates; "ramped" rebuilds the map every step
+    s = small_scenario(grid=replace(MOL_GRID, record_stride=1, snapshot_stride=1),
+                       **MOL_CASES[case])
+    rec = integrate(s)
+    times, probe_out, rho31, rho21 = unfused_step_loop(s)
+    assert np.array_equal(rec.times, times)
+    assert rel_l2(rec.probe_out, probe_out) <= 1e-13
+    assert rel_l2(rec.rho31, rho31) <= 1e-13
+    assert rel_l2(rec.rho21, rho21) <= 1e-13
 
 
 def test_method_of_lines_error_falls_with_dt():
