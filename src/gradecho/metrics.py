@@ -124,15 +124,16 @@ def detect_echo(record: FieldRecord, after: float,
     if yw[i] <= NO_ECHO_FLOOR * input_peak:
         return None
     if 0 < i < yw.size - 1:
-        # parabolic refinement through the three samples around the max
-        y0, y1, y2 = yw[i - 1], yw[i], yw[i + 1]
-        denom = y0 - 2 * y1 + y2
-        if denom != 0:
-            delta = 0.5 * (y0 - y2) / denom
-            delta = float(np.clip(delta, -0.5, 0.5))
-            tpk = tw[i] + delta * (tw[i + 1] - tw[i - 1]) / 2.0
-            vpk = y1 - 0.25 * (y0 - y2) * delta
-            return EchoDetection(float(tpk), float(vpk))
+        # vertex of the parabola y1 + b s + a s^2, s = t - tw[i], through the
+        # three samples around the max; a step plan's dt changes at piece
+        # edges, so the spacings h0 and h1 may differ
+        h0, h1 = tw[i] - tw[i - 1], tw[i + 1] - tw[i]
+        d0, d1 = (yw[i] - yw[i - 1]) / h0, (yw[i + 1] - yw[i]) / h1
+        a = (d1 - d0) / (h0 + h1)
+        if a < 0:
+            b = (d0 * h1 + d1 * h0) / (h0 + h1)
+            s = float(np.clip(-0.5 * b / a, -0.5 * h0, 0.5 * h1))
+            return EchoDetection(float(tw[i] + s), float(yw[i] + s * (b + a * s)))
     return EchoDetection(float(tw[i]), float(yw[i]))
 
 

@@ -288,14 +288,29 @@ class Scenario:
     def max_abs_control(self) -> float:
         return self.schedule.max_abs_gain() * self.profile.peak(self.medium.length)
 
+    def auto_dt(self, gain: float) -> tuple[float, float]:
+        """The automatic (window, after-window) time steps under a control
+        of peak Omega = |gain| * profile.peak.
+
+        While the probe enters, dt = min(width / 20, 0.1 / Omega, t_end / 50).
+        After it the probe limit gives way to the medium's, 0.1 / (eta L),
+        but the step never falls below the window's.  A limit whose rate is
+        0 (no control, no medium) drops out.  ``solver.step_plan`` applies
+        this per piece, with the largest |gain| the piece reaches.
+        """
+        omega = abs(gain) * self.profile.peak(self.medium.length)
+        eta_l = self.medium.eta * self.medium.length
+        control = 0.1 / omega if omega > 0 else math.inf
+        medium = 0.1 / eta_l if eta_l > 0 else math.inf
+        window = min(self.probe.width / 20.0, control, self.grid.t_end / 50.0)
+        return window, max(window, min(control, medium, self.grid.t_end / 50.0))
+
     def resolved_dt(self) -> float:
+        """``grid.dt`` if given, else the window step of ``auto_dt`` at the
+        schedule's largest |gain|, the finest step that rule sets."""
         if self.grid.dt is not None:
             return self.grid.dt
-        omega_max = self.max_abs_control()
-        dt = self.probe.width / 20.0
-        if omega_max > 0:
-            dt = min(dt, 0.1 / omega_max)
-        return min(dt, self.grid.t_end / 50.0)
+        return self.auto_dt(self.schedule.max_abs_gain())[0]
 
 
 class ValidationIssue(NamedTuple):

@@ -16,7 +16,8 @@ constant-gain piece builds it once, a cosine-ramp piece rebuilds it every
 step from the control at the step's start, middle and end, and both run the
 same step body.  ``step_plan`` lays out the time steps: they are aligned to
 segment boundaries so a gain change never happens mid-step, and with an
-automatic dt the short probe is resolved only while it enters the medium.
+automatic dt each piece is stepped at the control it reaches itself, and
+the short probe is resolved only while it enters the medium.
 
 The z grid is nz / 8 equal elements, each with the 9 Gauss-Lobatto-Legendre
 nodes of its interval, and the field rebuild is exact for the degree-8
@@ -155,44 +156,36 @@ class Piece(NamedTuple):
 PROBE_WINDOW = 8.0  # probe widths either side of center; exp(-64) ~ 1.6e-28
 
 
-def _dt_after(scenario: Scenario, dt_fine: float) -> float:
-    """Auto step once the probe has entered: the control and medium limits."""
-    limits = [scenario.grid.t_end / 50.0]
-    omega_max = scenario.max_abs_control()
-    if omega_max > 0:
-        limits.append(0.1 / omega_max)
-    eta_l = scenario.medium.eta * scenario.medium.length
-    if eta_l > 0:
-        limits.append(0.1 / eta_l)
-    return max(dt_fine, min(limits))
-
-
 def step_plan(scenario: Scenario) -> tuple[Piece, ...]:
     """The time steps ``integrate`` runs, as consecutive pieces over [0, t_end].
 
     The pieces follow ``schedule.stretches(t_end)``, so a gain change never
     happens mid-step; ramp pieces take at least 8 steps.  A user-given
-    ``grid.dt`` steps every piece at that dt.  Otherwise ``resolved_dt()``
-    is used only while the probe enters (center +- 8 widths) and the coarser
-    control/medium step (see ``_dt_after``) elsewhere, with two more cuts at
-    the window edges.  No piece is a rounding sliver (1e-12 t_end or less):
-    a window cut that close to a stretch edge is dropped, and a stretch that
-    short after a ramp joins the ramp's last piece.
+    ``grid.dt`` steps every piece at that dt.  Otherwise every stretch is
+    stepped under the largest |gain| it reaches (|gain| when constant,
+    max(|g_from|, |gain|) on a ramp) by ``Scenario.auto_dt``: its window
+    step while the probe enters (center +- 8 widths) and its coarser
+    after-window step elsewhere, with two more cuts at the window edges.
+    No piece is a rounding sliver (1e-12 t_end or less): a window cut that
+    close to a stretch edge is dropped, and a stretch that short after a
+    ramp joins the ramp's last piece under the ramp's bound.
     """
-    dt_fine = scenario.resolved_dt()
-    dt_after = dt_fine if scenario.grid.dt is not None else _dt_after(scenario, dt_fine)
     lo = scenario.probe.center_time - PROBE_WINDOW * scenario.probe.width
     hi = scenario.probe.center_time + PROBE_WINDOW * scenario.probe.width
-    window_cuts = (lo, hi) if dt_after > dt_fine else ()
     tol = 1e-12 * scenario.grid.t_end
+    pinned = scenario.grid.dt
 
     plan = []
     for ta, tb, g_from, gain in scenario.schedule.stretches(scenario.grid.t_end):
         ramp = g_from is not None
+        bound = max(abs(g_from), abs(gain)) if ramp else abs(gain)
         if tb - ta <= tol and plan and plan[-1].gain is None:
             # a rounding sliver joins the ramp before it: ramp steps read schedule.gain
-            ta, ramp = plan.pop().t_start, True
-        edges = [ta] + [c for c in window_cuts if ta + tol < c < tb - tol] + [tb]
+            ta, ramp, bound = plan.pop().t_start, True, max(bound, last_bound)
+        last_bound = bound
+        dt_fine, dt_after = (pinned, pinned) if pinned is not None else scenario.auto_dt(bound)
+        cuts = (lo, hi) if dt_after > dt_fine else ()
+        edges = [ta] + [c for c in cuts if ta + tol < c < tb - tol] + [tb]
         for a, b in zip(edges, edges[1:]):
             dt = dt_fine if lo <= 0.5 * (a + b) <= hi else dt_after
             steps = max(1, int(math.ceil((b - a) / dt - 1e-12)))

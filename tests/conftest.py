@@ -215,7 +215,9 @@ def method_of_lines_response(scenario: Scenario, times, elements: int = 64,
     integration restarts at every segment start and ramp edge, where the gain
     or its derivative jumps, and at the probe window (center +- 8 widths)
     with a first step of width / 20, so the short probe is not stepped over.
-    Nothing of ``gradecho.solver`` is used.
+    ``atol`` is absolute on the coherences, so it must sit far below their
+    size: fig3a's peak near 5e-9 and need atol 1e-18.  Nothing of
+    ``gradecho.solver`` is used.
     """
     med, sched, probe = scenario.medium, scenario.schedule, scenario.probe
     x, Q = gll_rule(order)

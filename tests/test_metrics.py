@@ -13,7 +13,7 @@ from gradecho.metrics import (AmbiguousPeakError, NoEchoError,
 from gradecho.metrics import _xcorr
 from gradecho.model import MediumParams, ProbePulse
 from gradecho.scenarios import builtin_sweep
-from gradecho.solver import integrate
+from gradecho.solver import FieldRecord, integrate
 
 from .conftest import small_scenario
 
@@ -46,6 +46,39 @@ def test_detect_echo_small_flip_protocol(small_record):
     det = detect_echo(small_record, after=1.1)
     assert det is not None
     assert det.peak_time == pytest.approx(1.4, abs=0.08)
+
+
+def _trace_record(times, intensity) -> FieldRecord:
+    """A record whose |probe_out|^2 is ``intensity``, under a unit input."""
+    times = np.asarray(times, dtype=float)
+    none = np.empty(0)
+    return FieldRecord(times=times, probe_in=np.eye(times.size)[0].astype(complex),
+                       probe_out=np.sqrt(intensity).astype(complex),
+                       snapshot_times=none, z=none, rho31=none, rho21=none)
+
+
+def test_detect_echo_refines_the_peak_on_unequal_spacing():
+    # a parabola peaked at 10.1, sampled 1.0 then 0.2 apart around its
+    # max, as at a step plan's dt change; the equal-spacing vertex
+    # formula put it at 10.3
+    t = np.array([0.0, 9.0, 10.0, 10.2])
+    det = detect_echo(_trace_record(t, 200.0 - (t - 10.1) ** 2), after=0.5)
+    assert det.peak_time == pytest.approx(10.1, abs=1e-12)
+    assert det.peak_value == pytest.approx(200.0, rel=1e-12)
+
+
+def test_detect_echo_on_equal_spacing_keeps_the_symmetric_vertex():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        t = np.linspace(0.0, 1.0, 41) + rng.uniform(-5.0, 5.0)
+        y = np.exp(-((t - t[20] - rng.uniform(-0.03, 0.03)) / rng.uniform(0.02, 0.2)) ** 2)
+        det = detect_echo(_trace_record(t, y), after=t[0])
+        i = int(np.argmax(y))
+        y0, y1, y2 = y[i - 1], y[i], y[i + 1]
+        delta = 0.5 * (y0 - y2) / (y0 - 2 * y1 + y2)
+        assert det.peak_time == pytest.approx(t[i] + delta * (t[i + 1] - t[i - 1]) / 2,
+                                              rel=1e-14, abs=1e-14)
+        assert det.peak_value == pytest.approx(y1 - 0.25 * (y0 - y2) * delta, rel=1e-14)
 
 
 def test_detect_echo_none_without_flip():
