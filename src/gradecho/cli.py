@@ -25,8 +25,8 @@ from .metrics import (AmbiguousPeakError, UndefinedMetricError,
 from .model import Scenario, Uniform, broadband_ordering_ok, validate_scenario
 from .scenarios import (BUILTIN_SCENARIOS, BUILTIN_SWEEPS, builtin_scenario,
                         builtin_sweep, scenario_notes)
-from .solver import (PROBE_WINDOW, DivergenceError, ResourceLimitError,
-                     integrate, step_plan)
+from .solver import (MAX_COHERENCE, PROBE_WINDOW, DivergenceError,
+                     ResourceLimitError, integrate, step_plan)
 from .sweep import run_sweep
 
 EXIT_OK = 0
@@ -98,7 +98,8 @@ def cmd_run(args) -> int:
     write_json(metrics_payload, metrics_path)
     manifest.add_output(csv_path)
     manifest.add_output(metrics_path)
-    manifest.write(outdir / f"{name}_manifest.json")
+    manifest.write(outdir / f"{name}_manifest.json",
+                   peak_coherence=record.peak_coherence, max_coherence=MAX_COHERENCE)
     print(f"wrote {csv_path} and {metrics_path}")
     return EXIT_OK
 

@@ -51,13 +51,53 @@ class NoEchoError(UndefinedMetricError):
     """Nothing rises above the echo detection floor in the detection window."""
 
 
-def fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
-    """Full width at half maximum by linear interpolation between samples.
+def _vertex(t: np.ndarray, y: np.ndarray, i: int) -> Optional[tuple[float, float]]:
+    """Offset from t[i] and value of the vertex of the parabola through the
+    samples i - 1, i, i + 1, for unequal spacing (a step plan's dt changes
+    at piece edges); None at either end of the samples or unless that
+    parabola has a maximum.  The offset is clipped to half a spacing either
+    side of t[i]."""
+    if not 0 < i < t.size - 1:
+        return None
+    h0, h1 = t[i] - t[i - 1], t[i + 1] - t[i]
+    d0, d1 = (y[i] - y[i - 1]) / h0, (y[i + 1] - y[i]) / h1
+    a = (d1 - d0) / (h0 + h1)
+    if not a < 0:
+        return None
+    b = (d0 * h1 + d1 * h0) / (h0 + h1)  # the slope at t[i]
+    s = float(np.clip(-0.5 * b / a, -0.5 * h0, 0.5 * h1))
+    return s, float(y[i] + s * (b + a * s))
 
-    The global maximum must dominate: a secondary sample above 80% of the
-    peak outside the main lobe raises AmbiguousPeakError.  A peak sitting on
-    a window edge uses the edge as that side's crossing.  A reported "half
-    duration" corresponds to half this value.
+
+def _crossing(t: np.ndarray, y: np.ndarray, i: int, level: float) -> float:
+    """Time in [t[i], t[i + 1]] where the samples cross ``level``: a root of
+    the cubic through samples i - 1 .. i + 2, or the linear interpolant where
+    either neighbour is missing (or the cubic has no root in the interval)."""
+    h = t[i + 1] - t[i]
+    linear = t[i] + h * (level - y[i]) / (y[i + 1] - y[i])
+    if i < 1 or i + 2 >= t.size:
+        return float(linear)
+    s = (t[i - 1:i + 3] - t[i]) / h  # the interval is s in [0, 1]
+    roots = np.roots(np.polyfit(s, y[i - 1:i + 3] - level, 3))
+    roots = roots.real[(np.abs(roots.imag) <= 1e-9) & (roots.real >= -1e-9)
+                       & (roots.real <= 1 + 1e-9)]
+    if roots.size == 0:
+        return float(linear)
+    return float(t[i] + h * roots[np.argmin(np.abs(t[i] + h * roots - linear))])
+
+
+def fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
+    """Full width at half maximum between interpolated half-level crossings.
+
+    The maximum is the vertex of the parabola through the three samples
+    around the largest one (the largest sample itself on a window edge), and
+    each crossing is a root of the cubic through the four samples around it,
+    linear where fewer exist: sampled at spacing w/20, a Gaussian intensity
+    exp(-2 (t/w)^2) reads within 2e-5 of its width.  The global maximum
+    must dominate: a secondary sample above 80% of the peak outside the main
+    lobe raises AmbiguousPeakError.  A peak sitting on a window edge uses
+    the edge as that side's crossing.  A reported "half duration"
+    corresponds to half this value.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(intensity, dtype=float)
@@ -67,13 +107,14 @@ def fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
     peak = y[i]
     if peak <= 0:
         raise UndefinedMetricError("trace has no positive maximum")
-    half = peak / 2.0
+    vertex = _vertex(t, y, i)
+    half = (vertex[1] if vertex else peak) / 2.0
 
     # left crossing
     below = np.nonzero(y[: i + 1] < half)[0]
     if below.size:
         il = below[-1]
-        tl = t[il] + (t[il + 1] - t[il]) * (half - y[il]) / (y[il + 1] - y[il])
+        tl = _crossing(t, y, il, half)
         left_edge = il
     else:
         tl = t[0]
@@ -82,7 +123,7 @@ def fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
     below = np.nonzero(y[i:] < half)[0]
     if below.size:
         ir = i + below[0]
-        tr = t[ir - 1] + (t[ir] - t[ir - 1]) * (half - y[ir - 1]) / (y[ir] - y[ir - 1])
+        tr = _crossing(t, y, ir - 1, half)
         right_edge = ir
     else:
         tr = t[-1]
@@ -123,17 +164,9 @@ def detect_echo(record: FieldRecord, after: float,
     i = int(np.argmax(yw))
     if yw[i] <= NO_ECHO_FLOOR * input_peak:
         return None
-    if 0 < i < yw.size - 1:
-        # vertex of the parabola y1 + b s + a s^2, s = t - tw[i], through the
-        # three samples around the max; a step plan's dt changes at piece
-        # edges, so the spacings h0 and h1 may differ
-        h0, h1 = tw[i] - tw[i - 1], tw[i + 1] - tw[i]
-        d0, d1 = (yw[i] - yw[i - 1]) / h0, (yw[i + 1] - yw[i]) / h1
-        a = (d1 - d0) / (h0 + h1)
-        if a < 0:
-            b = (d0 * h1 + d1 * h0) / (h0 + h1)
-            s = float(np.clip(-0.5 * b / a, -0.5 * h0, 0.5 * h1))
-            return EchoDetection(float(tw[i] + s), float(yw[i] + s * (b + a * s)))
+    vertex = _vertex(tw, yw, i)
+    if vertex:
+        return EchoDetection(float(tw[i] + vertex[0]), vertex[1])
     return EchoDetection(float(tw[i]), float(yw[i]))
 
 

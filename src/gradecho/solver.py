@@ -11,27 +11,36 @@ are advanced at every z with a classical 4-stage Runge-Kutta step, the field
 is rebuilt by integrating i eta rho31 from the boundary, and the pair is
 iterated once as a corrector.  The system is linear, so one RK4 step with
 the probe interpolated linearly across it is an affine map
-rho+ = M rho + V0 Omega_p(t0) + V1 Omega_p(t1) per z (``_rk4_map``): a
-constant-gain piece builds it once, a cosine-ramp piece rebuilds it every
-step from the control at the step's start, middle and end, and both run the
-same step body.  ``step_plan`` lays out the time steps: they are aligned to
-segment boundaries so a gain change never happens mid-step, and with an
-automatic dt each piece is stepped at the control it reaches itself, and
-the short probe is resolved only while it enters the medium.
+rho+ = M rho + V0 Omega_p(t0) + V1 Omega_p(t1) per z (``_rk4_map``), built
+once for a constant-gain piece and once per step, from the control at the
+step's start, middle and end, on a cosine ramp.  ``step_plan`` lays out the
+time steps: they are aligned to segment boundaries so a gain change never
+happens mid-step, and with an automatic dt each piece is stepped at the
+control it reaches itself, and the short probe is resolved only while it
+enters the medium.
 
 The z grid is nz / 8 equal elements, each with the 9 Gauss-Lobatto-Legendre
-nodes of its interval, and the field rebuild is exact for the degree-8
-interpolant of rho31 in every element (``_gll_rule``): one real matrix
-product gives the field gained from each node to the next, and one running
-sum over all stored nodes, seeded with the boundary value, gives the field.
-Every element stores its own 9 nodes, so the edge node two elements share is
-kept twice; its increment within the next element is exactly 0 and the
-coherence update is node-local, so both copies stay equal.  The record holds
-the nz + 1 distinct nodes.
+nodes of its interval, and the field is exact for the degree-8 interpolant
+of rho31 in every element (``_gll_rule``): inside an element it is the
+field at the element's first node plus (i eta h / 2) Q rho31.  The record
+holds the nz + 1 distinct nodes.
 
-The step state is one (4, nodes) complex buffer per parity, rows (rho31,
-rho21, field at the step start, predicted field at the step end), so the
-predictor and the corrector are each one multiply and one sum over rows.
+Elements are coupled only through the field at their shared node, one
+predicted and one corrected value per step, and within a piece the scheme
+is linear.  So m steps of one element are a fixed linear map from its state
+(rho31 and rho21 at its 9 nodes and the corrected field at its first node,
+NS = 19 values) and its 2 m first-node inputs to its new state and its 2 m
+last-node outputs, which are the next element's inputs.  ``_element_steps``
+builds these maps by running the scheme on each element on its own, on
+unit states and unit inputs: once per constant-gain piece, where the step
+does not change and the input columns are one pair shifted, and once per
+block on a ramp.  A run steps in blocks of at most K steps that end at
+every snapshot step and every piece end: E chained matrix-vector products
+carry the boundary probe through the elements, one batched product advances
+every element's state, and the last element's outputs are the transmitted
+probe.
+A block makes E + 6 numpy calls, 3 more when it ends at a snapshot: about
+2 per step at E = 32 and 21-step blocks.
 """
 from __future__ import annotations
 
@@ -57,6 +66,8 @@ __all__ = [
 
 MAX_COHERENCE = 10.0  # weak-probe normalization: any |rho| above this is blow-up
 MAX_STEPS = 20_000_000  # step budget of one run
+K = 24  # most steps in one transfer block
+NS = 2 * (GLL_ORDER + 1) + 1  # element state: rho31, rho21 at its nodes, edge field
 
 
 class DivergenceError(RuntimeError):
@@ -74,7 +85,8 @@ class FieldRecord:
     ``times/probe_in/probe_out`` sample the boundary and transmitted probe;
     ``z`` holds the nz + 1 distinct grid nodes and ``rho31/rho21`` coherence
     snapshots of shape (len(snapshot_times), len(z)), empty if coherences
-    were not requested.
+    were not requested.  ``peak_coherence`` is the largest |rho| the
+    divergence guard saw, at any stored node of any state it checked.
     """
 
     times: np.ndarray
@@ -84,6 +96,7 @@ class FieldRecord:
     z: np.ndarray
     rho31: np.ndarray
     rho21: np.ndarray
+    peak_coherence: float
 
     def coherence_at(self, z_target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(snapshot_times, rho31, rho21) at the grid node nearest z_target."""
@@ -125,20 +138,15 @@ def _rk4_map(A0: np.ndarray, Ah: np.ndarray, A1: np.ndarray, dt: float):
     return y
 
 
-def _check_coherences(rho: np.ndarray, step: int, t: float) -> None:
-    """Raise DivergenceError if any |rho| is non-finite or above MAX_COHERENCE;
-    ``rho`` holds the rho31 and rho21 rows stacked, shape (2, nodes).
-
-    The sum of squares bounds the max, so the cheap test passes only steps
-    the exact test would pass; NaN, inf and large sums go to the exact test.
-    """
-    if np.vdot(rho, rho).real < 0.81 * MAX_COHERENCE**2:
-        return
-    peak = np.max(np.abs(rho))  # keeps a NaN
-    if not np.isfinite(peak) or peak > MAX_COHERENCE:
+def _check_coherences(rho: np.ndarray, step: int, t: float) -> float:
+    """The max |rho| over ``rho``; raise DivergenceError if it is non-finite
+    or above MAX_COHERENCE."""
+    peak = float(np.max(np.abs(rho)))
+    if not peak <= MAX_COHERENCE:  # a NaN fails this too
         raise DivergenceError(
             f"coherences diverged at step {step} (t = {t:.6g}): "
             f"max |rho| = {peak:.3g}")
+    return peak
 
 
 class Piece(NamedTuple):
@@ -201,6 +209,11 @@ def integrate(scenario: Scenario, check: bool = True) -> FieldRecord:
 
     With ``check=True`` (default) validation errors abort the run; warnings
     are allowed.  A plan above ``MAX_STEPS`` steps raises ResourceLimitError.
+    The run stops with DivergenceError when the state at the end of a block
+    has a non-finite |rho| or one above ``MAX_COHERENCE``; blocks end at
+    every snapshot step, at every piece end and after at most K steps, so
+    the check also runs at the last step.  ``peak_coherence`` of the record
+    is the largest |rho| over the states checked.
     """
     if check:
         _raise_on_errors(scenario)
@@ -233,6 +246,105 @@ def _gll_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, Q
 
 
+def _element_steps(coefs, scale: complex, Q: np.ndarray, cols: int):
+    """The scheme on each element on its own, run on unit columns.
+
+    An element's state is rho31 and rho21 at its p + 1 nodes and the
+    corrected field at its first node at the step start (NS values); its
+    inputs at a step are the predicted and the corrected field at its first
+    node at the step end, and its outputs the same two at its last node,
+    which are the next element's inputs.  Inside the element the field is
+    the first-node field plus ``scale`` Q rho31, scale = i eta h / 2.
+
+    Column c < NS starts as the unit state e_c, and columns NS + 2 j and
+    NS + 2 j + 1, while they exist, are unit inputs at step j; every other
+    input is 0.  Step j takes the RK4 map ``coefs[j]``, of a shape that
+    broadcasts to (4, 2, p + 1, cols, E): the coefficients of rho31, rho21,
+    the start field and the end field in the rho31 row and in the rho21
+    row.  After each step this yields the outputs, shape (2, cols, E), and
+    the state, shape (NS, cols, E): by linearity, the columns of the maps
+    that take an element's state and inputs to them.
+    """
+    n, E = Q.shape[0], coefs[0].shape[-1]
+
+    def gained(r, q=Q):
+        """scale q r over the node axis, as one real product."""
+        return scale * (q @ r.view(float).reshape(n, -1)).view(complex).reshape(
+            len(q), *r.shape[1:])
+
+    x = np.zeros((NS, cols, E), dtype=complex)
+    x[np.arange(NS), np.arange(NS)] = 1.0
+    for j, (M1, M2, V0, V1) in enumerate(coefs):
+        r31 = x[:n]
+        op = x[2 * n] + gained(r31)  # the field at the step start
+        xn = np.empty_like(x)
+        rho = xn[:2 * n].reshape(2, n, cols, E)
+        np.multiply(M1, r31, out=rho)
+        rho += M2 * x[n:2 * n]
+        rho += V0 * op
+        end = gained(rho[0] + V1[0] * op)  # the predicted field at the step end
+        xn[-1] = 0.0
+        if NS + 2 * j + 2 <= cols:
+            end[:, NS + 2 * j] += 1.0
+            xn[-1, NS + 2 * j + 1] = 1.0
+        rho += V1 * end
+        x = xn
+        yield np.stack((end[-1], x[-1] + gained(x[:n], Q[-1:])[0])), x
+
+
+def _constant_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
+    """Transfer maps of a constant-gain piece run in blocks of the given
+    ``lengths``: per length m, the output map of each element as a list of
+    (2 m, NS + 2 m) matrices and the state map, shape (E, NS, NS + 2 m).
+
+    The step is the same every step, so one build of k = max(lengths) steps
+    on the NS unit states and one pair of inputs at the first step gives
+    every column: the response to the inputs at step n is the first-step
+    response n steps later.  The output map of m steps is the leading 2 m
+    rows and NS + 2 m columns of the output map of k steps.
+    """
+    k, E = max(lengths), coef.shape[-1]
+    out_map = np.zeros((E, 2 * k, NS + 2 * k), dtype=complex)
+    kicks = np.empty((k, NS, 2, E), dtype=complex)
+    states = {}
+    for j, (y, x) in enumerate(_element_steps([coef] * k, scale, Q, NS + 2)):
+        out_map[:, 2 * j:2 * j + 2, :NS] = y[:, :NS].transpose(2, 0, 1)
+        # the inputs of every step i, j steps on
+        for i in range(k - j):
+            out_map[:, 2 * (i + j):2 * (i + j) + 2, NS + 2 * i:NS + 2 * i + 2] = \
+                y[:, NS:].transpose(2, 0, 1)
+        kicks[j] = x[:, NS:]
+        if j + 1 in lengths:
+            states[j + 1] = x[:, :NS].transpose(2, 0, 1)
+    return {m: (list(out_map[:, :2 * m, :NS + 2 * m]), np.concatenate(
+        (states[m], kicks[m - 1::-1].transpose(3, 1, 0, 2).reshape(E, NS, 2 * m)), axis=2))
+        for m in states}
+
+
+def _ramp_maps(coefs, scale: complex, Q: np.ndarray) -> tuple[list, np.ndarray]:
+    """The output maps of each element and the state map of one block of a
+    ramp piece, one RK4 map per step, built with one pair of input columns
+    per step."""
+    m, E = len(coefs), coefs[0].shape[-1]
+    out_map = np.empty((E, 2 * m, NS + 2 * m), dtype=complex)
+    for j, (y, x) in enumerate(_element_steps(coefs, scale, Q, NS + 2 * m)):
+        out_map[:, 2 * j:2 * j + 2] = y.transpose(2, 0, 1)
+    return list(out_map), x.transpose(2, 0, 1)
+
+
+def _blocks(plan: tuple[Piece, ...], stride: int):
+    """Per piece of ``plan``, the lengths of its blocks: a block ends at the
+    piece end, at every ``stride``-th step of the run and after at most K
+    steps."""
+    g = 0
+    for piece in plan:
+        end, lengths = g + piece.steps, []
+        while g < end:
+            lengths.append(min(K, end - g, stride - g % stride))
+            g += lengths[-1]
+        yield lengths
+
+
 def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
     """Step ``scenario`` through ``plan`` (no validation)."""
     med = scenario.medium
@@ -242,13 +354,11 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
     p, E = GLL_ORDER, nz // GLL_ORDER
     x, Q = _gll_rule(p)
     h = L / E
-    # the nz + 1 distinct nodes; element e stores nodes e p .. (e + 1) p, so
-    # the node it shares with element e + 1 is stored twice, with equal values
+    # the nz + 1 distinct nodes; element e holds nodes e p .. (e + 1) p
     zs = np.append((np.arange(E)[:, None] * h + 0.5 * h * (x[:-1] + 1.0)).ravel(), L)
     stored = (np.arange(E)[:, None] * p + np.arange(p + 1)).ravel()
-    S = stored.size
-    distinct = np.append(np.arange(nz) + np.arange(nz) // p, S - 1)
     prof_z = np.asarray(scenario.profile.value(zs, L), dtype=float)[stored]
+    scale = 0.5j * med.eta * h
 
     total_steps = sum(piece.steps for piece in plan)
     if total_steps > MAX_STEPS:
@@ -265,84 +375,76 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
     pin, pout = np.empty((2, n_rec), dtype=complex)
     snaps = np.zeros((2, n_snap, nz + 1), dtype=complex)  # sample 0: rho = 0
 
-    # The step state, one buffer per parity with rows (rho31, rho21, the
-    # field at the step start, the predicted field at the step end); a step
-    # reads one buffer and writes the other.  The RK4 map is laid out to
-    # match: ``coef`` rows (M11, M12, V01, V11) and (M21, M22, V02, V12)
-    # take the whole buffer, and the predictor, which holds the probe at its
-    # start value across the step, takes rows (M11, M12, V01 + V11).
-    X = np.zeros((2, 4, S), dtype=complex)
-    coef, prod4 = np.empty((2, 2, 4, S), dtype=complex)
-    pred, prod3 = np.empty((2, 3, S), dtype=complex)
+    def coefs(gains, dt):
+        """One RK4 map per row of ``gains`` (the gains at a step's start,
+        middle and end), laid out for ``_element_steps``."""
+        A0, Ah, A1 = (_coherence_matrix((g[:, None] * prof_z).ravel(), med)
+                      for g in np.asarray(gains, dtype=float).T)
+        y = _rk4_map(A0, Ah, A1, dt).reshape(len(gains), E, p + 1, 2, 4)
+        return y.transpose(0, 4, 3, 2, 1)[..., None, :]
 
-    def load_map(gains, dt):
-        """The RK4 map for the gains at a step's start, middle and end."""
-        A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
-        coef[...] = _rk4_map(A0, Ah, A1, dt).transpose(1, 2, 0)
-        pred[:2] = coef[0, :2]
-        np.add(coef[0, 2], coef[0, 3], out=pred[2])
-
-    # i eta (h / 2) times Q's row differences on every element, as one real
-    # matrix acting on the interleaved (re, im) view (a multiply by i maps
-    # (re, im) to (-im, re)): the field gained from each node to the next.
-    # Q's first row is 0, so each element's first increment is exactly 0 and
-    # the running sum keeps both copies of a shared node equal.
-    K = np.kron((0.5 * med.eta * h) * np.diff(Q, axis=0, prepend=0.0).T,
-                [[0.0, 1.0], [-1.0, 0.0]])
-    inc = np.empty(S, dtype=complex)
-    inc_f = inc.view(float).reshape(E, 2 * (p + 1))
-
-    def rebuild_field(r31_f, boundary, out):
-        """out = boundary + integral of i eta r31 from z = 0, exact for the
-        degree-p interpolant of r31 in every element; ``r31_f`` is the
-        (E, 2 (p + 1)) real view of r31."""
-        np.dot(r31_f, K, out=inc_f)
-        inc[0] = boundary
-        np.add.accumulate(inc, out=out)
-
-    # per parity, built once: (state, rows read by the predictor, rho rows,
-    # rho31, its real element view, field at the start, field at the end)
-    cur, nxt = ((B, B[:3], B[:2], B[0], B[0].view(float).reshape(E, 2 * (p + 1)),
-                 B[2], B[3]) for B in X)
-
+    # Row e < E of V is element e's state, then its inputs over a block
+    # (predicted and corrected first-node field at each step end); a block's
+    # output map takes row e to the inputs of row e + 1, and row E collects
+    # the last element's outputs, the field at z = L.
+    V = np.zeros((E + 1, NS + 2 * K), dtype=complex)
     probe = scenario.probe.boundary_value
-    X[0, 2] = probe(0.0)
-    pin[0], pout[0] = X[0, 2, 0], X[0, 2, -1]
+    V[:E, NS - 1] = pin[0] = pout[0] = probe(0.0)
+    # the distinct nodes' rho31 and rho21 as flat indices into V
+    node = np.append(np.arange(E)[:, None] * V.shape[1] + np.arange(p),
+                     (E - 1) * V.shape[1] + p)
+    gather = np.stack((node, node + p + 1))
+    rows = {}  # per block length: element inputs and outputs as views into V
 
-    n_global = 0
-    for (ta, _, nsteps, dt, gain) in plan:
+    def step_piece(ta, nsteps, dt, gain, lengths, g) -> float:
+        """Step one piece from step ``g`` of the run in blocks of ``lengths``
+        steps and record it; returns the largest |rho| its block ends
+        reached.  The piece's maps are freed when it returns."""
         t1s = ta + dt * np.arange(1, nsteps + 1)
         boundary = probe(t1s)
+        u = np.repeat(boundary, 2)
+        field_out = np.empty(nsteps, dtype=complex)
         if gain is not None:
-            load_map((gain,) * 3, dt)
-        for n in range(nsteps):
-            t1 = t1s[n]
+            maps = _constant_maps(coefs([(gain,) * 3], dt)[0], scale, Q, set(lengths))
+        peak, j = 0.0, 0
+        for m in lengths:
+            n = NS + 2 * m
             if gain is None:
-                t0 = ta + n * dt
-                load_map([scenario.schedule.gain(t) for t in
-                          (t0, t0 + 0.5 * dt, t0 + dt)], dt)
-            B, head, _, _, _, _, end = cur
-            _, _, rho, r31, r31_f, op, _ = nxt
-            # predictor into the next rho31 row, then its field at the step end
-            np.multiply(pred, head, out=prod3)
-            np.add.reduce(prod3, axis=0, out=r31)
-            rebuild_field(r31_f, boundary[n], end)
-            # corrector with the predicted field at the step end
-            np.multiply(coef, B, out=prod4)
-            np.add.reduce(prod4, axis=1, out=rho)
-            rebuild_field(r31_f, boundary[n], op)
-            cur, nxt = nxt, cur
-            n_global += 1
-            if n_global % rec_stride == 0 or n_global == total_steps:
-                _check_coherences(rho, n_global, t1)
-                k = -(-n_global // rec_stride)
-                times[k], pin[k], pout[k] = t1, op[0], op[-1]
-            if n_snap and (n_global % snap_stride == 0 or n_global == total_steps):
-                k = -(-n_global // snap_stride)
-                snap_t[k], snaps[:, k] = t1, rho[:, distinct]
+                t0s = ta + dt * np.arange(j, j + m)
+                mats, state_map = _ramp_maps(coefs(
+                    [[scenario.schedule.gain(t) for t in (t0, t0 + 0.5 * dt, t0 + dt)]
+                     for t0 in t0s], dt), scale, Q)
+            else:
+                mats, state_map = maps[m]
+            if m not in rows:
+                rows[m] = list(zip(V[:E, :n], V[1:, NS:n]))
+            V[0, NS:n] = u[2 * j:2 * j + 2 * m]
+            for a, (vin, vout) in zip(mats, rows[m]):
+                np.dot(a, vin, out=vout)
+            V[:E, :NS] = np.matmul(state_map, V[:E, :n, None])[..., 0]
+            field_out[j:j + m] = V[E, NS + 1:n:2]
+            j += m
+            peak = max(peak, _check_coherences(V[:E, :NS - 1], g + j, t1s[j - 1]))
+            if n_snap and ((g + j) % snap_stride == 0 or g + j == total_steps):
+                k = -(-(g + j) // snap_stride)
+                snap_t[k], snaps[:, k] = t1s[j - 1], V.take(gather)
+        # the recorded steps of this piece
+        steps = np.arange((g // rec_stride + 1) * rec_stride, g + nsteps + 1, rec_stride)
+        if g + nsteps == total_steps and total_steps % rec_stride:
+            steps = np.append(steps, total_steps)
+        k, at = -(-steps // rec_stride), steps - g - 1
+        times[k], pin[k], pout[k] = t1s[at], boundary[at], field_out[at]
+        return peak
+
+    g, peak = 0, 0.0
+    for (ta, _, nsteps, dt, gain), lengths in zip(
+            plan, _blocks(plan, snap_stride if n_snap else total_steps)):
+        peak = max(peak, step_piece(ta, nsteps, dt, gain, lengths, g))
+        g += nsteps
 
     return FieldRecord(times=times, probe_in=pin, probe_out=pout,
-                       snapshot_times=snap_t, z=zs, rho31=snaps[0], rho21=snaps[1])
+                       snapshot_times=snap_t, z=zs, rho31=snaps[0], rho21=snaps[1],
+                       peak_coherence=peak)
 
 
 class ConvergenceReport(NamedTuple):

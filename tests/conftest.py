@@ -125,7 +125,7 @@ def constant_control_response(scenario: Scenario, z: float, times):
 
 
 def unfused_step_loop(scenario: Scenario):
-    """(times, probe_out, rho31, rho21) after every step of
+    """(times, probe_in, probe_out, rho31, rho21) after every step of
     ``step_plan(scenario)``, at the distinct z nodes, from the solver's scheme
     written one quantity at a time.
 
@@ -135,8 +135,10 @@ def unfused_step_loop(scenario: Scenario):
     predicted field at the step end; the corrector puts that field in place
     of V11's and V12's Omega_p(t1); and each field rebuild adds the field
     gained inside every element to a running sum of the element totals,
-    seeded with the boundary value.  The solver fuses these sums into one
-    stacked buffer, so the two agree to rounding, not bitwise.
+    seeded with the boundary value.  The solver chains transfer maps of
+    many steps through the elements instead, so the two agree to rounding,
+    not bitwise; the boundary values are evaluated per piece, as the solver
+    does.
     """
     med, sched = scenario.medium, scenario.schedule
     probe = scenario.probe.boundary_value
@@ -163,7 +165,8 @@ def unfused_step_loop(scenario: Scenario):
     r31 = np.zeros(stored.size, dtype=complex)
     r21 = np.zeros(stored.size, dtype=complex)
     op = np.full(stored.size, probe(0.0), dtype=complex)
-    times, out, s31, s21 = [0.0], [op[-1]], [r31[distinct]], [r21[distinct]]
+    times, pin, out = [0.0], [op[0]], [op[-1]]
+    s31, s21 = [r31[distinct]], [r21[distinct]]
     for ta, _, steps, dt, gain in step_plan(scenario):
         t1s = ta + dt * np.arange(1, steps + 1)
         boundary = probe(t1s)
@@ -180,10 +183,11 @@ def unfused_step_loop(scenario: Scenario):
                         M21 * r31 + M22 * r21 + V02 * op + V12 * predicted)
             op = field(r31, boundary[n])
             times.append(t1s[n])
+            pin.append(boundary[n])
             out.append(op[-1])
             s31.append(r31[distinct])
             s21.append(r21[distinct])
-    return np.array(times), np.array(out), np.array(s31), np.array(s21)
+    return np.array(times), np.array(pin), np.array(out), np.array(s31), np.array(s21)
 
 
 def gll_rule(order: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,6 +11,7 @@ from gradecho.cli import main
 from gradecho.config import serialize_scenario
 from gradecho.model import ControlSchedule, MediumParams
 from gradecho.scenarios import builtin_scenario, builtin_sweep
+from gradecho.solver import MAX_COHERENCE, integrate
 from gradecho.sweep import SweepSpec
 
 from .conftest import small_scenario
@@ -35,7 +36,8 @@ def test_run_builtin_writes_files(tmp_path, capsys):
     assert 0.19 < metrics["echo_peak_time"] < 0.25
     manifest = json.loads((out / "fig4c_manifest.json").read_text())
     assert set(manifest) == {"tool", "version", "config_hash", "scenario",
-                             "grid_used", "note", "outputs", "wall_time_s"}
+                             "grid_used", "note", "outputs", "wall_time_s",
+                             "peak_coherence", "max_coherence"}
     assert len(manifest["outputs"]) == 2
     assert manifest["config_hash"] == metrics["config_hash"]
 
@@ -45,6 +47,16 @@ def test_run_config_file(tmp_path):
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--output", str(out)]) == 0
     assert (out / "small_timeseries.csv").exists()
+
+
+def test_run_manifest_reports_the_peak_coherence_against_the_guard(tmp_path):
+    cfg = _write_small_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 0
+    manifest = json.loads((out / "small_manifest.json").read_text())
+    assert manifest["max_coherence"] == MAX_COHERENCE
+    assert manifest["peak_coherence"] == integrate(small_scenario()).peak_coherence
+    assert 0.0 < manifest["peak_coherence"] < MAX_COHERENCE
 
 
 def test_run_determinism_bit_identical(tmp_path):

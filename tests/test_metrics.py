@@ -27,6 +27,26 @@ def test_fwhm_gaussian_field():
     assert fwhm(t, intensity) == pytest.approx(expected, rel=1e-5)
 
 
+@pytest.mark.parametrize("per_width, bound", [(20, 2e-5), (40, 1e-6)])
+def test_fwhm_of_a_coarsely_sampled_gaussian(per_width, bound):
+    # the intensity |exp(-(t/w)^2)|^2 sampled at spacing w/20 and w/40 at 7
+    # offsets; the sampled peak and linear crossings were off by up to 9.6e-4
+    # and 1.9e-4, the parabola vertex and cubic crossings by 8.4e-6 and 3.6e-7
+    w = 0.37
+    for offset in np.arange(7) / 7:
+        t = (np.arange(-400, 401) + offset) * w / per_width
+        width = fwhm(t, np.exp(-2 * (t / w) ** 2))
+        assert width == pytest.approx(w * math.sqrt(2 * math.log(2)), rel=bound)
+
+
+def test_fwhm_falls_back_to_linear_crossings_at_the_window_ends():
+    # the half level is crossed between the first two samples and between
+    # the last two, where a cubic has no sample on one side
+    t = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    y = np.array([0.0, 1.0, 2.0, 1.0, 0.0])
+    assert fwhm(t, y) == pytest.approx(2.0, rel=1e-15)
+
+
 def test_fwhm_edge_peak_uses_window_edge():
     t = np.linspace(0, 5, 2001)
     y = np.exp(-t)  # decaying from the first sample
@@ -54,7 +74,8 @@ def _trace_record(times, intensity) -> FieldRecord:
     none = np.empty(0)
     return FieldRecord(times=times, probe_in=np.eye(times.size)[0].astype(complex),
                        probe_out=np.sqrt(intensity).astype(complex),
-                       snapshot_times=none, z=none, rho31=none, rho21=none)
+                       snapshot_times=none, z=none, rho31=none, rho21=none,
+                       peak_coherence=0.0)
 
 
 def test_detect_echo_refines_the_peak_on_unequal_spacing():

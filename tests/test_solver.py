@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -9,9 +11,10 @@ from gradecho.analytic import AnalyticParams, impulse_equivalent_amplitude, rho3
 from gradecho.model import (ControlSchedule, GridSpec, Linear, MediumParams,
                             ProbePulse, Scenario, Uniform, scale_scenario)
 from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario
-from gradecho.solver import (DivergenceError, ResourceLimitError,
-                             _check_coherences, _coherence_matrix, _gll_rule,
-                             _rk4_map, convergence_check, integrate, step_plan)
+from gradecho.solver import (MAX_COHERENCE, DivergenceError, K, ResourceLimitError,
+                             _blocks, _check_coherences, _coherence_matrix,
+                             _gll_rule, _rk4_map, convergence_check, integrate,
+                             step_plan)
 
 from .conftest import (UTAU, constant_control_response, method_of_lines_response,
                        rel_l2, small_scenario, unfused_step_loop)
@@ -133,18 +136,46 @@ def test_convergence_coarse_grid_flagged():
     assert (not rep_bad.monotone) or rep_bad.errors[0] > 50 * rep_ok.errors[0]
 
 
-def test_divergence_guard():
-    # explicit RK4 driven far outside its stability region blows up and the
-    # guard names the failing step
-    s = Scenario(
+def _diverging_scenario(**overrides) -> Scenario:
+    """Explicit RK4 driven far outside its stability region."""
+    return Scenario(
         medium=MediumParams(xi=100.0),
         profile=Uniform(b=100.0),
         schedule=ControlSchedule(segments=((0.0, 1.0),)),
         probe=ProbePulse(amplitude=1.0, center_time=5.0, width=2.0),
         grid=GridSpec(t_end=50.0, nz=16, dt=0.1),
+        **overrides,
     )
+
+
+def test_divergence_guard():
+    # explicit RK4 driven far outside its stability region blows up and the
+    # guard names the failing step
+    s = _diverging_scenario()
     with pytest.raises(DivergenceError, match="step"):
         integrate(s, check=False)
+
+
+@pytest.mark.parametrize("outputs", [("probe_in", "probe_out", "coherences"),
+                                     ("probe_in", "probe_out")])
+def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(outputs):
+    # the guard checks every block-end state: with snapshots at every step
+    # (500 steps, so the automatic stride is 1) every step ends a block, and
+    # without snapshots blocks run K steps
+    s = _diverging_scenario(outputs=outputs)
+    with np.errstate(all="ignore"):
+        _, _, _, rho31, rho21 = unfused_step_loop(s)
+    peak = np.maximum(np.abs(rho31), np.abs(rho21)).max(axis=1)
+    first = int(np.argmax(~(peak <= MAX_COHERENCE)))  # NaN counts as above
+    assert first > 0
+    total = rho31.shape[0] - 1
+    stride = 1 if "coherences" in outputs else total
+    ends = np.cumsum([m for lengths in _blocks(step_plan(s), stride) for m in lengths])
+    assert ends[-1] == total and (stride == 1 or np.max(np.diff(ends)) == K)
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        integrate(s, check=False)
+    step = int(re.search(r"at step (\d+) ", str(err.value)).group(1))
+    assert first <= step <= ends[np.searchsorted(ends, first)]
 
 
 @pytest.mark.parametrize("bad", [10 * (1 + 1e-9), np.nan, np.inf, -1j * np.inf])
@@ -159,10 +190,11 @@ def test_guard_stops_one_bad_cell(bad, which):
 
 
 def test_guard_passes_large_but_bounded_coherences():
-    # the sum of squares is far above the one-call bound, so this goes
-    # through the exact max|rho| test, which passes it
+    # the guard compares the exact max |rho|, not a bound from the sum of
+    # squares, which here is far above MAX_COHERENCE
     r = np.full(1025, 9.99, dtype=complex)
-    _check_coherences(np.stack((r, 1j * r)), step=1, t=0.0)
+    r[3] = 1j * 9.995
+    assert _check_coherences(np.stack((r, 1j * r)), step=1, t=0.0) == 9.995
 
 
 def _taylor_map(A, dt):
@@ -227,19 +259,46 @@ def test_matches_method_of_lines_oracle(case):
     assert rel_l2(rec.probe_out, method_of_lines_response(s, rec.times)) <= 1e-3
 
 
+def _strided(total: int, stride: int) -> np.ndarray:
+    """Step 0, every stride-th step and the last one."""
+    return np.unique(np.append(np.arange(0, total + 1, stride), total))
+
+
+PINNED_DT = 2.1e-3  # pieces of 381, 572 (flipped) or 381, 10, 562 (ramped) steps
+
+
 @pytest.mark.parametrize("case", sorted(MOL_CASES))
 def test_step_matches_the_unfused_reference_loop(case):
-    # the fused step changes only the rounding (measured ~1e-15); a slip in
-    # the predictor or corrector of one coefficient is far above 1e-13 and
-    # far below the 1e-3 oracle gates; "ramped" rebuilds the map every step
+    # the transfer blocks change only the rounding (measured <= 1.5e-14); a slip
+    # in the predictor or corrector of one coefficient is far above 1e-13 and
+    # far below the 1e-3 oracle gates; "ramped" builds a map every step
     s = small_scenario(grid=replace(MOL_GRID, record_stride=1, snapshot_stride=1),
                        **MOL_CASES[case])
     rec = integrate(s)
-    times, probe_out, rho31, rho21 = unfused_step_loop(s)
+    times, probe_in, probe_out, rho31, rho21 = unfused_step_loop(s)
     assert np.array_equal(rec.times, times)
     assert rel_l2(rec.probe_out, probe_out) <= 1e-13
     assert rel_l2(rec.rho31, rho31) <= 1e-13
     assert rel_l2(rec.rho21, rho21) <= 1e-13
+
+    # partial blocks: records and snapshots at other strides, and a pinned dt
+    # whose pieces are no multiple of K, against the reference subsampled
+    pinned = small_scenario(grid=replace(MOL_GRID, dt=PINNED_DT), **MOL_CASES[case])
+    assert all(piece.steps % K for piece in step_plan(pinned))
+    for base, ref in ((s, (times, probe_in, probe_out, rho31, rho21)),
+                      (pinned, unfused_step_loop(pinned))):
+        total = ref[0].size - 1
+        for rec_stride, snap_stride in itertools.product((1, 3), (1, 5, None)):
+            grid = replace(base.grid, record_stride=rec_stride, snapshot_stride=snap_stride)
+            rec = integrate(replace(base, grid=grid))
+            at = _strided(total, rec_stride)
+            snap = _strided(total, snap_stride or math.ceil(total / 512))
+            assert np.array_equal(rec.times, ref[0][at])
+            assert np.array_equal(rec.probe_in, ref[1][at])
+            assert np.array_equal(rec.snapshot_times, ref[0][snap])
+            assert rel_l2(rec.probe_out, ref[2][at]) <= 1e-13
+            assert rel_l2(rec.rho31, ref[3][snap]) <= 1e-13
+            assert rel_l2(rec.rho21, ref[4][snap]) <= 1e-13
 
 
 def test_method_of_lines_error_falls_with_dt():

@@ -174,9 +174,10 @@ def test_checkpoint_of_another_spec_is_refused(tmp_path, monkeypatch):
         run_sweep(_spec(tmp_path, xis=(20.0,)))
     # so is one of the same spec written by another version, here the last
     # one: rows of another step kernel or step plan differ and must not be
-    # mixed (0.4.2 steps each piece of a multi-gain schedule at its own gain)
+    # mixed (0.4.3 steps every piece in transfer blocks chained through the
+    # z elements)
     ckpt.unlink()
-    monkeypatch.setattr(gradecho.sweep, "__version__", "0.4.1")
+    monkeypatch.setattr(gradecho.sweep, "__version__", "0.4.2")
     run_sweep(_spec(tmp_path, xis=(20.0,)))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="gradecho version"):
