@@ -1,7 +1,7 @@
 """Human-readable scenario configs.
 
 Grammar: INI-style sections [medium], [probe], [control.profile],
-[control.schedule], [grid], [outputs].  Times carry an explicit unit suffix
+[control.schedule], [grid].  Times carry an explicit unit suffix
 ("tau" or "utau" = 1e-6 tau) and rates the suffix "gamma" (multiples of the
 nominal 1/tau); bare numbers are accepted for dimensionless quantities.
 Example::
@@ -14,7 +14,6 @@ Example::
     amplitude = 1
     center_time = 0.048 tau
     width = 5e-3 tau
-    shape = gaussian
 
     [control.profile]
     kind = linear
@@ -29,13 +28,10 @@ Example::
     t_end = 0.6 tau
     dt = auto
 
-    [outputs]
-    observables = probe_in, probe_out, coherences
-
 Each section's fields are declared once, in serialization order, in the
 tables below, which parsing, serialization and ``apply_grid_override`` read;
-only the profile ``kind``, the ``segments`` and the ``observables`` are
-written out by hand.  Serialization is canonical: parse(serialize(s)) reproduces the scenario
+only the profile ``kind`` and the ``segments`` are written out by hand.
+Serialization is canonical: parse(serialize(s)) reproduces the scenario
 exactly, and the serialized text doubles as the config-hash input.
 """
 from __future__ import annotations
@@ -58,7 +54,6 @@ class ConfigError(ValueError):
     """Malformed scenario config; message carries section/field context."""
 
 
-OBSERVABLES = ("probe_in", "probe_out", "coherences")
 _TIME_SUFFIXES = {"tau": 1.0, "utau": 1e-6}
 # unit kind -> accepted suffixes; "tau" and "gamma" values serialize with
 # their suffix, "plain" values bare
@@ -67,10 +62,9 @@ _SUFFIXES = {"tau": _TIME_SUFFIXES, "gamma": {"gamma": 1.0},
 
 
 class _Field(NamedTuple):
-    """One config key.  ``kind`` is a unit kind of ``_SUFFIXES``, "int",
-    "str" (lower-cased) or "complex".  ``default`` is config text, None
-    for a required key; a field whose default is "auto" also takes "auto",
-    which stands for None."""
+    """One config key.  ``kind`` is a unit kind of ``_SUFFIXES``, "int" or
+    "complex".  ``default`` is config text, None for a required key; a
+    field whose default is "auto" also takes "auto", which stands for None."""
 
     name: str
     kind: str
@@ -87,10 +81,8 @@ _PROFILES = {"uniform": (Uniform, (_Field("b", "gamma"),)),
              "linear": (Linear, (_Field("zeta", "gamma"),))}
 _SCHEDULE = (_Field("ramp_time", "tau", "0"),)  # after the segments line
 _PROBE = (_Field("amplitude", "complex", "1"), _Field("center_time", "tau"),
-          _Field("width", "tau"), _Field("shape", "str", "gaussian"))
-_GRID = (_Field("nz", "int", "256"), _Field("t_end", "tau"),
-         _Field("dt", "tau", "auto"), _Field("record_stride", "int", "auto"),
-         _Field("snapshot_stride", "int", "auto"))
+          _Field("width", "tau"))
+_GRID = (_Field("nz", "int", "256"), _Field("t_end", "tau"), _Field("dt", "tau", "auto"))
 
 
 def _parse_number(text: str, where: str, kind: str = "plain") -> float:
@@ -127,8 +119,6 @@ def _parse_value(field: _Field, text: str, where: str):
         return None
     if field.kind in _SUFFIXES:
         return _parse_number(text, where, field.kind)
-    if field.kind == "str":
-        return text.lower()
     try:
         value = int(text) if field.kind == "int" else complex(text.replace(" ", ""))
     except ValueError as exc:
@@ -139,7 +129,7 @@ def _parse_value(field: _Field, text: str, where: str):
 def _format_value(field: _Field, value) -> str:
     if value is None:
         return "auto"
-    if field.kind in ("int", "str"):
+    if field.kind == "int":
         return str(value)
     if field.kind == "complex":
         return _g(value.real) if getattr(value, "imag", 0.0) == 0 else repr(complex(value))
@@ -176,7 +166,7 @@ def _refuse_unknown(cp: configparser.ConfigParser, profile_fields) -> None:
     never falls back to a default; ``profile_fields`` are the chosen kind's."""
     tables = {"medium": _MEDIUM, "control.profile": ("kind", *profile_fields),
               "control.schedule": ("segments", *_SCHEDULE), "probe": _PROBE,
-              "grid": _GRID, "outputs": ("observables",)}
+              "grid": _GRID}
     for section in cp.sections():
         if section not in tables:
             raise ConfigError(f"unknown section [{section}] (expected one of "
@@ -220,16 +210,8 @@ def parse_scenario(text: str) -> Scenario:
                       **_read(cp, "control.schedule", _SCHEDULE))
     probe = _build("probe", ProbePulse, **_read(cp, "probe", _PROBE))
     grid = _build("grid", GridSpec, **_read(cp, "grid", _GRID))
-
-    outputs = _get(cp, "outputs", "observables", ", ".join(OBSERVABLES))
-    out_tuple = tuple(o.strip() for o in outputs.split(",") if o.strip())
-    unknown = [o for o in out_tuple if o not in OBSERVABLES]
-    if unknown:
-        raise ConfigError(f"[outputs] observables: unknown {', '.join(map(repr, unknown))}; "
-                          f"choose from {', '.join(OBSERVABLES)}")
-
     return Scenario(medium=medium, profile=profile, schedule=schedule,
-                    probe=probe, grid=grid, outputs=out_tuple)
+                    probe=probe, grid=grid)
 
 
 def parse_scenario_file(path) -> Scenario:
@@ -274,9 +256,8 @@ def serialize_scenario(s: Scenario) -> str:
     for section, obj, fields, special in blocks:
         lines = [f"[{section}]", *special]
         lines += [f"{f.name} = {_format_value(f, getattr(obj, f.name))}" for f in fields]
-        out.append("\n".join(lines) + "\n\n")
-    out.append(f"[outputs]\nobservables = {', '.join(s.outputs)}\n")
-    return "".join(out)
+        out.append("\n".join(lines) + "\n")
+    return "\n".join(out)
 
 
 def config_hash(s: Scenario) -> str:

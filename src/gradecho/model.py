@@ -207,25 +207,19 @@ class ControlSchedule:
 
 @dataclass(frozen=True)
 class ProbePulse:
-    """Weak probe boundary envelope at z = 0.
-
-    The Gaussian and regularized-delta shapes share the evaluation
-    amplitude * exp(-((t - center_time)/width)^2); ``regularized_delta``
-    marks a pulse whose width is meant to be small compared to every other
-    timescale, standing in for a true delta kick.  The equations are linear
-    in the probe, so |amplitude| has no absolute meaning.
+    """Weak probe boundary envelope at z = 0: the Gaussian
+    amplitude * exp(-((t - center_time)/width)^2).  A width small compared
+    to every other timescale stands in for a delta kick.  The equations are
+    linear in the probe, so |amplitude| has no absolute meaning.
     """
 
     amplitude: complex = 1.0
     center_time: float = 0.0
     width: float = 1.0
-    shape: str = "gaussian"
 
     def __post_init__(self) -> None:
         if self.width <= 0:
             raise ValueError("width must be > 0")
-        if self.shape not in ("gaussian", "regularized_delta"):
-            raise ValueError(f"unknown probe shape {self.shape!r}")
 
     def boundary_value(self, t):
         tt = np.asarray(t, dtype=float)
@@ -253,15 +247,11 @@ class GridSpec:
 
     ``dt=None`` lets ``solver.step_plan`` choose the steps (its docstring
     gives the rule); a given ``dt`` steps the whole window at that dt.
-    ``record_stride=None`` keeps at most 1e5 probe samples and
-    ``snapshot_stride=None`` at most 512 coherence snapshots.
     """
 
     t_end: float
     nz: int = 256
     dt: Optional[float] = None
-    record_stride: Optional[int] = None
-    snapshot_stride: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.nz < GLL_ORDER or self.nz % GLL_ORDER:
@@ -270,10 +260,6 @@ class GridSpec:
             raise ValueError("t_end must be > 0")
         if self.dt is not None and not 0 < self.dt < self.t_end:
             raise ValueError("dt must satisfy 0 < dt < t_end")
-        for name in ("record_stride", "snapshot_stride"):
-            v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -283,7 +269,6 @@ class Scenario:
     schedule: ControlSchedule
     probe: ProbePulse
     grid: GridSpec
-    outputs: Tuple[str, ...] = ("probe_in", "probe_out", "coherences")
 
     def max_abs_control(self) -> float:
         return self.schedule.max_abs_gain() * self.profile.peak(self.medium.length)

@@ -23,8 +23,7 @@ def _fig2(beta: float, flip: bool) -> Scenario:
         medium=MediumParams(xi=1e6),
         profile=GaussianBeam(b=1e7 * beta, z_focus=1.0, rayleigh=0.2),
         schedule=ControlSchedule(segments=segments),
-        probe=ProbePulse(amplitude=1.0, center_time=3e-8, width=5e-9,
-                         shape="regularized_delta"),
+        probe=ProbePulse(amplitude=1.0, center_time=3e-8, width=5e-9),
         grid=GridSpec(t_end=(4.2 * UTAU) if flip else (1.2 * UTAU)),
     )
 
@@ -35,8 +34,7 @@ def _fig3a() -> Scenario:
         profile=GaussianBeam(b=1e7, z_focus=1.0, rayleigh=0.2),
         schedule=ControlSchedule(segments=(
             (0.0, 4.0), (1.0 * UTAU, -1.0), (4.5 * UTAU, 4.0), (6.5 * UTAU, -8.0))),
-        probe=ProbePulse(amplitude=1.0, center_time=0.55 * UTAU, width=5e-9,
-                         shape="regularized_delta"),
+        probe=ProbePulse(amplitude=1.0, center_time=0.55 * UTAU, width=5e-9),
         grid=GridSpec(t_end=8.0 * UTAU),
     )
 
@@ -56,8 +54,7 @@ def _oracle(omega_c: float) -> Scenario:
         medium=MediumParams(xi=20.0),
         profile=Uniform(b=omega_c),
         schedule=ControlSchedule(segments=((0.0, 1.0),)),
-        probe=ProbePulse(amplitude=1.0, center_time=8e-3, width=1e-3,
-                         shape="regularized_delta"),
+        probe=ProbePulse(amplitude=1.0, center_time=8e-3, width=1e-3),
         grid=GridSpec(t_end=10.05),
     )
 

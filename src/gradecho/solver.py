@@ -84,9 +84,11 @@ class FieldRecord:
 
     ``times/probe_in/probe_out`` sample the boundary and transmitted probe;
     ``z`` holds the nz + 1 distinct grid nodes and ``rho31/rho21`` coherence
-    snapshots of shape (len(snapshot_times), len(z)), empty if coherences
-    were not requested.  ``peak_coherence`` is the largest |rho| the
-    divergence guard saw, at any stored node of any state it checked.
+    snapshots of shape (len(snapshot_times), len(z)).  Each holds step 0,
+    every stride-th step and the last step, at the smallest strides that
+    keep 1e5 probe samples and 512 snapshots or fewer after step 0.
+    ``peak_coherence`` is the largest |rho| the divergence guard
+    saw, at any stored node of any state it checked.
     """
 
     times: np.ndarray
@@ -100,8 +102,6 @@ class FieldRecord:
 
     def coherence_at(self, z_target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(snapshot_times, rho31, rho21) at the grid node nearest z_target."""
-        if self.rho31.size == 0:
-            raise ValueError("run was recorded without coherence snapshots")
         j = int(np.argmin(np.abs(self.z - z_target)))
         return self.snapshot_times, self.rho31[:, j], self.rho21[:, j]
 
@@ -345,12 +345,15 @@ def _blocks(plan: tuple[Piece, ...], stride: int):
         yield lengths
 
 
-def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
-    """Step ``scenario`` through ``plan`` (no validation)."""
+def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
+         record_stride: Optional[int] = None,
+         snapshot_stride: Optional[int] = None) -> FieldRecord:
+    """Step ``scenario`` through ``plan`` (no validation), recording the
+    probe every ``record_stride`` steps and the coherences every
+    ``snapshot_stride`` steps, by default those of ``FieldRecord``."""
     med = scenario.medium
-    grid = scenario.grid
     L = med.length
-    nz = grid.nz
+    nz = scenario.grid.nz
     p, E = GLL_ORDER, nz // GLL_ORDER
     x, Q = _gll_rule(p)
     h = L / E
@@ -366,11 +369,11 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
             f"run needs {total_steps} steps, above the budget of {MAX_STEPS}; "
             f"coarsen dt or shorten t_end")
 
-    rec_stride = grid.record_stride or max(1, int(math.ceil(total_steps / 1e5)))
-    snap_stride = grid.snapshot_stride or max(1, int(math.ceil(total_steps / 512)))
+    rec_stride = record_stride or max(1, int(math.ceil(total_steps / 1e5)))
+    snap_stride = snapshot_stride or max(1, int(math.ceil(total_steps / 512)))
     # every stride-th step and the last one, step n into sample ceil(n / stride)
     n_rec = 1 + -(-total_steps // rec_stride)
-    n_snap = 1 + -(-total_steps // snap_stride) if "coherences" in scenario.outputs else 0
+    n_snap = 1 + -(-total_steps // snap_stride)
     times, snap_t = np.zeros(n_rec), np.zeros(n_snap)
     pin, pout = np.empty((2, n_rec), dtype=complex)
     snaps = np.zeros((2, n_snap, nz + 1), dtype=complex)  # sample 0: rho = 0
@@ -425,7 +428,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
             field_out[j:j + m] = V[E, NS + 1:n:2]
             j += m
             peak = max(peak, _check_coherences(V[:E, :NS - 1], g + j, t1s[j - 1]))
-            if n_snap and ((g + j) % snap_stride == 0 or g + j == total_steps):
+            if (g + j) % snap_stride == 0 or g + j == total_steps:
                 k = -(-(g + j) // snap_stride)
                 snap_t[k], snaps[:, k] = t1s[j - 1], V.take(gather)
         # the recorded steps of this piece
@@ -437,8 +440,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...]) -> FieldRecord:
         return peak
 
     g, peak = 0, 0.0
-    for (ta, _, nsteps, dt, gain), lengths in zip(
-            plan, _blocks(plan, snap_stride if n_snap else total_steps)):
+    for (ta, _, nsteps, dt, gain), lengths in zip(plan, _blocks(plan, snap_stride)):
         peak = max(peak, step_piece(ta, nsteps, dt, gain, lengths, g))
         g += nsteps
 
@@ -472,9 +474,9 @@ def convergence_check(scenario: Scenario, refinements: int = 2,
     outs = []
     for k in range(refinements + 1):
         f = 2**k
-        grid = replace(scenario.grid, nz=scenario.grid.nz * f, record_stride=1)
+        grid = replace(scenario.grid, nz=scenario.grid.nz * f)
         refined = tuple(p._replace(steps=p.steps * f, dt=p.dt / f) for p in plan)
-        rec = _run(replace(scenario, grid=grid), refined)
+        rec = _run(replace(scenario, grid=grid), refined, record_stride=1)
         outs.append((rec.times, rec.probe_out))
     errs = []
     t0, y0 = outs[0]

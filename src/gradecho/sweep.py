@@ -15,7 +15,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Tuple, get_args, get_type_hints
+from typing import Optional, Tuple, get_type_hints
 
 import numpy as np
 
@@ -56,14 +56,13 @@ def set_scenario_field(scenario: Scenario, path: str, value) -> Scenario:
 
 
 def _axis_value(base: Scenario, path: str, value):
-    """``value`` as a float, or as an int on a field declared int (such as
-    ``grid.nz`` or ``grid.record_stride``); raises KeyError for a bad path and
-    ValueError for a non-integral value of an int field."""
+    """``value`` as a float, or as an int on a field declared int
+    (``grid.nz``); raises KeyError for a bad path and ValueError for a
+    non-integral value of an int field."""
     get_scenario_field(base, path)  # a spec error, naming the path, before any run
     *head, name = path.split(".")
     owner = get_scenario_field(base, ".".join(head)) if head else base
-    hint = get_type_hints(type(owner))[name]
-    if int not in (hint, *get_args(hint)):
+    if get_type_hints(type(owner))[name] is not int:
         return float(value)
     if not float(value).is_integer():
         raise ValueError(f"axis {path!r} takes integers, got {value!r}")

@@ -249,8 +249,7 @@ def test_criterion_5_time_scaling(timed_run):
         medium=MediumParams(xi=2 * 10.0 / gamma, gamma_decay=gamma),
         profile=Uniform(b=0.3),
         schedule=ControlSchedule(segments=((0.0, 1.0), (1.0, -1.0))),
-        probe=ProbePulse(amplitude=1.0, center_time=8e-3, width=1e-3,
-                         shape="regularized_delta"),
+        probe=ProbePulse(amplitude=1.0, center_time=8e-3, width=1e-3),
         grid=GridSpec(t_end=3.0, nz=256, dt=5e-5),
     )
     ra = integrate(base, check=False)

@@ -266,8 +266,7 @@ def test_exact_response_control_off_is_two_level_impulse_response():
         medium=MediumParams(xi=20.0),
         profile=Uniform(b=0.0),
         schedule=ControlSchedule(segments=((0.0, 1.0),)),
-        probe=ProbePulse(amplitude=1.0, center_time=t0, width=1e-3,
-                         shape="regularized_delta"),
+        probe=ProbePulse(amplitude=1.0, center_time=t0, width=1e-3),
         grid=GridSpec(t_end=5.0, nz=256),
     )
     area = s.probe.area

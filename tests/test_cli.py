@@ -15,6 +15,7 @@ from gradecho.solver import MAX_COHERENCE, integrate
 from gradecho.sweep import SweepSpec
 
 from .conftest import small_scenario
+from .test_config import FIG3A_TEXT_0_4_3
 
 SMALL_OVERRIDE = "nz=128,t_end=2.0"
 
@@ -76,6 +77,15 @@ def test_run_missing_field_exits_2_no_partial_files(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", str(cfg), "--output", str(out)])
     assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_run_on_a_0_4_3_config_exits_2_no_partial_files(tmp_path, capsys):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(FIG3A_TEXT_0_4_3, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--output", str(out)]) == 2
+    assert "unknown field 'shape'" in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
 
 
@@ -280,17 +290,6 @@ def test_compare_refuses_an_empty_tail_window(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["compare", "oracle-ats", "--output", str(out),
                  "--grid-override", "t_end=0.01"]) == 2
-    assert not any(out.iterdir())
-
-
-def test_compare_refuses_a_run_without_coherences(tmp_path, monkeypatch):
-    cfg = tmp_path / "ats.cfg"
-    cfg.write_text(serialize_scenario(replace(builtin_scenario("oracle-ats"),
-                                              outputs=("probe_in", "probe_out"))),
-                   encoding="utf-8")
-    monkeypatch.setattr(gradecho.cli, "integrate", _no_integrate)
-    out = tmp_path / "out"
-    assert main(["compare", str(cfg), "--output", str(out)]) == 2
     assert not any(out.iterdir())
 
 

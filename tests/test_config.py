@@ -1,5 +1,8 @@
+import textwrap
+
 import pytest
 
+import gradecho.config
 from gradecho.config import (ConfigError, config_hash, parse_scenario,
                              serialize_scenario)
 from gradecho.model import GaussianBeam, Linear, Uniform
@@ -48,7 +51,7 @@ def test_roundtrip_preserves_profile_kinds():
                     GaussianBeam(b=1.5e7, z_focus=0.9, rayleigh=0.21)):
         s = builtin_scenario("fig4b")
         s = type(s)(medium=s.medium, profile=profile, schedule=s.schedule,
-                    probe=s.probe, grid=s.grid, outputs=s.outputs)
+                    probe=s.probe, grid=s.grid)
         assert parse_scenario(serialize_scenario(s)) == s
 
 
@@ -83,17 +86,11 @@ ramp_time = 0 tau
 amplitude = 1
 center_time = 5.5000000000000003e-07 tau
 width = 5.0000000000000001e-09 tau
-shape = regularized_delta
 
 [grid]
 nz = 256
 t_end = 7.9999999999999996e-06 tau
 dt = auto
-record_stride = auto
-snapshot_stride = auto
-
-[outputs]
-observables = probe_in, probe_out, coherences
 """
 
 
@@ -102,7 +99,45 @@ def test_serialized_text_is_pinned():
     # checkpoint headers: a change of format changes every hash
     assert serialize_scenario(builtin_scenario("fig3a")) == FIG3A_TEXT
     assert config_hash(builtin_scenario("fig3a")) == (
-        "0d531459974022cea2ba42232b0f058a8496a018f90167ab11b2c62476104a63")
+        "9e707470340709165e628140b8eca580907286de7939e2c678cda729b4e339b2")
+
+
+# FIG3A_TEXT as 0.4.3 wrote it, with the recording fields 0.5.0 dropped
+OLD_LINES = ("shape = regularized_delta\n", "record_stride = auto\n",
+             "snapshot_stride = auto\n",
+             "\n[outputs]\nobservables = probe_in, probe_out, coherences\n")
+FIG3A_TEXT_0_4_3 = FIG3A_TEXT.replace(
+    "e-09 tau\n", "e-09 tau\n" + OLD_LINES[0]).replace(
+    "dt = auto\n", "dt = auto\n" + "".join(OLD_LINES[1:]))
+
+
+@pytest.mark.parametrize("fixed", range(4))
+def test_a_0_4_3_config_names_its_first_unknown_key_or_section(fixed):
+    # with the first ``fixed`` old lines deleted, the next one is refused;
+    # with all of them deleted the text is today's
+    text = FIG3A_TEXT_0_4_3
+    for line in OLD_LINES[:fixed]:
+        text = text.replace(line, "")
+    first = ("field 'shape'", "field 'record_stride'", "field 'snapshot_stride'",
+             r"section \[outputs\]")[fixed]
+    with pytest.raises(ConfigError, match=f"unknown {first}"):
+        parse_scenario(text)
+    for line in OLD_LINES[fixed:]:
+        text = text.replace(line, "")
+    assert text == FIG3A_TEXT
+
+
+def test_the_documented_example_parses_and_round_trips():
+    # the indented block after "Example::" in the module docstring
+    block = gradecho.config.__doc__.split("Example::\n", 1)[1]
+    lines = []
+    for line in block.splitlines():
+        if line.strip() and not line.startswith("    "):
+            break
+        lines.append(line)
+    s = parse_scenario(textwrap.dedent("\n".join(lines)))
+    assert s == builtin_scenario("fig4b")
+    assert parse_scenario(serialize_scenario(s)) == s
 
 
 def test_hash_stable_and_sensitive():
@@ -163,9 +198,3 @@ def test_nonmonotone_schedule_is_config_error():
         parse_scenario(EXAMPLE.replace("0 tau: 1, 0.16 tau: -1",
                                        "0 tau: 1, 0.2 tau: -1, 0.1 tau: 1"))
 
-
-def test_unknown_observable_is_config_error():
-    with pytest.raises(ConfigError, match="'coherence'"):
-        parse_scenario(EXAMPLE + "\n[outputs]\nobservables = probe_out, coherence\n")
-    s = parse_scenario(EXAMPLE + "\n[outputs]\nobservables = probe_in, probe_out\n")
-    assert s.outputs == ("probe_in", "probe_out")

@@ -198,8 +198,6 @@ def test_probe_pulse_boundary_and_area():
     assert p.area == pytest.approx(2.0 * 0.5 * math.sqrt(math.pi))
     with pytest.raises(ValueError):
         ProbePulse(width=-1.0)
-    with pytest.raises(ValueError):
-        ProbePulse(shape="square")
 
 
 def test_gridspec_invariants():

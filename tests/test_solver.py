@@ -13,8 +13,8 @@ from gradecho.model import (ControlSchedule, GridSpec, Linear, MediumParams,
 from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 from gradecho.solver import (MAX_COHERENCE, DivergenceError, K, ResourceLimitError,
                              _blocks, _check_coherences, _coherence_matrix,
-                             _gll_rule, _rk4_map, convergence_check, integrate,
-                             step_plan)
+                             _gll_rule, _rk4_map, _run, convergence_check,
+                             integrate, step_plan)
 
 from .conftest import (UTAU, constant_control_response, method_of_lines_response,
                        rel_l2, small_scenario, unfused_step_loop)
@@ -39,8 +39,7 @@ def test_two_level_exact_impulse_response():
         medium=MediumParams(xi=20.0),
         profile=Uniform(b=0.0),
         schedule=ControlSchedule(segments=((0.0, 1.0),)),
-        probe=ProbePulse(amplitude=1.0, center_time=t0, width=kappa,
-                         shape="regularized_delta"),
+        probe=ProbePulse(amplitude=1.0, center_time=t0, width=kappa),
         grid=GridSpec(t_end=5.0, nz=256),
     )
     rec = integrate(s)
@@ -136,7 +135,7 @@ def test_convergence_coarse_grid_flagged():
     assert (not rep_bad.monotone) or rep_bad.errors[0] > 50 * rep_ok.errors[0]
 
 
-def _diverging_scenario(**overrides) -> Scenario:
+def _diverging_scenario() -> Scenario:
     """Explicit RK4 driven far outside its stability region."""
     return Scenario(
         medium=MediumParams(xi=100.0),
@@ -144,7 +143,6 @@ def _diverging_scenario(**overrides) -> Scenario:
         schedule=ControlSchedule(segments=((0.0, 1.0),)),
         probe=ProbePulse(amplitude=1.0, center_time=5.0, width=2.0),
         grid=GridSpec(t_end=50.0, nz=16, dt=0.1),
-        **overrides,
     )
 
 
@@ -156,24 +154,23 @@ def test_divergence_guard():
         integrate(s, check=False)
 
 
-@pytest.mark.parametrize("outputs", [("probe_in", "probe_out", "coherences"),
-                                     ("probe_in", "probe_out")])
-def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(outputs):
+@pytest.mark.parametrize("every_step", [True, False], ids=["stride-1", "stride-total"])
+def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(every_step):
     # the guard checks every block-end state: with snapshots at every step
     # (500 steps, so the automatic stride is 1) every step ends a block, and
-    # without snapshots blocks run K steps
-    s = _diverging_scenario(outputs=outputs)
+    # with a snapshot only at the last step blocks run K steps
+    s = _diverging_scenario()
     with np.errstate(all="ignore"):
         _, _, _, rho31, rho21 = unfused_step_loop(s)
     peak = np.maximum(np.abs(rho31), np.abs(rho21)).max(axis=1)
     first = int(np.argmax(~(peak <= MAX_COHERENCE)))  # NaN counts as above
     assert first > 0
     total = rho31.shape[0] - 1
-    stride = 1 if "coherences" in outputs else total
+    stride = 1 if every_step else total
     ends = np.cumsum([m for lengths in _blocks(step_plan(s), stride) for m in lengths])
     assert ends[-1] == total and (stride == 1 or np.max(np.diff(ends)) == K)
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        integrate(s, check=False)
+        _run(s, step_plan(s), snapshot_stride=stride)
     step = int(re.search(r"at step (\d+) ", str(err.value)).group(1))
     assert first <= step <= ends[np.searchsorted(ends, first)]
 
@@ -272,9 +269,8 @@ def test_step_matches_the_unfused_reference_loop(case):
     # the transfer blocks change only the rounding (measured <= 1.5e-14); a slip
     # in the predictor or corrector of one coefficient is far above 1e-13 and
     # far below the 1e-3 oracle gates; "ramped" builds a map every step
-    s = small_scenario(grid=replace(MOL_GRID, record_stride=1, snapshot_stride=1),
-                       **MOL_CASES[case])
-    rec = integrate(s)
+    s = small_scenario(grid=MOL_GRID, **MOL_CASES[case])
+    rec = _run(s, step_plan(s), record_stride=1, snapshot_stride=1)
     times, probe_in, probe_out, rho31, rho21 = unfused_step_loop(s)
     assert np.array_equal(rec.times, times)
     assert rel_l2(rec.probe_out, probe_out) <= 1e-13
@@ -289,8 +285,8 @@ def test_step_matches_the_unfused_reference_loop(case):
                       (pinned, unfused_step_loop(pinned))):
         total = ref[0].size - 1
         for rec_stride, snap_stride in itertools.product((1, 3), (1, 5, None)):
-            grid = replace(base.grid, record_stride=rec_stride, snapshot_stride=snap_stride)
-            rec = integrate(replace(base, grid=grid))
+            rec = _run(base, step_plan(base), record_stride=rec_stride,
+                       snapshot_stride=snap_stride)
             at = _strided(total, rec_stride)
             snap = _strided(total, snap_stride or math.ceil(total / 512))
             assert np.array_equal(rec.times, ref[0][at])
@@ -485,8 +481,8 @@ def test_convergence_level0_is_integrate(monkeypatch):
     runs = []
     run = solver._run
 
-    def spy(*args):
-        runs.append(run(*args))
+    def spy(*args, **kwargs):
+        runs.append(run(*args, **kwargs))
         return runs[-1]
 
     monkeypatch.setattr(solver, "_run", spy)
@@ -557,16 +553,6 @@ def test_fig4b_default_grid_is_converged():
     s = builtin_scenario("fig4b")
     rep = convergence_check(s, refinements=1)
     assert rep.errors[0] < 0.01
-
-
-def test_outputs_without_coherences():
-    s = small_scenario()
-    s = type(s)(medium=s.medium, profile=s.profile, schedule=s.schedule,
-                probe=s.probe, grid=s.grid, outputs=("probe_in", "probe_out"))
-    rec = integrate(s)
-    assert rec.rho31.size == 0 and rec.snapshot_times.size == 0
-    with pytest.raises(ValueError):
-        rec.coherence_at(0.5)
 
 
 @pytest.mark.parametrize("name", ["oracle", "oracle-ats"])
