@@ -30,15 +30,16 @@ predicted and one corrected value per step, and within a piece the scheme
 is linear.  So m steps of one element are a fixed linear map from its state
 (rho31 and rho21 at its 9 nodes and the corrected field at its first node,
 NS = 19 values) and its 2 m first-node inputs to its new state and its 2 m
-last-node outputs, which are the next element's inputs.  ``_element_steps``
-builds these maps by running the scheme on each element on its own, on
-unit states and unit inputs: once per constant-gain piece, where the step
-does not change and the input columns are one pair shifted, and once per
-block on a ramp.  A run steps in blocks of at most K steps that end at
-every snapshot step and every piece end: E chained matrix-vector products
-carry the boundary probe through the elements, one batched product advances
-every element's state, and the last element's outputs are the transmitted
-probe.
+last-node outputs, which are the next element's inputs.  ``_step_maps``
+builds these maps under one RK4 map: ``_element_steps`` runs the scheme on
+each element on its own, on unit states and one pair of unit inputs at the
+first step, and the step does not change, so the inputs of later steps are
+that response shifted.  A run steps in blocks that end at every snapshot step and every
+piece end: at most K steps under a constant gain, with the maps built once
+per piece, and one step on a ramp, with the maps of that step's RK4 map.
+E chained matrix-vector products carry the boundary probe through the
+elements, one batched product advances every element's state, and the last
+element's outputs are the transmitted probe.
 A block makes E + 6 numpy calls, 3 more when it ends at a snapshot: about
 2 per step at E = 32 and 21-step blocks.
 """
@@ -211,8 +212,9 @@ def integrate(scenario: Scenario, check: bool = True) -> FieldRecord:
     are allowed.  A plan above ``MAX_STEPS`` steps raises ResourceLimitError.
     The run stops with DivergenceError when the state at the end of a block
     has a non-finite |rho| or one above ``MAX_COHERENCE``; blocks end at
-    every snapshot step, at every piece end and after at most K steps, so
-    the check also runs at the last step.  ``peak_coherence`` of the record
+    every snapshot step, at every piece end and after at most K steps, and
+    after every step of a ramp, so the check runs at least every K steps,
+    at every ramp step and at the last step.  ``peak_coherence`` of the record
     is the largest |rho| over the states checked.
     """
     if check:
@@ -246,8 +248,9 @@ def _gll_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, Q
 
 
-def _element_steps(coefs, scale: complex, Q: np.ndarray, cols: int):
-    """The scheme on each element on its own, run on unit columns.
+def _element_steps(coef, k: int, scale: complex, Q: np.ndarray):
+    """The scheme on each element on its own for ``k`` steps under the RK4
+    map ``coef``, run on unit columns.
 
     An element's state is rho31 and rho21 at its p + 1 nodes and the
     corrected field at its first node at the step start (NS values); its
@@ -256,46 +259,47 @@ def _element_steps(coefs, scale: complex, Q: np.ndarray, cols: int):
     which are the next element's inputs.  Inside the element the field is
     the first-node field plus ``scale`` Q rho31, scale = i eta h / 2.
 
-    Column c < NS starts as the unit state e_c, and columns NS + 2 j and
-    NS + 2 j + 1, while they exist, are unit inputs at step j; every other
-    input is 0.  Step j takes the RK4 map ``coefs[j]``, of a shape that
-    broadcasts to (4, 2, p + 1, cols, E): the coefficients of rho31, rho21,
-    the start field and the end field in the rho31 row and in the rho21
-    row.  After each step this yields the outputs, shape (2, cols, E), and
-    the state, shape (NS, cols, E): by linearity, the columns of the maps
-    that take an element's state and inputs to them.
+    Column c < NS starts as the unit state e_c, and columns NS and NS + 1
+    are unit inputs at the first step; every later input is 0.  ``coef``
+    broadcasts to (4, 2, p + 1, NS + 2, E): the coefficients of rho31,
+    rho21, the start field and the end field in the rho31 row and in the
+    rho21 row.  After each step this yields the outputs, shape
+    (2, NS + 2, E), and the state, shape (NS, NS + 2, E): by linearity, the
+    columns of the maps that take an element's state and inputs to them.
     """
-    n, E = Q.shape[0], coefs[0].shape[-1]
+    n, E = Q.shape[0], coef.shape[-1]
+    M1, M2, V0, V1 = coef
 
     def gained(r, q=Q):
         """scale q r over the node axis, as one real product."""
         return scale * (q @ r.view(float).reshape(n, -1)).view(complex).reshape(
             len(q), *r.shape[1:])
 
-    x = np.zeros((NS, cols, E), dtype=complex)
+    x = np.zeros((NS, NS + 2, E), dtype=complex)
     x[np.arange(NS), np.arange(NS)] = 1.0
-    for j, (M1, M2, V0, V1) in enumerate(coefs):
+    for j in range(k):
         r31 = x[:n]
         op = x[2 * n] + gained(r31)  # the field at the step start
         xn = np.empty_like(x)
-        rho = xn[:2 * n].reshape(2, n, cols, E)
+        rho = xn[:2 * n].reshape(2, n, NS + 2, E)
         np.multiply(M1, r31, out=rho)
         rho += M2 * x[n:2 * n]
         rho += V0 * op
         end = gained(rho[0] + V1[0] * op)  # the predicted field at the step end
         xn[-1] = 0.0
-        if NS + 2 * j + 2 <= cols:
-            end[:, NS + 2 * j] += 1.0
-            xn[-1, NS + 2 * j + 1] = 1.0
+        if j == 0:
+            end[:, NS] += 1.0
+            xn[-1, NS + 1] = 1.0
         rho += V1 * end
         x = xn
         yield np.stack((end[-1], x[-1] + gained(x[:n], Q[-1:])[0])), x
 
 
-def _constant_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
-    """Transfer maps of a constant-gain piece run in blocks of the given
-    ``lengths``: per length m, the output map of each element as a list of
-    (2 m, NS + 2 m) matrices and the state map, shape (E, NS, NS + 2 m).
+def _step_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
+    """Transfer maps of a piece stepped under one RK4 map ``coef`` in blocks
+    of the given ``lengths``: per length m, the output map of each element
+    as a list of (2 m, NS + 2 m) matrices and the state map, shape
+    (E, NS, NS + 2 m).
 
     The step is the same every step, so one build of k = max(lengths) steps
     on the NS unit states and one pair of inputs at the first step gives
@@ -307,7 +311,7 @@ def _constant_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
     out_map = np.zeros((E, 2 * k, NS + 2 * k), dtype=complex)
     kicks = np.empty((k, NS, 2, E), dtype=complex)
     states = {}
-    for j, (y, x) in enumerate(_element_steps([coef] * k, scale, Q, NS + 2)):
+    for j, (y, x) in enumerate(_element_steps(coef, k, scale, Q)):
         out_map[:, 2 * j:2 * j + 2, :NS] = y[:, :NS].transpose(2, 0, 1)
         # the inputs of every step i, j steps on
         for i in range(k - j):
@@ -321,26 +325,17 @@ def _constant_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
         for m in states}
 
 
-def _ramp_maps(coefs, scale: complex, Q: np.ndarray) -> tuple[list, np.ndarray]:
-    """The output maps of each element and the state map of one block of a
-    ramp piece, one RK4 map per step, built with one pair of input columns
-    per step."""
-    m, E = len(coefs), coefs[0].shape[-1]
-    out_map = np.empty((E, 2 * m, NS + 2 * m), dtype=complex)
-    for j, (y, x) in enumerate(_element_steps(coefs, scale, Q, NS + 2 * m)):
-        out_map[:, 2 * j:2 * j + 2] = y.transpose(2, 0, 1)
-    return list(out_map), x.transpose(2, 0, 1)
-
-
 def _blocks(plan: tuple[Piece, ...], stride: int):
     """Per piece of ``plan``, the lengths of its blocks: a block ends at the
     piece end, at every ``stride``-th step of the run and after at most K
-    steps."""
+    steps, and on a ramp, where the RK4 map changes every step, after each
+    step."""
     g = 0
     for piece in plan:
         end, lengths = g + piece.steps, []
+        most = K if piece.gain is not None else 1
         while g < end:
-            lengths.append(min(K, end - g, stride - g % stride))
+            lengths.append(min(most, end - g, stride - g % stride))
             g += lengths[-1]
         yield lengths
 
@@ -378,13 +373,12 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     pin, pout = np.empty((2, n_rec), dtype=complex)
     snaps = np.zeros((2, n_snap, nz + 1), dtype=complex)  # sample 0: rho = 0
 
-    def coefs(gains, dt):
-        """One RK4 map per row of ``gains`` (the gains at a step's start,
-        middle and end), laid out for ``_element_steps``."""
-        A0, Ah, A1 = (_coherence_matrix((g[:, None] * prof_z).ravel(), med)
-                      for g in np.asarray(gains, dtype=float).T)
-        y = _rk4_map(A0, Ah, A1, dt).reshape(len(gains), E, p + 1, 2, 4)
-        return y.transpose(0, 4, 3, 2, 1)[..., None, :]
+    def coef(gains, dt):
+        """The RK4 map of a step under the ``gains`` at its start, middle
+        and end, laid out for ``_step_maps``."""
+        A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
+        y = _rk4_map(A0, Ah, A1, dt).reshape(E, p + 1, 2, 4)
+        return y.transpose(3, 2, 1, 0)[..., None, :]
 
     # Row e < E of V is element e's state, then its inputs over a block
     # (predicted and corrected first-node field at each step end); a block's
@@ -408,17 +402,15 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
         u = np.repeat(boundary, 2)
         field_out = np.empty(nsteps, dtype=complex)
         if gain is not None:
-            maps = _constant_maps(coefs([(gain,) * 3], dt)[0], scale, Q, set(lengths))
+            maps = _step_maps(coef((gain,) * 3, dt), scale, Q, set(lengths))
         peak, j = 0.0, 0
         for m in lengths:
             n = NS + 2 * m
-            if gain is None:
-                t0s = ta + dt * np.arange(j, j + m)
-                mats, state_map = _ramp_maps(coefs(
-                    [[scenario.schedule.gain(t) for t in (t0, t0 + 0.5 * dt, t0 + dt)]
-                     for t0 in t0s], dt), scale, Q)
-            else:
-                mats, state_map = maps[m]
+            if gain is None:  # a ramp step is a block of its own, under its own map
+                t0 = ta + dt * j
+                maps = _step_maps(coef([scenario.schedule.gain(t) for t in
+                                        (t0, t0 + 0.5 * dt, t0 + dt)], dt), scale, Q, {1})
+            mats, state_map = maps[m]
             if m not in rows:
                 rows[m] = list(zip(V[:E, :n], V[1:, NS:n]))
             V[0, NS:n] = u[2 * j:2 * j + 2 * m]

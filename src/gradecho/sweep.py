@@ -291,7 +291,9 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
         if spec.workers > 1 and todo:
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=spec.workers))
+            # the pool starts all its workers at once: no more than there are points
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(spec.workers, len(todo))))
             mapper, todo = pool.map, _longest_first(spec, todo)
         for r in mapper(_run_point, [(spec, i) for i in todo]):
             done[r.index] = r

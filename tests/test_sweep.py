@@ -170,10 +170,10 @@ def test_checkpoint_of_another_spec_is_refused(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="another sweep spec"):
         run_sweep(_spec(tmp_path, xis=(20.0,)))
     # so is one of the same spec written by another version, here the last
-    # one: its rows may differ and must not be mixed, and even where they do
-    # not its config grammar does (0.5.0 dropped the recording fields)
+    # one: its rows may differ and must not be mixed (0.5.1 rows of ramped
+    # scenarios moved in the last digits)
     ckpt.unlink()
-    monkeypatch.setattr(gradecho.sweep, "__version__", "0.4.3")
+    monkeypatch.setattr(gradecho.sweep, "__version__", "0.5.0")
     run_sweep(_spec(tmp_path, xis=(20.0,)))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="gradecho version"):
@@ -198,6 +198,36 @@ def test_each_finished_point_is_on_disk_before_the_next_starts(tmp_path, monkeyp
     run_sweep(_spec(tmp_path, xis=(20.0, 35.0, 50.0)))
     assert finished == [0, 1, 2]
     assert len(ckpt.read_text(encoding="utf-8").splitlines()) == 4
+
+
+def test_pool_starts_no_more_workers_than_points_left(tmp_path, monkeypatch):
+    # a pool starts all max_workers processes up front, so the worker count
+    # is capped by the points to run; the fake pool maps in process
+    import concurrent.futures
+
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    spec = _spec(tmp_path, workers=10_000, xis=(20.0, 35.0, 50.0))
+    full = run_sweep(spec)
+    ckpt = tmp_path / "ckpt.jsonl"
+    lines = ckpt.read_text(encoding="utf-8").splitlines()
+    ckpt.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")  # one point left
+    assert run_sweep(spec).rows == full.rows
+    assert started == [3, 1]
 
 
 def test_cut_off_last_line_is_dropped_and_recomputed(tmp_path):
