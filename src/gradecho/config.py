@@ -3,7 +3,7 @@
 Grammar: INI-style sections [medium], [probe], [control.profile],
 [control.schedule], [grid].  Times carry an explicit unit suffix
 ("tau" or "utau" = 1e-6 tau) and rates the suffix "gamma" (multiples of the
-nominal 1/tau); bare numbers are accepted for dimensionless quantities.
+nominal 1/tau); dimensionless quantities are bare numbers and take no suffix.
 Example::
 
     [medium]
@@ -54,11 +54,9 @@ class ConfigError(ValueError):
     """Malformed scenario config; message carries section/field context."""
 
 
-_TIME_SUFFIXES = {"tau": 1.0, "utau": 1e-6}
 # unit kind -> accepted suffixes; "tau" and "gamma" values serialize with
-# their suffix, "plain" values bare
-_SUFFIXES = {"tau": _TIME_SUFFIXES, "gamma": {"gamma": 1.0},
-             "plain": {**_TIME_SUFFIXES, "gamma": 1.0}}
+# their suffix, "plain" values are dimensionless and bare
+_SUFFIXES = {"tau": {"tau": 1.0, "utau": 1e-6}, "gamma": {"gamma": 1.0}, "plain": {}}
 
 
 class _Field(NamedTuple):
@@ -100,6 +98,8 @@ def _parse_number(text: str, where: str, kind: str = "plain") -> float:
         raise ConfigError(f"{where}: too many tokens in {text!r}")
     suffix = parts[1].lower()
     table = _SUFFIXES[kind]
+    if not table:
+        raise ConfigError(f"{where}: takes no unit suffix, got {suffix!r}")
     if suffix not in table:
         raise ConfigError(f"{where}: unknown unit suffix {suffix!r} "
                           f"(expected one of {sorted(table)})")

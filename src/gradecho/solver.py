@@ -34,14 +34,14 @@ last-node outputs, which are the next element's inputs.  ``_step_maps``
 builds these maps under one RK4 map: ``_element_steps`` runs the scheme on
 each element on its own, on unit states and one pair of unit inputs at the
 first step, and the step does not change, so the inputs of later steps are
-that response shifted.  A run steps in blocks that end at every snapshot step and every
-piece end: at most K steps under a constant gain, with the maps built once
-per piece, and one step on a ramp, with the maps of that step's RK4 map.
-E chained matrix-vector products carry the boundary probe through the
-elements, one batched product advances every element's state, and the last
-element's outputs are the transmitted probe.
-A block makes E + 6 numpy calls, 3 more when it ends at a snapshot: about
-2 per step at E = 32 and 21-step blocks.
+that response shifted.  A run is one pass over stretches of one RK4 map,
+a constant piece or one ramp step: each builds its maps once and steps in
+blocks of at most K steps that end at every snapshot step.  E chained
+matrix-vector products carry the boundary probe through the elements, one
+batched product advances every element's state, and the last element's
+outputs are the transmitted probe.  A block makes E + 6 numpy calls, 2
+more when it ends at a snapshot: about 2 per step at E = 32 and 21-step
+blocks.
 """
 from __future__ import annotations
 
@@ -86,8 +86,9 @@ class FieldRecord:
     ``times/probe_in/probe_out`` sample the boundary and transmitted probe;
     ``z`` holds the nz + 1 distinct grid nodes and ``rho31/rho21`` coherence
     snapshots of shape (len(snapshot_times), len(z)).  Each holds step 0,
-    every stride-th step and the last step, at the smallest strides that
-    keep 1e5 probe samples and 512 snapshots or fewer after step 0.
+    every stride-th step and the last step (``_strided``), at the smallest
+    strides that keep 1e5 probe samples and 512 snapshots or fewer after
+    step 0.
     ``peak_coherence`` is the largest |rho| the divergence guard
     saw, at any stored node of any state it checked.
     """
@@ -212,10 +213,10 @@ def integrate(scenario: Scenario, check: bool = True) -> FieldRecord:
     are allowed.  A plan above ``MAX_STEPS`` steps raises ResourceLimitError.
     The run stops with DivergenceError when the state at the end of a block
     has a non-finite |rho| or one above ``MAX_COHERENCE``; blocks end at
-    every snapshot step, at every piece end and after at most K steps, and
-    after every step of a ramp, so the check runs at least every K steps,
-    at every ramp step and at the last step.  ``peak_coherence`` of the record
-    is the largest |rho| over the states checked.
+    every snapshot step, at every piece end, after every ramp step and after
+    at most K steps, so the check runs at least that often and at the last
+    step.  ``peak_coherence`` of the record is the largest |rho| over the
+    states checked.
     """
     if check:
         _raise_on_errors(scenario)
@@ -325,19 +326,20 @@ def _step_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
         for m in states}
 
 
-def _blocks(plan: tuple[Piece, ...], stride: int):
-    """Per piece of ``plan``, the lengths of its blocks: a block ends at the
-    piece end, at every ``stride``-th step of the run and after at most K
-    steps, and on a ramp, where the RK4 map changes every step, after each
-    step."""
-    g = 0
-    for piece in plan:
-        end, lengths = g + piece.steps, []
-        most = K if piece.gain is not None else 1
-        while g < end:
-            lengths.append(min(most, end - g, stride - g % stride))
-            g += lengths[-1]
-        yield lengths
+def _strided(total: int, stride: int) -> np.ndarray:
+    """Step 0, every ``stride``-th step and the last step of ``total`` steps."""
+    return np.append(np.arange(0, total, stride), total)
+
+
+def _blocks(g: int, steps: int, stride: int) -> list[int]:
+    """The block lengths of a stretch of ``steps`` steps from step ``g`` of
+    the run: a block ends at the stretch end, at every ``stride``-th step of
+    the run and after at most K steps."""
+    end, lengths = g + steps, []
+    while g < end:
+        lengths.append(min(K, end - g, stride - g % stride))
+        g += lengths[-1]
+    return lengths
 
 
 def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
@@ -345,7 +347,9 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
          snapshot_stride: Optional[int] = None) -> FieldRecord:
     """Step ``scenario`` through ``plan`` (no validation), recording the
     probe every ``record_stride`` steps and the coherences every
-    ``snapshot_stride`` steps, by default those of ``FieldRecord``."""
+    ``snapshot_stride`` steps (``_strided``), by default those of
+    ``FieldRecord``.  One pass over the stretches of one RK4 map: each
+    builds its maps once and steps in the blocks of ``_blocks``."""
     med = scenario.medium
     L = med.length
     nz = scenario.grid.nz
@@ -364,14 +368,16 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             f"run needs {total_steps} steps, above the budget of {MAX_STEPS}; "
             f"coarsen dt or shorten t_end")
 
-    rec_stride = record_stride or max(1, int(math.ceil(total_steps / 1e5)))
     snap_stride = snapshot_stride or max(1, int(math.ceil(total_steps / 512)))
-    # every stride-th step and the last one, step n into sample ceil(n / stride)
-    n_rec = 1 + -(-total_steps // rec_stride)
-    n_snap = 1 + -(-total_steps // snap_stride)
-    times, snap_t = np.zeros(n_rec), np.zeros(n_snap)
-    pin, pout = np.empty((2, n_rec), dtype=complex)
-    snaps = np.zeros((2, n_snap, nz + 1), dtype=complex)  # sample 0: rho = 0
+    snap_at = _strided(total_steps, snap_stride)
+    snaps = np.zeros((2, snap_at.size, nz + 1), dtype=complex)  # step 0: rho = 0
+    # the end time, boundary probe and transmitted probe of every step
+    t, g = np.zeros(total_steps + 1), 0
+    for ta, _, steps, dt, _ in plan:
+        t[g + 1:g + steps + 1] = ta + dt * np.arange(1, steps + 1)
+        g += steps
+    pin = scenario.probe.boundary_value(t).astype(complex)
+    pout = pin.copy()  # at step 0 the medium holds no coherence
 
     def coef(gains, dt):
         """The RK4 map of a step under the ``gains`` at its start, middle
@@ -380,64 +386,55 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
         y = _rk4_map(A0, Ah, A1, dt).reshape(E, p + 1, 2, 4)
         return y.transpose(3, 2, 1, 0)[..., None, :]
 
+    def stretches():
+        """(steps, dt, RK4 map) per stretch of one map: a constant piece,
+        or one step of a cosine ramp under its own gains."""
+        for ta, _, steps, dt, gain in plan:
+            if gain is not None:
+                yield steps, dt, coef((gain,) * 3, dt)
+                continue
+            for i in range(steps):
+                t0 = ta + dt * i
+                yield 1, dt, coef([scenario.schedule.gain(s)
+                                   for s in (t0, t0 + 0.5 * dt, t0 + dt)], dt)
+
     # Row e < E of V is element e's state, then its inputs over a block
     # (predicted and corrected first-node field at each step end); a block's
     # output map takes row e to the inputs of row e + 1, and row E collects
     # the last element's outputs, the field at z = L.
     V = np.zeros((E + 1, NS + 2 * K), dtype=complex)
-    probe = scenario.probe.boundary_value
-    V[:E, NS - 1] = pin[0] = pout[0] = probe(0.0)
+    V[:E, NS - 1] = pin[0]
     # the distinct nodes' rho31 and rho21 as flat indices into V
     node = np.append(np.arange(E)[:, None] * V.shape[1] + np.arange(p),
                      (E - 1) * V.shape[1] + p)
     gather = np.stack((node, node + p + 1))
-    rows = {}  # per block length: element inputs and outputs as views into V
+    rows = {}  # per block length: boundary and element inputs and outputs, views into V
 
-    def step_piece(ta, nsteps, dt, gain, lengths, g) -> float:
-        """Step one piece from step ``g`` of the run in blocks of ``lengths``
-        steps and record it; returns the largest |rho| its block ends
-        reached.  The piece's maps are freed when it returns."""
-        t1s = ta + dt * np.arange(1, nsteps + 1)
-        boundary = probe(t1s)
-        u = np.repeat(boundary, 2)
-        field_out = np.empty(nsteps, dtype=complex)
-        if gain is not None:
-            maps = _step_maps(coef((gain,) * 3, dt), scale, Q, set(lengths))
-        peak, j = 0.0, 0
+    peak, g, k = 0.0, 0, 1
+    for steps, dt, c in stretches():
+        lengths = _blocks(g, steps, snap_stride)
+        maps = _step_maps(c, scale, Q, set(lengths))
         for m in lengths:
             n = NS + 2 * m
-            if gain is None:  # a ramp step is a block of its own, under its own map
-                t0 = ta + dt * j
-                maps = _step_maps(coef([scenario.schedule.gain(t) for t in
-                                        (t0, t0 + 0.5 * dt, t0 + dt)], dt), scale, Q, {1})
             mats, state_map = maps[m]
             if m not in rows:
-                rows[m] = list(zip(V[:E, :n], V[1:, NS:n]))
-            V[0, NS:n] = u[2 * j:2 * j + 2 * m]
-            for a, (vin, vout) in zip(mats, rows[m]):
+                rows[m] = V[0, NS:n].reshape(m, 2), list(zip(V[:E, :n], V[1:, NS:n]))
+            boundary, chain = rows[m]
+            boundary[:] = pin[g + 1:g + m + 1, None]
+            for a, (vin, vout) in zip(mats, chain):
                 np.dot(a, vin, out=vout)
             V[:E, :NS] = np.matmul(state_map, V[:E, :n, None])[..., 0]
-            field_out[j:j + m] = V[E, NS + 1:n:2]
-            j += m
-            peak = max(peak, _check_coherences(V[:E, :NS - 1], g + j, t1s[j - 1]))
-            if (g + j) % snap_stride == 0 or g + j == total_steps:
-                k = -(-(g + j) // snap_stride)
-                snap_t[k], snaps[:, k] = t1s[j - 1], V.take(gather)
-        # the recorded steps of this piece
-        steps = np.arange((g // rec_stride + 1) * rec_stride, g + nsteps + 1, rec_stride)
-        if g + nsteps == total_steps and total_steps % rec_stride:
-            steps = np.append(steps, total_steps)
-        k, at = -(-steps // rec_stride), steps - g - 1
-        times[k], pin[k], pout[k] = t1s[at], boundary[at], field_out[at]
-        return peak
+            pout[g + 1:g + m + 1] = V[E, NS + 1:n:2]
+            g += m
+            peak = max(peak, _check_coherences(V[:E, :NS - 1], g, t[g]))
+            if g == snap_at[k]:
+                snaps[:, k] = V.take(gather)
+                k += 1
+        del c, maps, mats, state_map, a  # free them before the next stretch builds its own
 
-    g, peak = 0, 0.0
-    for (ta, _, nsteps, dt, gain), lengths in zip(plan, _blocks(plan, snap_stride)):
-        peak = max(peak, step_piece(ta, nsteps, dt, gain, lengths, g))
-        g += nsteps
-
-    return FieldRecord(times=times, probe_in=pin, probe_out=pout,
-                       snapshot_times=snap_t, z=zs, rho31=snaps[0], rho21=snaps[1],
+    at = _strided(total_steps, record_stride or max(1, int(math.ceil(total_steps / 1e5))))
+    return FieldRecord(times=t[at], probe_in=pin[at], probe_out=pout[at],
+                       snapshot_times=t[snap_at], z=zs, rho31=snaps[0], rho21=snaps[1],
                        peak_coherence=peak)
 
 

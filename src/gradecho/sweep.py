@@ -277,10 +277,11 @@ class _Checkpoint:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every grid point; deterministic per point regardless of
     worker count or completion order.  Failed points carry their error
-    string instead of poisoning the sweep.  One worker runs the points in
-    index order, in process; a pool gets them longest first, so its workers
-    do not end on the most expensive ones.  Each finished point reaches the
-    checkpoint, fsynced, as it arrives, so the lines follow that order."""
+    string instead of poisoning the sweep.  One worker, or one point left,
+    runs the points in index order, in process; a pool gets them longest
+    first, so its workers do not end on the most expensive ones.  Each
+    finished point reaches the checkpoint, fsynced, as it arrives, so the
+    lines follow that order."""
     n = spec.size()
     ckpt = _Checkpoint(spec.checkpoint, _spec_hash(spec))
     done = ckpt.load()
@@ -288,12 +289,12 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     with contextlib.ExitStack() as stack:
         stack.callback(ckpt.close)
         mapper = map
-        if spec.workers > 1 and todo:
+        # the pool starts all its workers at once: no more than there are points
+        workers = min(spec.workers, len(todo))
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor
 
-            # the pool starts all its workers at once: no more than there are points
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=min(spec.workers, len(todo))))
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             mapper, todo = pool.map, _longest_first(spec, todo)
         for r in mapper(_run_point, [(spec, i) for i in todo]):
             done[r.index] = r

@@ -183,9 +183,22 @@ def test_non_finite_number_is_config_error(old, new):
         parse_scenario(EXAMPLE.replace(old, new))
 
 
+GAUSSIAN_PROFILE = "kind = gaussian_beam\nb = 1e7 gamma\nz_focus = 1\nrayleigh = 0.2"
+
+
 def test_unknown_unit_suffix():
-    with pytest.raises(ConfigError, match="suffix"):
-        parse_scenario(EXAMPLE.replace("0.048 tau", "0.048 seconds"))
+    # (text, bare replacement, suffix, error); a dimensionless field takes no
+    # suffix: the last four parsed at 0.5.1, xi = 2000 utau as xi = 0.002
+    for old, bare, suffix, match in (
+            ("0.048 tau", "0.048", "seconds", "unknown unit suffix 'seconds'"),
+            ("xi = 2000", "xi = 2000", "utau", r"\[medium\] xi: takes no unit suffix"),
+            ("xi = 2000", "xi = 2000\nlength = 1", "gamma", r"\[medium\] length: takes no"),
+            ("kind = linear\nzeta = 1000 gamma", GAUSSIAN_PROFILE, "tau",
+             r"\[control.profile\] rayleigh: takes no"),
+            ("0.16 tau: -1", "0.16 tau: -1", "utau", "segment gain: takes no")):
+        parse_scenario(EXAMPLE.replace(old, bare))  # parses without the suffix
+        with pytest.raises(ConfigError, match=match):
+            parse_scenario(EXAMPLE.replace(old, f"{bare} {suffix}"))
 
 
 def test_bad_segment_grammar():

@@ -13,8 +13,8 @@ from gradecho.model import (ControlSchedule, GridSpec, Linear, MediumParams,
 from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 from gradecho.solver import (MAX_COHERENCE, DivergenceError, K, ResourceLimitError,
                              _blocks, _check_coherences, _coherence_matrix,
-                             _gll_rule, _rk4_map, _run, convergence_check,
-                             integrate, step_plan)
+                             _gll_rule, _rk4_map, _run, _strided,
+                             convergence_check, integrate, step_plan)
 
 from .conftest import (UTAU, constant_control_response, method_of_lines_response,
                        rel_l2, small_scenario, unfused_step_loop)
@@ -174,7 +174,13 @@ def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(every_step, ra
     total = rho31.shape[0] - 1
     stride = 1 if every_step else total
     plan = step_plan(s)
-    blocks = list(_blocks(plan, stride))
+    blocks, g = [], 0  # per piece, the lengths of its blocks
+    for piece in plan:
+        blocks.append([])
+        # a constant piece is one stretch of one RK4 map, a ramp one per step
+        for steps in [1] * piece.steps if piece.gain is None else [piece.steps]:
+            blocks[-1] += _blocks(g, steps, stride)
+            g += steps
     ends = np.cumsum([m for lengths in blocks for m in lengths])
     assert ends[-1] == total and (stride == 1 or np.max(np.diff(ends)) == K)
     assert all(lengths == [1] * piece.steps
@@ -269,11 +275,6 @@ def test_matches_method_of_lines_oracle(case):
     assert rel_l2(rec.probe_out, method_of_lines_response(s, rec.times)) <= 1e-3
 
 
-def _strided(total: int, stride: int) -> np.ndarray:
-    """Step 0, every stride-th step and the last one."""
-    return np.unique(np.append(np.arange(0, total + 1, stride), total))
-
-
 PINNED_DT = 2.1e-3  # pieces of 381, 572 (flipped) or 381, 10, 562 (ramped) steps
 
 
@@ -292,12 +293,15 @@ def test_step_matches_the_unfused_reference_loop(case):
 
     # partial blocks: records and snapshots at other strides, and a pinned dt
     # whose pieces are no multiple of K, against the reference subsampled
+    # (a record stride above the step count keeps only step 0 and the last)
     pinned = small_scenario(grid=replace(MOL_GRID, dt=PINNED_DT), **MOL_CASES[case])
     assert all(piece.steps % K for piece in step_plan(pinned))
+    assert _strided(10, 3).tolist() == [0, 3, 6, 9, 10]
+    assert _strided(9, 3).tolist() == [0, 3, 6, 9]
     for base, ref in ((s, (times, probe_in, probe_out, rho31, rho21)),
                       (pinned, unfused_step_loop(pinned))):
         total = ref[0].size - 1
-        for rec_stride, snap_stride in itertools.product((1, 3), (1, 5, None)):
+        for rec_stride, snap_stride in itertools.product((1, 3, total + 1), (1, 5, None)):
             rec = _run(base, step_plan(base), record_stride=rec_stride,
                        snapshot_stride=snap_stride)
             at = _strided(total, rec_stride)

@@ -202,7 +202,8 @@ def test_each_finished_point_is_on_disk_before_the_next_starts(tmp_path, monkeyp
 
 def test_pool_starts_no_more_workers_than_points_left(tmp_path, monkeypatch):
     # a pool starts all max_workers processes up front, so the worker count
-    # is capped by the points to run; the fake pool maps in process
+    # is capped by the points to run, and one point left runs in process
+    # with no pool; the fake pool maps in process
     import concurrent.futures
 
     started = []
@@ -227,7 +228,7 @@ def test_pool_starts_no_more_workers_than_points_left(tmp_path, monkeypatch):
     lines = ckpt.read_text(encoding="utf-8").splitlines()
     ckpt.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")  # one point left
     assert run_sweep(spec).rows == full.rows
-    assert started == [3, 1]
+    assert started == [3]
 
 
 def test_cut_off_last_line_is_dropped_and_recomputed(tmp_path):
