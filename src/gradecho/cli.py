@@ -143,7 +143,7 @@ def cmd_compare(args) -> int:
     if scenario.grid.t_end - t0 <= tail:
         raise ConfigError(f"compare needs t_end > center + {PROBE_WINDOW:g} widths "
                           f"= {t0 + tail:g} tau")
-    record = integrate(scenario)
+    record = integrate(scenario, coherences=True)
     omega_c = scenario.schedule.segments[0][1] * scenario.profile.b
     amp = impulse_equivalent_amplitude(scenario.probe)
 

@@ -31,21 +31,26 @@ is linear.  So m steps of one element are a fixed linear map from its state
 (rho31 and rho21 at its 9 nodes and the corrected field at its first node,
 NS = 19 values) and its 2 m first-node inputs to its new state and its 2 m
 last-node outputs, which are the next element's inputs.  ``_step_maps``
-builds these maps under one RK4 map: ``_element_steps`` runs the scheme on
-each element on its own, on unit states and one pair of unit inputs at the
-first step, and the step does not change, so the inputs of later steps are
-that response shifted.  A run is one pass over stretches of one RK4 map,
-a constant piece or one ramp step: each builds its maps once and steps in
-blocks of at most K steps that end at every snapshot step.  E chained
-matrix-vector products carry the boundary probe through the elements, one
-batched product advances every element's state, and the last element's
-outputs are the transmitted probe.  A block makes E + 6 numpy calls, 2
-more when it ends at a snapshot: about 2 per step at E = 32 and 21-step
-blocks.
+builds these fused maps, NS + 2 m square, under one RK4 map:
+``_element_steps`` runs the scheme on each element on its own, on unit
+states and one pair of unit inputs at the first step, and the step does not
+change, so the inputs of later steps are that response shifted.  A run is
+one pass over stretches of one RK4 map, a constant piece or one ramp step:
+each builds its maps once and is cut into blocks of one length, apart from a
+head and a tail (``_blocks``), set by its step count and, when coherences
+are recorded, by the snapshot stride.  The blocks run through a skewed
+pipeline of the elements: at wavefront d element e runs the block that
+entered element 0 at wavefront d - e.  One batched product per run of
+equal blocks advances every element that holds one, one shifted copy hands
+each element's outputs to the next element as inputs, the boundary probe
+enters element 0 and the last element's outputs are the transmitted probe.
+A wavefront makes about 5 numpy calls plus one per run of blocks it holds,
+whatever E: under one call per step at 10-step blocks.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -67,7 +72,7 @@ __all__ = [
 
 MAX_COHERENCE = 10.0  # weak-probe normalization: any |rho| above this is blow-up
 MAX_STEPS = 20_000_000  # step budget of one run
-K = 24  # most steps in one transfer block
+K = 10  # steps in a transfer block, where the snapshots leave the choice
 NS = 2 * (GLL_ORDER + 1) + 1  # element state: rho31, rho21 at its nodes, edge field
 
 
@@ -86,9 +91,10 @@ class FieldRecord:
     ``times/probe_in/probe_out`` sample the boundary and transmitted probe;
     ``z`` holds the nz + 1 distinct grid nodes and ``rho31/rho21`` coherence
     snapshots of shape (len(snapshot_times), len(z)).  Each holds step 0,
-    every stride-th step and the last step (``_strided``), at the smallest
-    strides that keep 1e5 probe samples and 512 snapshots or fewer after
-    step 0.
+    every stride-th step and the last step (``_strided``): the probe at the
+    smallest stride that keeps 1e5 samples or fewer after step 0, and the
+    coherences, when ``integrate`` is asked for them, at the smallest that
+    keeps 512 or fewer; otherwise only step 0 and the last step.
     ``peak_coherence`` is the largest |rho| the divergence guard
     saw, at any stored node of any state it checked.
     """
@@ -205,22 +211,28 @@ def step_plan(scenario: Scenario) -> tuple[Piece, ...]:
     return tuple(plan)
 
 
-def integrate(scenario: Scenario, check: bool = True) -> FieldRecord:
+def integrate(scenario: Scenario, check: bool = True,
+              coherences: bool = False) -> FieldRecord:
     """Run the scenario through ``step_plan(scenario)`` and return the
     sampled fields.
 
     With ``check=True`` (default) validation errors abort the run; warnings
     are allowed.  A plan above ``MAX_STEPS`` steps raises ResourceLimitError.
-    The run stops with DivergenceError when the state at the end of a block
-    has a non-finite |rho| or one above ``MAX_COHERENCE``; blocks end at
-    every snapshot step, at every piece end, after every ramp step and after
-    at most K steps, so the check runs at least that often and at the last
-    step.  ``peak_coherence`` of the record is the largest |rho| over the
-    states checked.
+    With ``coherences=True`` the record holds coherence snapshots at the
+    smallest stride that keeps 512 or fewer after step 0; otherwise only
+    step 0 and the last step.  The run stops with DivergenceError when the
+    state at the end of a block has a non-finite |rho| or one above
+    ``MAX_COHERENCE``, naming the end of the first such block in run order;
+    blocks end at every snapshot step, at every piece end, after every ramp
+    step and, without snapshots, after at most K steps (``_blocks``), so the
+    check runs at least that often and at the last step.  ``peak_coherence``
+    of the record is the largest |rho| over the states checked.
     """
     if check:
         _raise_on_errors(scenario)
-    return _run(scenario, step_plan(scenario))
+    plan = step_plan(scenario)
+    stride = max(1, math.ceil(sum(p.steps for p in plan) / 512)) if coherences else None
+    return _run(scenario, plan, snapshot_stride=stride)
 
 
 def _raise_on_errors(scenario: Scenario) -> None:
@@ -297,33 +309,40 @@ def _element_steps(coef, k: int, scale: complex, Q: np.ndarray):
 
 
 def _step_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
-    """Transfer maps of a piece stepped under one RK4 map ``coef`` in blocks
-    of the given ``lengths``: per length m, the output map of each element
-    as a list of (2 m, NS + 2 m) matrices and the state map, shape
-    (E, NS, NS + 2 m).
+    """Fused transfer maps of a stretch stepped under one RK4 map ``coef``
+    in blocks of the given ``lengths``: per length m, shape (E, n, n) with
+    n = NS + 2 m, the map of each element from its state and its 2 m inputs
+    to its new state and its 2 m outputs.
 
     The step is the same every step, so one build of k = max(lengths) steps
     on the NS unit states and one pair of inputs at the first step gives
-    every column: the response to the inputs at step n is the first-step
-    response n steps later.  The output map of m steps is the leading 2 m
-    rows and NS + 2 m columns of the output map of k steps.
+    every column: the response to the inputs at step i is the first-step
+    response i steps later, so the input-to-output block is lower-triangular
+    Toeplitz, and the map of m steps reads the leading 2 m of its rows and
+    columns.
     """
     k, E = max(lengths), coef.shape[-1]
-    out_map = np.zeros((E, 2 * k, NS + 2 * k), dtype=complex)
-    kicks = np.empty((k, NS, 2, E), dtype=complex)
+    outs = np.empty((k, E, 2, NS + 2), dtype=complex)
+    kicks = np.empty((k, E, NS, 2), dtype=complex)
     states = {}
     for j, (y, x) in enumerate(_element_steps(coef, k, scale, Q)):
-        out_map[:, 2 * j:2 * j + 2, :NS] = y[:, :NS].transpose(2, 0, 1)
-        # the inputs of every step i, j steps on
-        for i in range(k - j):
-            out_map[:, 2 * (i + j):2 * (i + j) + 2, NS + 2 * i:NS + 2 * i + 2] = \
-                y[:, NS:].transpose(2, 0, 1)
-        kicks[j] = x[:, NS:]
+        outs[j] = y.transpose(2, 0, 1)
+        kicks[j] = x[:, NS:].transpose(2, 0, 1)
         if j + 1 in lengths:
             states[j + 1] = x[:, :NS].transpose(2, 0, 1)
-    return {m: (list(out_map[:, :2 * m, :NS + 2 * m]), np.concatenate(
-        (states[m], kicks[m - 1::-1].transpose(3, 1, 0, 2).reshape(E, NS, 2 * m)), axis=2))
-        for m in states}
+    # outputs at step a from the inputs at step b: outs at lag a - b, 0 for a < b
+    lag = np.subtract.outer(np.arange(k), np.arange(k))
+    lagged = np.concatenate((outs[..., NS:], np.zeros_like(outs[:1, ..., NS:])))
+    io = lagged[np.where(lag >= 0, lag, k)].transpose(2, 0, 3, 1, 4).reshape(E, 2 * k, 2 * k)
+    maps = {}
+    for m in states:
+        n = NS + 2 * m
+        F = maps[m] = np.empty((E, n, n), dtype=complex)
+        F[:, :NS, :NS] = states[m]
+        F[:, :NS, NS:] = kicks[m - 1::-1].transpose(1, 2, 0, 3).reshape(E, NS, 2 * m)
+        F[:, NS:, :NS] = outs[:m, ..., :NS].transpose(1, 0, 2, 3).reshape(E, 2 * m, NS)
+        F[:, NS:, NS:] = io[:, :2 * m, :2 * m]
+    return maps
 
 
 def _strided(total: int, stride: int) -> np.ndarray:
@@ -331,25 +350,43 @@ def _strided(total: int, stride: int) -> np.ndarray:
     return np.append(np.arange(0, total, stride), total)
 
 
-def _blocks(g: int, steps: int, stride: int) -> list[int]:
+def _blocks(g: int, steps: int, stride: Optional[int] = None) -> list[int]:
     """The block lengths of a stretch of ``steps`` steps from step ``g`` of
-    the run: a block ends at the stretch end, at every ``stride``-th step of
-    the run and after at most K steps."""
-    end, lengths = g + steps, []
-    while g < end:
-        lengths.append(min(K, end - g, stride - g % stride))
-        g += lengths[-1]
-    return lengths
+    the run: blocks of one length m, apart from a head and a tail.
+
+    Without snapshots (``stride`` None) the stretch splits into
+    ceil(steps / K) blocks as equal as can be.  With snapshots at every
+    ``stride``-th step of the run, m is the divisor of the stride nearest K
+    on a log scale and the blocks end at the multiples of m, so they end at
+    every snapshot step.
+    """
+    if stride is None:
+        m, origin = -(-steps // -(-steps // K)), g
+    else:
+        divisors = [d for d in range(1, stride + 1) if stride % d == 0]
+        m, origin = min(divisors, key=lambda d: abs(math.log(d / K))), 0
+    head = min(steps, m - (g - origin) % m)
+    body, tail = divmod(steps - head, m)
+    return [head] + [m] * body + [tail] * (tail > 0)
 
 
 def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
          record_stride: Optional[int] = None,
          snapshot_stride: Optional[int] = None) -> FieldRecord:
     """Step ``scenario`` through ``plan`` (no validation), recording the
-    probe every ``record_stride`` steps and the coherences every
-    ``snapshot_stride`` steps (``_strided``), by default those of
-    ``FieldRecord``.  One pass over the stretches of one RK4 map: each
-    builds its maps once and steps in the blocks of ``_blocks``."""
+    probe every ``record_stride`` steps (``_strided``, by default that of
+    ``FieldRecord``) and the coherences every ``snapshot_stride`` steps, or
+    at step 0 and the last step only when it is None.
+
+    One pass over the stretches of one RK4 map, each split into the blocks
+    of ``_blocks``, through a skewed pipeline of the z elements: at
+    wavefront d element e runs the block that entered element 0 at
+    wavefront d - e.  Every element with a block advances in one batched
+    product per run of blocks of one stretch and length, and one shifted
+    copy hands each element's outputs to the next element's inputs.  A
+    stretch enters element 0 only once the stretch two before it has left
+    the last element, so at most two stretches' maps are alive.
+    """
     med = scenario.medium
     L = med.length
     nz = scenario.grid.nz
@@ -368,8 +405,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             f"run needs {total_steps} steps, above the budget of {MAX_STEPS}; "
             f"coarsen dt or shorten t_end")
 
-    snap_stride = snapshot_stride or max(1, int(math.ceil(total_steps / 512)))
-    snap_at = _strided(total_steps, snap_stride)
+    snap_at = _strided(total_steps, snapshot_stride or total_steps)
     snaps = np.zeros((2, snap_at.size, nz + 1), dtype=complex)  # step 0: rho = 0
     # the end time, boundary probe and transmitted probe of every step
     t, g = np.zeros(total_steps + 1), 0
@@ -384,53 +420,102 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
         and end, laid out for ``_step_maps``."""
         A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
         y = _rk4_map(A0, Ah, A1, dt).reshape(E, p + 1, 2, 4)
-        return y.transpose(3, 2, 1, 0)[..., None, :]
+        return np.ascontiguousarray(y.transpose(3, 2, 1, 0)[..., None, :])
 
     def stretches():
-        """(steps, dt, RK4 map) per stretch of one map: a constant piece,
-        or one step of a cosine ramp under its own gains."""
+        """(steps, RK4 map) per stretch of one map: a constant piece, or one
+        step of a cosine ramp under its own gains."""
         for ta, _, steps, dt, gain in plan:
             if gain is not None:
-                yield steps, dt, coef((gain,) * 3, dt)
+                yield steps, coef((gain,) * 3, dt)
                 continue
             for i in range(steps):
                 t0 = ta + dt * i
-                yield 1, dt, coef([scenario.schedule.gain(s)
-                                   for s in (t0, t0 + 0.5 * dt, t0 + dt)], dt)
+                yield 1, coef([scenario.schedule.gain(s)
+                               for s in (t0, t0 + 0.5 * dt, t0 + dt)], dt)
 
-    # Row e < E of V is element e's state, then its inputs over a block
-    # (predicted and corrected first-node field at each step end); a block's
-    # output map takes row e to the inputs of row e + 1, and row E collects
-    # the last element's outputs, the field at z = L.
-    V = np.zeros((E + 1, NS + 2 * K), dtype=complex)
-    V[:E, NS - 1] = pin[0]
+    # Row e of V is element e's state, then its inputs over its block; its
+    # fused map overwrites them with its new state and its outputs, which
+    # one shifted copy then hands to row e + 1 as inputs
+    width = NS + 2 * max(K, snapshot_stride or 0)
+    V = np.zeros((E, width), dtype=complex)
+    V[:, NS - 1] = pin[0]
     # the distinct nodes' rho31 and rho21 as flat indices into V
-    node = np.append(np.arange(E)[:, None] * V.shape[1] + np.arange(p),
-                     (E - 1) * V.shape[1] + p)
+    node = np.append(np.arange(E)[:, None] * width + np.arange(p),
+                     (E - 1) * width + p)
     gather = np.stack((node, node + p + 1))
-    rows = {}  # per block length: boundary and element inputs and outputs, views into V
+    if snapshot_stride:  # the snapshot row of every step, -1 if none
+        snap_row = np.full(total_steps + 1, -1)
+        snap_row[snap_at[1:-1]] = np.arange(1, snap_at.size - 1)
+        cols = np.arange(E)[:, None] * p + np.arange(p + 1)
+    # the runs of equal blocks in the pipeline, oldest first: (wavefront at
+    # which the first entered element 0, blocks, first step, block length,
+    # maps, stretch); element e at wavefront d runs block d - w0 - e
+    live = []
+    peak, bad = 0.0, None  # bad: (end step, state, deadline) of the first bad block
 
-    peak, g, k = 0.0, 0, 1
-    for steps, dt, c in stretches():
-        lengths = _blocks(g, steps, snap_stride)
-        maps = _step_maps(c, scale, Q, set(lengths))
-        for m in lengths:
+    def busy(w0, count, d):
+        """The elements lo .. hi - 1 that run a block of a run at wavefront d."""
+        return max(0, d - w0 - count + 1), min(E, d - w0 + 1)
+
+    def wavefront(d):
+        nonlocal peak, bad
+        for w0, count, g0, m, F, _ in live:
+            lo, hi = busy(w0, count, d)
+            if lo >= hi:
+                continue
             n = NS + 2 * m
-            mats, state_map = maps[m]
-            if m not in rows:
-                rows[m] = V[0, NS:n].reshape(m, 2), list(zip(V[:E, :n], V[1:, NS:n]))
-            boundary, chain = rows[m]
-            boundary[:] = pin[g + 1:g + m + 1, None]
-            for a, (vin, vout) in zip(mats, chain):
-                np.dot(a, vin, out=vout)
-            V[:E, :NS] = np.matmul(state_map, V[:E, :n, None])[..., 0]
-            pout[g + 1:g + m + 1] = V[E, NS + 1:n:2]
-            g += m
-            peak = max(peak, _check_coherences(V[:E, :NS - 1], g, t[g]))
-            if g == snap_at[k]:
-                snaps[:, k] = V.take(gather)
-                k += 1
-        del c, maps, mats, state_map, a  # free them before the next stretch builds its own
+            if lo == 0:  # the predicted and the corrected field: the probe
+                gs = g0 + m * (d - w0) + 1
+                V[0, NS:n].reshape(m, 2)[:] = pin[gs:gs + m, None]
+            np.matmul(F[lo:hi], V[lo:hi, :n, None], out=V[lo:hi, :n, None])
+            if hi == E:
+                gs = g0 + m * (d - w0 - E + 1) + 1
+                pout[gs:gs + m] = V[E - 1, NS + 1:n:2]
+            if snapshot_stride:
+                es = np.arange(lo, hi)
+                k = snap_row[g0 + m * (d - w0 + 1 - es)]
+                es, k = es[k >= 0], k[k >= 0]
+                snaps[:, k[:, None], cols[es]] = \
+                    V[es, :NS - 1].reshape(-1, 2, p + 1).transpose(1, 0, 2)
+        V[1:, NS:] = V[:-1, NS:]
+        wave_peak = float(np.abs(V[:, :NS - 1]).max())
+        if not wave_peak <= MAX_COHERENCE:  # a NaN fails this too
+            # the first bad block in run order may be on a far element that
+            # has not reached it yet: wait until the last element has
+            for w0, count, g0, m, _, _ in live:
+                for e in range(*busy(w0, count, d)):
+                    end = g0 + m * (d - w0 - e + 1)
+                    if (not np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE
+                            and (bad is None or end < bad[0])):
+                        bad = end, V[e, :NS - 1].copy(), d - e + E - 1
+        else:
+            peak = max(peak, wave_peak)
+        if bad is not None and d >= bad[2]:
+            _check_coherences(bad[1], bad[0], t[bad[0]])
+        while live and d >= live[0][0] + live[0][1] + E - 2:  # off the last element
+            live.pop(0)
+
+    d = g = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard reports blow-up
+        for s, (steps, c) in enumerate(stretches()):
+            while any(run[5] <= s - 2 for run in live):  # two stretches' maps at most
+                wavefront(d)
+                d += 1
+            lengths = _blocks(g, steps, snapshot_stride)
+            maps = _step_maps(c, scale, Q, set(lengths))
+            for m, group in itertools.groupby(lengths):
+                count = len(list(group))
+                live.append((d, count, g, m, maps[m], s))
+                for _ in range(count):
+                    wavefront(d)
+                    d += 1
+                g += m * count
+            del maps  # the runs hold them: freed as they leave the pipeline
+        while live:
+            wavefront(d)
+            d += 1
+    snaps[:, -1] = V.take(gather)
 
     at = _strided(total_steps, record_stride or max(1, int(math.ceil(total_steps / 1e5))))
     return FieldRecord(times=t[at], probe_in=pin[at], probe_out=pout[at],

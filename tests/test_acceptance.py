@@ -73,7 +73,7 @@ def timed_run():
     def get(name: str):
         if name not in cache:
             t0 = time.monotonic()
-            rec = integrate(builtin_scenario(name))
+            rec = integrate(builtin_scenario(name), coherences=True)
             cache[name] = (rec, time.monotonic() - t0)
         return cache[name]
 
@@ -351,13 +351,13 @@ def test_criterion_8_contour_landmark(tmp_path):
 
 def test_criterion_9_property_suite(tmp_path):
     c = Criterion("9 (always-on property suite)")
-    base = integrate(small_scenario())
+    base = integrate(small_scenario(), coherences=True)
 
     worst = 0.0
     for alpha in (2.0, 1j, -1.0):
         s = small_scenario(probe=ProbePulse(amplitude=alpha, center_time=0.2,
                                             width=0.05))
-        rec = integrate(s)
+        rec = integrate(s, coherences=True)
         worst = max(worst,
                     rel_l2(rec.probe_out, alpha * base.probe_out),
                     rel_l2(rec.rho31, alpha * base.rho31),
@@ -366,7 +366,8 @@ def test_criterion_9_property_suite(tmp_path):
 
     phi = 0.7
     rec_phi = integrate(small_scenario(
-        probe=ProbePulse(amplitude=np.exp(1j * phi), center_time=0.2, width=0.05)))
+        probe=ProbePulse(amplitude=np.exp(1j * phi), center_time=0.2, width=0.05)),
+        coherences=True)
     dev = max(rel_l2(rec_phi.probe_out, np.exp(1j * phi) * base.probe_out),
               rel_l2(np.abs(rec_phi.rho21), np.abs(base.rho21)))
     c.check("global-phase covariance", dev <= 1e-12, f"max rel dev {dev:.2e}")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -42,7 +43,7 @@ def test_two_level_exact_impulse_response():
         probe=ProbePulse(amplitude=1.0, center_time=t0, width=kappa),
         grid=GridSpec(t_end=5.0, nz=256),
     )
-    rec = integrate(s)
+    rec = integrate(s, coherences=True)
     area = s.probe.area
     eta_L = s.medium.eta * s.medium.length
 
@@ -64,7 +65,7 @@ def test_closed_forms_match_in_broadband_regime():
     forms (with the documented x4 impulse normalization) agree with the
     dynamics; at Omega_c = 100 Gamma the residual is ~2%."""
     s = builtin_scenario("oracle-ats")
-    rec = integrate(s)
+    rec = integrate(s, coherences=True)
     amp = impulse_equivalent_amplitude(s.probe)
     t0 = s.probe.center_time
 
@@ -76,11 +77,11 @@ def test_closed_forms_match_in_broadband_regime():
 
 
 def test_probe_linearity_exact():
-    base = integrate(small_scenario())
+    base = integrate(small_scenario(), coherences=True)
     for alpha in (2.0, 1j, -1.0):
         s = small_scenario(probe=ProbePulse(amplitude=alpha, center_time=0.2,
                                             width=0.05))
-        rec = integrate(s)
+        rec = integrate(s, coherences=True)
         assert rel_l2(rec.probe_out, alpha * base.probe_out) < 1e-12
         assert rel_l2(rec.rho31, alpha * base.rho31) < 1e-12
         assert rel_l2(rec.rho21, alpha * base.rho21) < 1e-12
@@ -88,20 +89,20 @@ def test_probe_linearity_exact():
 
 def test_global_phase_covariance():
     phi = 0.7
-    base = integrate(small_scenario())
+    base = integrate(small_scenario(), coherences=True)
     s = small_scenario(probe=ProbePulse(amplitude=np.exp(1j * phi),
                                         center_time=0.2, width=0.05))
-    rec = integrate(s)
+    rec = integrate(s, coherences=True)
     assert rel_l2(rec.probe_out, np.exp(1j * phi) * base.probe_out) < 1e-12
     assert rel_l2(np.abs(rec.rho31), np.abs(base.rho31)) < 1e-12
     assert rel_l2(np.abs(rec.rho21), np.abs(base.rho21)) < 1e-12
 
 
 def test_control_sign_symmetry():
-    base = integrate(small_scenario())
+    base = integrate(small_scenario(), coherences=True)
     flipped = small_scenario(
         schedule=ControlSchedule(segments=((0.0, -1.0), (0.8, 1.0))))
-    rec = integrate(flipped)
+    rec = integrate(flipped, coherences=True)
     i_base = np.abs(base.probe_out) ** 2
     i_flip = np.abs(rec.probe_out) ** 2
     assert rel_l2(i_flip, i_base) < 1e-10
@@ -154,44 +155,80 @@ def test_divergence_guard():
         integrate(s, check=False)
 
 
-@pytest.mark.parametrize("every_step, ramped", [(True, False), (False, False), (False, True)],
-                         ids=["stride-1", "stride-total", "ramped"])
-def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(every_step, ramped):
-    # the guard checks every block-end state: with snapshots at every step
-    # (500 steps, so the automatic stride is 1) every step ends a block, and
-    # with a snapshot only at the last step blocks run K steps, except on a
-    # ramp, where every step is a block of its own (here steps 3 to 22, and
-    # the run blows up at step 4)
-    s = _diverging_scenario()
-    if ramped:
-        s = replace(s, schedule=ControlSchedule(segments=((0.0, 1.0), (0.2, 2.0)),
-                                                ramp_time=2.0))
+def _first_bad_step(s: Scenario) -> tuple[int, np.ndarray]:
+    """The first step of ``unfused_step_loop`` with a |rho| above
+    MAX_COHERENCE or non-finite, and the nodes where it is."""
     with np.errstate(all="ignore"):
         _, _, _, rho31, rho21 = unfused_step_loop(s)
-    peak = np.maximum(np.abs(rho31), np.abs(rho21)).max(axis=1)
-    first = int(np.argmax(~(peak <= MAX_COHERENCE)))  # NaN counts as above
-    assert first > 0
-    total = rho31.shape[0] - 1
-    stride = 1 if every_step else total
-    plan = step_plan(s)
-    blocks, g = [], 0  # per piece, the lengths of its blocks
+    bad = ~(np.maximum(np.abs(rho31), np.abs(rho21)) <= MAX_COHERENCE)  # NaN too
+    first = int(np.argmax(bad.any(axis=1)))
+    return first, np.flatnonzero(bad[first])
+
+
+def _block_ends(plan, stride) -> tuple[list, np.ndarray]:
+    """Per piece the lengths of its blocks, and every block's end step."""
+    blocks, g = [], 0
     for piece in plan:
         blocks.append([])
         # a constant piece is one stretch of one RK4 map, a ramp one per step
         for steps in [1] * piece.steps if piece.gain is None else [piece.steps]:
             blocks[-1] += _blocks(g, steps, stride)
             g += steps
-    ends = np.cumsum([m for lengths in blocks for m in lengths])
+    return blocks, np.cumsum([m for lengths in blocks for m in lengths])
+
+
+def _named_step(err) -> int:
+    return int(re.search(r"at step (\d+) ", str(err.value)).group(1))
+
+
+@pytest.mark.parametrize("every_step, ramped", [(True, False), (False, False), (False, True)],
+                         ids=["stride-1", "stride-total", "ramped"])
+def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(every_step, ramped):
+    # the guard checks every block-end state: with snapshots at every step
+    # every step ends a block, and with none but the last step blocks run
+    # K steps, except on a ramp, where every step is a block of its own
+    # (here steps 3 to 22, and the run blows up at step 4)
+    s = _diverging_scenario()
+    if ramped:
+        s = replace(s, schedule=ControlSchedule(segments=((0.0, 1.0), (0.2, 2.0)),
+                                                ramp_time=2.0))
+    first, _ = _first_bad_step(s)
+    assert first > 0
+    stride = 1 if every_step else None
+    plan = step_plan(s)
+    total = sum(piece.steps for piece in plan)
+    blocks, ends = _block_ends(plan, stride)
     assert ends[-1] == total and (stride == 1 or np.max(np.diff(ends)) == K)
     assert all(lengths == [1] * piece.steps
                for piece, lengths in zip(plan, blocks) if piece.gain is None)
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
         _run(s, plan, snapshot_stride=stride)
-    step = int(re.search(r"at step (\d+) ", str(err.value)).group(1))
+    step = _named_step(err)
     assert first <= step <= ends[np.searchsorted(ends, first)]
     if ramped:
         assert plan[1].gain is None and 2 < first <= 22
         assert step == first
+
+
+@pytest.mark.parametrize("zeta", [70.0, 300.0])
+def test_divergence_guard_names_the_first_bad_block_of_a_far_element(zeta):
+    # under a linear control the far elements see the largest |Omega_c| and
+    # blow up first, while the skewed pipeline runs them last: the guard
+    # still names the end of the first bad block in run order (at zeta = 70
+    # the last of 32 elements goes bad in the first block and elements 28 to
+    # 30 in the second, which elements 28 and 29 reach first), and the
+    # blow-up raises no RuntimeWarning on the way
+    # (at zeta = 300 the states overflow before the last element has run
+    # the first bad block)
+    s = replace(_diverging_scenario(), profile=Linear(zeta=zeta),
+                grid=GridSpec(t_end=50.0, nz=256, dt=0.1))
+    first, bad = _first_bad_step(s)
+    _, ends = _block_ends(step_plan(s), None)
+    assert first > 0 and bad.min() > s.grid.nz // 2  # the far half goes first
+    with pytest.raises(DivergenceError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        integrate(s, check=False)
+    assert first <= _named_step(err) <= ends[np.searchsorted(ends, first)]
 
 
 @pytest.mark.parametrize("bad", [10 * (1 + 1e-9), np.nan, np.inf, -1j * np.inf])
@@ -291,27 +328,49 @@ def test_step_matches_the_unfused_reference_loop(case):
     assert rel_l2(rec.rho31, rho31) <= 1e-13
     assert rel_l2(rec.rho21, rho21) <= 1e-13
 
-    # partial blocks: records and snapshots at other strides, and a pinned dt
-    # whose pieces are no multiple of K, against the reference subsampled
-    # (a record stride above the step count keeps only step 0 and the last)
+    # partial blocks: records and snapshots at other strides (the automatic
+    # one of integrate's coherences among them, and none but the last step),
+    # and a pinned dt whose constant pieces end in a shorter block, against
+    # the reference subsampled (a record stride above the step count keeps
+    # only step 0 and the last)
     pinned = small_scenario(grid=replace(MOL_GRID, dt=PINNED_DT), **MOL_CASES[case])
-    assert all(piece.steps % K for piece in step_plan(pinned))
+    assert all(piece.steps % _blocks(0, piece.steps)[0]
+               for piece in step_plan(pinned) if piece.gain is not None)
     assert _strided(10, 3).tolist() == [0, 3, 6, 9, 10]
     assert _strided(9, 3).tolist() == [0, 3, 6, 9]
     for base, ref in ((s, (times, probe_in, probe_out, rho31, rho21)),
                       (pinned, unfused_step_loop(pinned))):
         total = ref[0].size - 1
-        for rec_stride, snap_stride in itertools.product((1, 3, total + 1), (1, 5, None)):
+        for rec_stride, snap_stride in itertools.product(
+                (1, 3, total + 1), (1, 5, math.ceil(total / 512), None)):
             rec = _run(base, step_plan(base), record_stride=rec_stride,
                        snapshot_stride=snap_stride)
             at = _strided(total, rec_stride)
-            snap = _strided(total, snap_stride or math.ceil(total / 512))
+            snap = _strided(total, snap_stride or total)
             assert np.array_equal(rec.times, ref[0][at])
             assert np.array_equal(rec.probe_in, ref[1][at])
             assert np.array_equal(rec.snapshot_times, ref[0][snap])
             assert rel_l2(rec.probe_out, ref[2][at]) <= 1e-13
             assert rel_l2(rec.rho31, ref[3][snap]) <= 1e-13
             assert rel_l2(rec.rho21, ref[4][snap]) <= 1e-13
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+def test_a_run_without_coherences_keeps_only_the_first_and_last_state(name):
+    # only a caller that asks for coherences gets snapshots; without them
+    # the blocks need not end at snapshot steps, which moves the transmitted
+    # probe and the last state by rounding only (measured at most 1.9e-14
+    # and 1.8e-13)
+    s = builtin_scenario(name)
+    rec = integrate(s)
+    full = integrate(s, coherences=True)
+    assert rec.snapshot_times.tolist() == [0.0, s.grid.t_end]
+    assert full.snapshot_times.size > 2
+    assert np.array_equal(rec.times, full.times)
+    assert rel_l2(rec.probe_out, full.probe_out) <= 1e-13
+    assert np.all(rec.rho31[0] == 0) and np.all(rec.rho21[0] == 0)
+    assert rel_l2(rec.rho31[-1], full.rho31[-1]) <= 1e-12
+    assert rel_l2(rec.rho21[-1], full.rho21[-1]) <= 1e-12
 
 
 def test_method_of_lines_error_falls_with_dt():
@@ -579,7 +638,7 @@ def test_auto_plan_matches_exact_constant_control_response(name):
     # of the exact response at an overdamped and a broadband Omega_c
     # (measured: at most 3.5e-4 and 4.1e-4)
     s = builtin_scenario(name)
-    rec = integrate(s)
+    rec = integrate(s, coherences=True)
     t0 = s.probe.center_time
     snap_t, r31, r21 = rec.coherence_at(0.5)
     z_mid = rec.z[np.argmin(np.abs(rec.z - 0.5))]
