@@ -7,7 +7,7 @@ __version__ = "0.5.2"
 
 from .model import (ControlSchedule, GaussianBeam, GridSpec, Linear,
                     MediumParams, ProbePulse, Scenario, Uniform,
-                    evaluate_control, scale_scenario, validate_scenario)
+                    scale_scenario, validate_scenario)
 from .solver import (ConvergenceReport, DivergenceError, FieldRecord,
                      ResourceLimitError, convergence_check, integrate)
 from .analytic import (AnalyticParams, first_order_signal,
@@ -15,23 +15,21 @@ from .analytic import (AnalyticParams, first_order_signal,
                        predict_echo_time, probe_closed, rho21_closed,
                        rho31_closed)
 from .metrics import (EchoMetrics, classical_fidelity, compute_echo_metrics,
-                      delay_bandwidth, detect_echo, eit_baseline, feasibility,
-                      fwhm, storage_efficiency)
+                      delay_bandwidth, detect_echo, feasibility, fwhm,
+                      storage_efficiency)
 from .sweep import SweepSpec, dispersion_flag, run_sweep
 from .scenarios import builtin_scenario, builtin_sweep
 
 __all__ = [
     "ControlSchedule", "GaussianBeam", "GridSpec", "Linear", "MediumParams",
-    "ProbePulse", "Scenario", "Uniform", "evaluate_control", "scale_scenario",
-    "validate_scenario",
+    "ProbePulse", "Scenario", "Uniform", "scale_scenario", "validate_scenario",
     "ConvergenceReport", "DivergenceError", "FieldRecord", "ResourceLimitError",
     "convergence_check", "integrate",
     "AnalyticParams", "first_order_signal", "impulse_equivalent_amplitude",
     "phase_area", "predict_echo_time", "probe_closed", "rho21_closed",
     "rho31_closed",
     "EchoMetrics", "classical_fidelity", "compute_echo_metrics",
-    "delay_bandwidth", "detect_echo", "eit_baseline", "feasibility", "fwhm",
-    "storage_efficiency",
+    "delay_bandwidth", "detect_echo", "feasibility", "fwhm", "storage_efficiency",
     "SweepSpec", "dispersion_flag", "run_sweep",
     "builtin_scenario", "builtin_sweep",
 ]

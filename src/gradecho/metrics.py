@@ -1,6 +1,6 @@
 """Scalar diagnostics over recorded runs: widths, echo detection, storage
-efficiency, classical fidelity, the EIT retrieval baseline, delay-bandwidth
-product, and experimental feasibility estimates.
+efficiency, classical fidelity, delay-bandwidth product, and experimental
+feasibility estimates.
 """
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ __all__ = [
     "detect_echo",
     "storage_efficiency",
     "classical_fidelity",
-    "eit_baseline",
-    "EitBaseline",
     "feasibility",
     "FeasibilityReport",
     "delay_bandwidth",
@@ -246,18 +244,6 @@ def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
             raise ValueError("delay_range excludes every available lag")
         power = power[sel]
     return min(float(np.max(power) / (eau * ebu)), 1.0)
-
-
-class EitBaseline(NamedTuple):
-    value: float
-    flagged: bool  # True when xi <= 2.9 and the formula has no meaning
-
-
-def eit_baseline(xi: float) -> EitBaseline:
-    """Optimal EIT retrieval efficiency 1 - 2.9/xi; 0 (flagged) for xi <= 2.9."""
-    if xi <= 2.9:
-        return EitBaseline(0.0, True)
-    return EitBaseline(1.0 - 2.9 / xi, False)
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,6 @@ __all__ = [
     "GridSpec",
     "Scenario",
     "ValidationIssue",
-    "evaluate_control",
     "validate_scenario",
     "scale_scenario",
     "broadband_ordering_ok",
@@ -301,19 +300,6 @@ class Scenario:
 class ValidationIssue(NamedTuple):
     severity: str  # "error" | "warning"
     message: str
-
-
-def evaluate_control(profile: SpatialProfile, schedule: ControlSchedule,
-                     t: float, z: float, length: float = 1.0) -> float:
-    """Control Rabi frequency gain(t) * profile(z) in units of 1/tau.
-
-    The sign encodes the control phase (0 or pi).
-    """
-    if not 0.0 <= z <= length:
-        raise ValueError(f"z = {z} outside the medium [0, {length}]")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return schedule.gain(t) * float(profile.value(z, length))
 
 
 def broadband_ordering_ok(bandwidth: float, omega_c_max: float,

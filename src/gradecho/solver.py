@@ -35,12 +35,14 @@ builds these fused maps, NS + 2 m square, under one RK4 map:
 ``_element_steps`` runs the scheme on each element on its own, on unit
 states and one pair of unit inputs at the first step, and the step does not
 change, so the inputs of later steps are that response shifted.  A run is
-one pass over stretches of one RK4 map, a constant piece or one ramp step:
-each builds its maps once and is cut into blocks of one length, apart from a
-head and a tail (``_blocks``), set by its step count and, when coherences
-are recorded, by the snapshot stride.  The blocks run through a skewed
-pipeline of the elements: at wavefront d element e runs the block that
-entered element 0 at wavefront d - e.  One batched product per run of
+one pass over stretches of one RK4 map, a constant piece or one ramp step
+(``_stretches``): each builds its maps once and is cut into blocks of at
+most K steps, apart from a shorter tail (``_blocks``).  The coherence
+snapshots are taken at block ends, so they change the blocks only on a run
+of 512 (K - 1) steps or fewer, which takes shorter blocks to keep its
+snapshots dense.  The blocks run through a skewed pipeline of the
+elements: at wavefront d element e runs the block that entered element 0
+at wavefront d - e.  One batched product per run of
 equal blocks advances every element that holds one, one shifted copy hands
 each element's outputs to the next element as inputs, the boundary probe
 enters element 0 and the last element's outputs are the transmitted probe.
@@ -72,7 +74,7 @@ __all__ = [
 
 MAX_COHERENCE = 10.0  # weak-probe normalization: any |rho| above this is blow-up
 MAX_STEPS = 20_000_000  # step budget of one run
-K = 10  # steps in a transfer block, where the snapshots leave the choice
+K = 10  # the longest transfer block, in steps
 NS = 2 * (GLL_ORDER + 1) + 1  # element state: rho31, rho21 at its nodes, edge field
 
 
@@ -90,11 +92,11 @@ class FieldRecord:
 
     ``times/probe_in/probe_out`` sample the boundary and transmitted probe;
     ``z`` holds the nz + 1 distinct grid nodes and ``rho31/rho21`` coherence
-    snapshots of shape (len(snapshot_times), len(z)).  Each holds step 0,
-    every stride-th step and the last step (``_strided``): the probe at the
-    smallest stride that keeps 1e5 samples or fewer after step 0, and the
-    coherences, when ``integrate`` is asked for them, at the smallest that
-    keeps 512 or fewer; otherwise only step 0 and the last step.
+    snapshots of shape (len(snapshot_times), len(z)).  The probe holds
+    step 0, every stride-th step and the last step (``_strided``), at the
+    smallest stride that keeps 1e5 samples or fewer after step 0.  The
+    coherences hold step 0 and the last step and, when ``integrate`` is
+    asked for them, every j-th block end in between, at most 512 of them.
     ``peak_coherence`` is the largest |rho| the divergence guard
     saw, at any stored node of any state it checked.
     """
@@ -218,21 +220,20 @@ def integrate(scenario: Scenario, check: bool = True,
 
     With ``check=True`` (default) validation errors abort the run; warnings
     are allowed.  A plan above ``MAX_STEPS`` steps raises ResourceLimitError.
-    With ``coherences=True`` the record holds coherence snapshots at the
-    smallest stride that keeps 512 or fewer after step 0; otherwise only
-    step 0 and the last step.  The run stops with DivergenceError when the
-    state at the end of a block has a non-finite |rho| or one above
+    With ``coherences=True`` the record holds coherence snapshots at step 0,
+    at every j-th block end (at most 512 of them) and at the last step, in
+    blocks of at most min(K, ceil(steps / 512)) steps (``_run``); otherwise
+    only at step 0 and the last step.  The run stops with DivergenceError
+    when the state at the end of a block has a non-finite |rho| or one above
     ``MAX_COHERENCE``, naming the end of the first such block in run order;
-    blocks end at every snapshot step, at every piece end, after every ramp
-    step and, without snapshots, after at most K steps (``_blocks``), so the
-    check runs at least that often and at the last step.  ``peak_coherence``
-    of the record is the largest |rho| over the states checked.
+    blocks end at every piece end, after every ramp step and after at most
+    K steps (``_blocks``), so the check runs at least that often and at the
+    last step.  ``peak_coherence`` of the record is the largest |rho| over
+    the states checked.
     """
     if check:
         _raise_on_errors(scenario)
-    plan = step_plan(scenario)
-    stride = max(1, math.ceil(sum(p.steps for p in plan) / 512)) if coherences else None
-    return _run(scenario, plan, snapshot_stride=stride)
+    return _run(scenario, step_plan(scenario), snapshots=512 if coherences else None)
 
 
 def _raise_on_errors(scenario: Scenario) -> None:
@@ -350,42 +351,47 @@ def _strided(total: int, stride: int) -> np.ndarray:
     return np.append(np.arange(0, total, stride), total)
 
 
-def _blocks(g: int, steps: int, stride: Optional[int] = None) -> list[int]:
-    """The block lengths of a stretch of ``steps`` steps from step ``g`` of
-    the run: blocks of one length m, apart from a head and a tail.
+def _stretches(plan: tuple[Piece, ...]):
+    """The stretches of one RK4 map that ``plan`` runs, in order: a constant
+    piece, or one step of a cosine ramp, as a one-step ramp Piece."""
+    for piece in plan:
+        if piece.gain is not None:
+            yield piece
+            continue
+        for i in range(piece.steps):
+            t0 = piece.t_start + piece.dt * i
+            yield Piece(t0, t0 + piece.dt, 1, piece.dt, None)
 
-    Without snapshots (``stride`` None) the stretch splits into
-    ceil(steps / K) blocks as equal as can be.  With snapshots at every
-    ``stride``-th step of the run, m is the divisor of the stride nearest K
-    on a log scale and the blocks end at the multiples of m, so they end at
-    every snapshot step.
-    """
-    if stride is None:
-        m, origin = -(-steps // -(-steps // K)), g
-    else:
-        divisors = [d for d in range(1, stride + 1) if stride % d == 0]
-        m, origin = min(divisors, key=lambda d: abs(math.log(d / K))), 0
-    head = min(steps, m - (g - origin) % m)
-    body, tail = divmod(steps - head, m)
-    return [head] + [m] * body + [tail] * (tail > 0)
+
+def _blocks(steps: int, cap: int) -> list[int]:
+    """The block lengths of a stretch of ``steps`` steps: ceil(steps / cap)
+    blocks of m = ceil(steps / ceil(steps / cap)) <= cap steps, the last
+    one shorter when m does not divide ``steps``."""
+    m = -(-steps // -(-steps // cap))
+    body, tail = divmod(steps, m)
+    return [m] * body + [tail] * (tail > 0)
 
 
 def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
          record_stride: Optional[int] = None,
-         snapshot_stride: Optional[int] = None) -> FieldRecord:
+         snapshots: Optional[int] = None) -> FieldRecord:
     """Step ``scenario`` through ``plan`` (no validation), recording the
     probe every ``record_stride`` steps (``_strided``, by default that of
-    ``FieldRecord``) and the coherences every ``snapshot_stride`` steps, or
-    at step 0 and the last step only when it is None.
+    ``FieldRecord``) and the coherences at step 0, at most ``snapshots``
+    block ends and the last step, or at step 0 and the last step only when
+    it is None.
 
-    One pass over the stretches of one RK4 map, each split into the blocks
-    of ``_blocks``, through a skewed pipeline of the z elements: at
-    wavefront d element e runs the block that entered element 0 at
-    wavefront d - e.  Every element with a block advances in one batched
-    product per run of blocks of one stretch and length, and one shifted
-    copy hands each element's outputs to the next element's inputs.  A
-    stretch enters element 0 only once the stretch two before it has left
-    the last element, so at most two stretches' maps are alive.
+    One pass over the stretches of one RK4 map (``_stretches``), each split
+    into the blocks of ``_blocks`` at a cap of K steps, or with snapshots
+    min(K, ceil(total steps / snapshots)), through a skewed pipeline of the
+    z elements: at wavefront d element e runs the block that entered
+    element 0 at wavefront d - e.  The snapshots are taken at every j-th
+    block end, j = ceil(blocks / snapshots).  Every element with a block
+    advances in one batched product per run of blocks of one stretch and
+    length, and one shifted copy hands each element's outputs to the next
+    element's inputs.  A stretch enters element 0 only once the stretch two
+    before it has left the last element, so at most two stretches' maps
+    are alive.
     """
     med = scenario.medium
     L = med.length
@@ -405,7 +411,12 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             f"run needs {total_steps} steps, above the budget of {MAX_STEPS}; "
             f"coarsen dt or shorten t_end")
 
-    snap_at = _strided(total_steps, snapshot_stride or total_steps)
+    cap, snap_at = K, np.array([0, total_steps])
+    if snapshots:
+        cap = min(K, -(-total_steps // snapshots))
+        ends = np.cumsum([m for piece in _stretches(plan) for m in _blocks(piece.steps, cap)])
+        j = -(-ends.size // snapshots)
+        snap_at = np.union1d(snap_at, ends[j - 1::j])
     snaps = np.zeros((2, snap_at.size, nz + 1), dtype=complex)  # step 0: rho = 0
     # the end time, boundary probe and transmitted probe of every step
     t, g = np.zeros(total_steps + 1), 0
@@ -415,36 +426,28 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     pin = scenario.probe.boundary_value(t).astype(complex)
     pout = pin.copy()  # at step 0 the medium holds no coherence
 
-    def coef(gains, dt):
-        """The RK4 map of a step under the ``gains`` at its start, middle
-        and end, laid out for ``_step_maps``."""
+    def coef(piece):
+        """The RK4 map of a stretch: a constant piece, or a ramp step under
+        the control at its start, middle and end, laid out for
+        ``_step_maps``."""
+        t0, dt = piece.t_start, piece.dt
+        gains = (piece.gain,) * 3 if piece.gain is not None else [
+            scenario.schedule.gain(u) for u in (t0, t0 + 0.5 * dt, t0 + dt)]
         A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
         y = _rk4_map(A0, Ah, A1, dt).reshape(E, p + 1, 2, 4)
         return np.ascontiguousarray(y.transpose(3, 2, 1, 0)[..., None, :])
 
-    def stretches():
-        """(steps, RK4 map) per stretch of one map: a constant piece, or one
-        step of a cosine ramp under its own gains."""
-        for ta, _, steps, dt, gain in plan:
-            if gain is not None:
-                yield steps, coef((gain,) * 3, dt)
-                continue
-            for i in range(steps):
-                t0 = ta + dt * i
-                yield 1, coef([scenario.schedule.gain(s)
-                               for s in (t0, t0 + 0.5 * dt, t0 + dt)], dt)
-
     # Row e of V is element e's state, then its inputs over its block; its
     # fused map overwrites them with its new state and its outputs, which
     # one shifted copy then hands to row e + 1 as inputs
-    width = NS + 2 * max(K, snapshot_stride or 0)
+    width = NS + 2 * cap
     V = np.zeros((E, width), dtype=complex)
     V[:, NS - 1] = pin[0]
     # the distinct nodes' rho31 and rho21 as flat indices into V
     node = np.append(np.arange(E)[:, None] * width + np.arange(p),
                      (E - 1) * width + p)
     gather = np.stack((node, node + p + 1))
-    if snapshot_stride:  # the snapshot row of every step, -1 if none
+    if snapshots:  # the snapshot row of every step, -1 if none
         snap_row = np.full(total_steps + 1, -1)
         snap_row[snap_at[1:-1]] = np.arange(1, snap_at.size - 1)
         cols = np.arange(E)[:, None] * p + np.arange(p + 1)
@@ -472,7 +475,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             if hi == E:
                 gs = g0 + m * (d - w0 - E + 1) + 1
                 pout[gs:gs + m] = V[E - 1, NS + 1:n:2]
-            if snapshot_stride:
+            if snapshots:
                 es = np.arange(lo, hi)
                 k = snap_row[g0 + m * (d - w0 + 1 - es)]
                 es, k = es[k >= 0], k[k >= 0]
@@ -498,12 +501,12 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
 
     d = g = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports blow-up
-        for s, (steps, c) in enumerate(stretches()):
+        for s, piece in enumerate(_stretches(plan)):
             while any(run[5] <= s - 2 for run in live):  # two stretches' maps at most
                 wavefront(d)
                 d += 1
-            lengths = _blocks(g, steps, snapshot_stride)
-            maps = _step_maps(c, scale, Q, set(lengths))
+            lengths = _blocks(piece.steps, cap)
+            maps = _step_maps(coef(piece), scale, Q, set(lengths))
             for m, group in itertools.groupby(lengths):
                 count = len(list(group))
                 live.append((d, count, g, m, maps[m], s))

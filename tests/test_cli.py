@@ -26,6 +26,15 @@ def _write_small_config(tmp_path, **overrides):
     return cfg
 
 
+def test_package_version_matches_pyproject():
+    # the version is written by hand in both places; manifests and
+    # checkpoints quote the package's
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with pyproject.open("rb") as f:
+        assert tomllib.load(f)["project"]["version"] == gradecho.__version__
+
+
 def test_run_builtin_writes_files(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["run", "fig4c", "--output", str(out),

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from gradecho.metrics import (AmbiguousPeakError, NoEchoError,
                               UndefinedMetricError, classical_fidelity,
                               compute_echo_metrics, delay_bandwidth, detect_echo,
-                              eit_baseline, feasibility, fwhm,
-                              storage_efficiency)
+                              feasibility, fwhm, storage_efficiency)
 from gradecho.metrics import _xcorr
 from gradecho.model import MediumParams, ProbePulse
 from gradecho.scenarios import builtin_sweep
@@ -171,13 +170,6 @@ def test_fidelity_invariances(scale, phase, shift):
     moved = scale * np.exp(1j * phase) * np.interp(t - shift, t, b.real)
     assert classical_fidelity(t, a, t, moved.astype(complex)) == pytest.approx(
         base, rel=5e-3, abs=5e-3)
-
-
-def test_eit_baseline_values():
-    assert eit_baseline(10000.0).value == pytest.approx(0.99971)
-    assert eit_baseline(2000.0).value == pytest.approx(0.99855)
-    low = eit_baseline(2.9)
-    assert low.value == 0.0 and low.flagged
 
 
 def test_feasibility_gaussian_reference_point():

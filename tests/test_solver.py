@@ -14,7 +14,7 @@ from gradecho.model import (ControlSchedule, GridSpec, Linear, MediumParams,
 from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario
 from gradecho.solver import (MAX_COHERENCE, DivergenceError, K, ResourceLimitError,
                              _blocks, _check_coherences, _coherence_matrix,
-                             _gll_rule, _rk4_map, _run, _strided,
+                             _gll_rule, _rk4_map, _run, _strided, _stretches,
                              convergence_check, integrate, step_plan)
 
 from .conftest import (UTAU, constant_control_response, method_of_lines_response,
@@ -165,16 +165,12 @@ def _first_bad_step(s: Scenario) -> tuple[int, np.ndarray]:
     return first, np.flatnonzero(bad[first])
 
 
-def _block_ends(plan, stride) -> tuple[list, np.ndarray]:
-    """Per piece the lengths of its blocks, and every block's end step."""
-    blocks, g = [], 0
-    for piece in plan:
-        blocks.append([])
-        # a constant piece is one stretch of one RK4 map, a ramp one per step
-        for steps in [1] * piece.steps if piece.gain is None else [piece.steps]:
-            blocks[-1] += _blocks(g, steps, stride)
-            g += steps
-    return blocks, np.cumsum([m for lengths in blocks for m in lengths])
+def _block_ends(plan, cap) -> tuple[list, list, np.ndarray]:
+    """The stretches of ``plan``, the lengths of each one's blocks at a cap
+    of ``cap`` steps, and every block's end step."""
+    stretches = list(_stretches(plan))
+    blocks = [_blocks(piece.steps, cap) for piece in stretches]
+    return stretches, blocks, np.cumsum([m for lengths in blocks for m in lengths])
 
 
 def _named_step(err) -> int:
@@ -182,9 +178,9 @@ def _named_step(err) -> int:
 
 
 @pytest.mark.parametrize("every_step, ramped", [(True, False), (False, False), (False, True)],
-                         ids=["stride-1", "stride-total", "ramped"])
+                         ids=["every-step", "no-snapshots", "ramped"])
 def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(every_step, ramped):
-    # the guard checks every block-end state: with snapshots at every step
+    # the guard checks every block-end state: with a snapshot at every step
     # every step ends a block, and with none but the last step blocks run
     # K steps, except on a ramp, where every step is a block of its own
     # (here steps 3 to 22, and the run blows up at step 4)
@@ -194,15 +190,15 @@ def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(every_step, ra
                                                 ramp_time=2.0))
     first, _ = _first_bad_step(s)
     assert first > 0
-    stride = 1 if every_step else None
     plan = step_plan(s)
     total = sum(piece.steps for piece in plan)
-    blocks, ends = _block_ends(plan, stride)
-    assert ends[-1] == total and (stride == 1 or np.max(np.diff(ends)) == K)
-    assert all(lengths == [1] * piece.steps
-               for piece, lengths in zip(plan, blocks) if piece.gain is None)
+    snapshots, cap = (total, 1) if every_step else (None, K)
+    stretches, blocks, ends = _block_ends(plan, cap)
+    assert ends[-1] == total and (every_step or np.max(np.diff(ends)) == K)
+    ramp_steps = [lengths for piece, lengths in zip(stretches, blocks) if piece.gain is None]
+    assert ramp_steps == [[1]] * sum(piece.steps for piece in plan if piece.gain is None)
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-        _run(s, plan, snapshot_stride=stride)
+        _run(s, plan, snapshots=snapshots)
     step = _named_step(err)
     assert first <= step <= ends[np.searchsorted(ends, first)]
     if ramped:
@@ -223,7 +219,7 @@ def test_divergence_guard_names_the_first_bad_block_of_a_far_element(zeta):
     s = replace(_diverging_scenario(), profile=Linear(zeta=zeta),
                 grid=GridSpec(t_end=50.0, nz=256, dt=0.1))
     first, bad = _first_bad_step(s)
-    _, ends = _block_ends(step_plan(s), None)
+    _, _, ends = _block_ends(step_plan(s), K)
     assert first > 0 and bad.min() > s.grid.nz // 2  # the far half goes first
     with pytest.raises(DivergenceError) as err, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -321,32 +317,35 @@ def test_step_matches_the_unfused_reference_loop(case):
     # in the predictor or corrector of one coefficient is far above 1e-13 and
     # far below the 1e-3 oracle gates; "ramped" builds a map every step
     s = small_scenario(grid=MOL_GRID, **MOL_CASES[case])
-    rec = _run(s, step_plan(s), record_stride=1, snapshot_stride=1)
+    total = sum(piece.steps for piece in step_plan(s))
+    rec = _run(s, step_plan(s), record_stride=1, snapshots=total)
     times, probe_in, probe_out, rho31, rho21 = unfused_step_loop(s)
     assert np.array_equal(rec.times, times)
     assert rel_l2(rec.probe_out, probe_out) <= 1e-13
     assert rel_l2(rec.rho31, rho31) <= 1e-13
     assert rel_l2(rec.rho21, rho21) <= 1e-13
 
-    # partial blocks: records and snapshots at other strides (the automatic
-    # one of integrate's coherences among them, and none but the last step),
-    # and a pinned dt whose constant pieces end in a shorter block, against
-    # the reference subsampled (a record stride above the step count keeps
-    # only step 0 and the last)
+    # partial blocks: records at other strides and other snapshot counts
+    # (integrate's 512 among them, 7, where the snapshots skip block ends,
+    # and none but the last step), and a pinned dt whose constant pieces end
+    # in a shorter block, against the reference subsampled (a record stride
+    # above the step count keeps only step 0 and the last)
     pinned = small_scenario(grid=replace(MOL_GRID, dt=PINNED_DT), **MOL_CASES[case])
-    assert all(piece.steps % _blocks(0, piece.steps)[0]
+    assert all(piece.steps % _blocks(piece.steps, K)[0]
                for piece in step_plan(pinned) if piece.gain is not None)
     assert _strided(10, 3).tolist() == [0, 3, 6, 9, 10]
     assert _strided(9, 3).tolist() == [0, 3, 6, 9]
     for base, ref in ((s, (times, probe_in, probe_out, rho31, rho21)),
                       (pinned, unfused_step_loop(pinned))):
         total = ref[0].size - 1
-        for rec_stride, snap_stride in itertools.product(
-                (1, 3, total + 1), (1, 5, math.ceil(total / 512), None)):
+        for rec_stride, snapshots in itertools.product(
+                (1, 3, total + 1), (total, 512, 7, None)):
             rec = _run(base, step_plan(base), record_stride=rec_stride,
-                       snapshot_stride=snap_stride)
+                       snapshots=snapshots)
             at = _strided(total, rec_stride)
-            snap = _strided(total, snap_stride or total)
+            snap = np.searchsorted(ref[0], rec.snapshot_times)
+            assert snap[0] == 0 and snap[-1] == total
+            assert snapshots is not None or snap.size == 2
             assert np.array_equal(rec.times, ref[0][at])
             assert np.array_equal(rec.probe_in, ref[1][at])
             assert np.array_equal(rec.snapshot_times, ref[0][snap])
@@ -357,10 +356,11 @@ def test_step_matches_the_unfused_reference_loop(case):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
 def test_a_run_without_coherences_keeps_only_the_first_and_last_state(name):
-    # only a caller that asks for coherences gets snapshots; without them
-    # the blocks need not end at snapshot steps, which moves the transmitted
-    # probe and the last state by rounding only (measured at most 1.9e-14
-    # and 1.8e-13)
+    # only a caller that asks for coherences gets snapshots; on a run of
+    # 512 (K - 1) steps or fewer they shorten the blocks, which moves the
+    # transmitted probe and the last state by rounding only (measured at
+    # most 6.2e-15 and 1.8e-13); on a longer one (fig4b, fig4c, oracle-ats)
+    # they cap no block below K and land on block ends: the same steps
     s = builtin_scenario(name)
     rec = integrate(s)
     full = integrate(s, coherences=True)
@@ -371,6 +371,34 @@ def test_a_run_without_coherences_keeps_only_the_first_and_last_state(name):
     assert np.all(rec.rho31[0] == 0) and np.all(rec.rho21[0] == 0)
     assert rel_l2(rec.rho31[-1], full.rho31[-1]) <= 1e-12
     assert rel_l2(rec.rho21[-1], full.rho21[-1]) <= 1e-12
+    if sum(piece.steps for piece in step_plan(s)) > 512 * (K - 1):
+        assert np.array_equal(rec.probe_out, full.probe_out)
+        assert np.array_equal(rec.rho31[-1], full.rho31[-1])
+        assert np.array_equal(rec.rho21[-1], full.rho21[-1])
+        assert rec.peak_coherence == full.peak_coherence
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS) + ["fig4b-ramped"])
+def test_coherence_snapshots_land_on_block_ends(name):
+    # step 0, every j-th block end (at most 512) and the last step, in
+    # blocks of at most min(K, ceil(steps / 512)) steps: every step of a
+    # run of 512 steps or fewer, and 257 to 514 snapshots of a longer one
+    s = builtin_scenario(name.removesuffix("-ramped"))
+    if name.endswith("-ramped"):
+        s = replace(s, schedule=replace(s.schedule, ramp_time=0.002))
+    plan = step_plan(s)
+    total = sum(piece.steps for piece in plan)
+    _, _, ends = _block_ends(plan, min(K, math.ceil(total / 512)))
+    rec = integrate(s, coherences=True)
+    assert min(total, 256) + 1 <= rec.snapshot_times.size <= 514
+    assert rec.rho31.shape == rec.rho21.shape == (rec.snapshot_times.size, s.grid.nz + 1)
+    # the end time of every step, as the run lays them out
+    t = np.concatenate([[0.0]] + [piece.t_start + piece.dt * np.arange(1, piece.steps + 1)
+                                  for piece in plan])
+    steps = np.searchsorted(t, rec.snapshot_times)
+    assert np.array_equal(t[steps], rec.snapshot_times)
+    assert steps[0] == 0 and steps[-1] == total
+    assert np.all(np.isin(steps[1:], ends))
 
 
 def test_method_of_lines_error_falls_with_dt():
