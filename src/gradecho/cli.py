@@ -39,19 +39,25 @@ def _load_scenario(ref: str) -> tuple[Scenario, str]:
     if ref in BUILTIN_SCENARIOS:
         return builtin_scenario(ref), scenario_notes(ref)
     path = Path(ref)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"{ref!r} is neither a builtin scenario "
                           f"({', '.join(sorted(BUILTIN_SCENARIOS))}) nor a file")
     return parse_scenario_file(path), ""
+
+
+def _output_dir(path: str) -> Path:
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {path!r}: {exc.strerror}") from None
+    return Path(path)
 
 
 def _prepare(args) -> tuple[Scenario, str, Path]:
     scenario, note = _load_scenario(args.scenario)
     if args.grid_override:
         scenario = apply_grid_override(scenario, args.grid_override)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
-    return scenario, note, outdir
+    return scenario, note, _output_dir(args.output)
 
 
 def cmd_run(args) -> int:
@@ -112,7 +118,7 @@ def cmd_sweep(args) -> int:
     checkpoint = outdir / "sweep_checkpoint.jsonl"
     # the spec first: a sweep that cannot start keeps the old checkpoint
     spec = builtin_sweep(args.spec, workers=args.workers, checkpoint=str(checkpoint))
-    outdir.mkdir(parents=True, exist_ok=True)
+    _output_dir(args.output)
     if not args.resume:
         checkpoint.unlink(missing_ok=True)
     manifest = RunManifestWriter(sweep=args.spec, grid_shape=list(spec.shape),
@@ -188,8 +194,7 @@ def cmd_compare(args) -> int:
 def cmd_analytic(args) -> int:
     p = AnalyticParams(omega_c=args.omega_c, eta_z=args.eta_z,
                        gamma_decay=args.gamma, probe_amp=args.amp)
-    outdir = Path(args.output)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.output)
     T = np.linspace(args.t_min, args.t_max, args.samples)
     T = T[T > 0]
     r31 = rho31_closed(p, T)

@@ -12,8 +12,8 @@ is rebuilt by integrating i eta rho31 from the boundary, and the pair is
 iterated once as a corrector.  The system is linear, so one RK4 step with
 the probe interpolated linearly across it is an affine map
 rho+ = M rho + V0 Omega_p(t0) + V1 Omega_p(t1) per z (``_rk4_map``), built
-once for a constant-gain piece and once per step, from the control at the
-step's start, middle and end, on a cosine ramp.  ``step_plan`` lays out the
+under one constant gain: once for a constant-gain piece, and once per step,
+at the gain of its midpoint, on a cosine ramp.  ``step_plan`` lays out the
 time steps: they are aligned to segment boundaries so a gain change never
 happens mid-step, and with an automatic dt each piece is stepped at the
 control it reaches itself, and the short probe is resolved only while it
@@ -35,14 +35,14 @@ builds these fused maps, NS + 2 m square, under one RK4 map:
 ``_element_steps`` runs the scheme on each element on its own, on unit
 states and one pair of unit inputs at the first step, and the step does not
 change, so the inputs of later steps are that response shifted.  A run is
-one pass over stretches of one RK4 map, a constant piece or one ramp step
-(``_stretches``): each builds its maps once and is cut into blocks of at
-most K steps, apart from a shorter tail (``_blocks``).  The coherence
-snapshots are taken at block ends, so they change the blocks only on a run
-of 512 (K - 1) steps or fewer, which takes shorter blocks to keep its
-snapshots dense.  The blocks run through a skewed pipeline of the
-elements: at wavefront d element e runs the block that entered element 0
-at wavefront d - e.  One batched product per run of
+one pass over stretches of one constant gain, a constant piece or one ramp
+step (``_stretches``): each builds its maps once and is cut into blocks of
+at most K steps, apart from a shorter tail (``_blocks``).  The coherence
+snapshots are taken at every j-th block end, found by block number, so
+they change the blocks only on a run of 512 (K - 1) steps or fewer, which
+takes shorter blocks to keep its snapshots dense.  The blocks run through
+a skewed pipeline of the elements: at wavefront d element e runs the block
+that entered element 0 at wavefront d - e.  One batched product per run of
 equal blocks advances every element that holds one, one shifted copy hands
 each element's outputs to the next element as inputs, the boundary probe
 enters element 0 and the last element's outputs are the transmitted probe.
@@ -127,23 +127,23 @@ def _coherence_matrix(oc: np.ndarray, med: MediumParams) -> np.ndarray:
     return A
 
 
-def _rk4_map(A0: np.ndarray, Ah: np.ndarray, A1: np.ndarray, dt: float):
-    """One classical-RK4 step as an affine map, for the coherence matrix at
-    the step's start, middle and end and the probe linear across the step.
+def _rk4_map(A: np.ndarray, dt: float):
+    """One classical-RK4 step as an affine map, under the constant coherence
+    matrix ``A`` and the probe linear across the step.
 
     The four stages run on the per-z 2x4 basis [I | e_g0 | e_g1]; returns
     y of shape (nz, 2, 4) with rho_{n+1} = M rho_n + V0 Omega_p(t_n) +
     V1 Omega_p(t_{n+1}) for M = y[:, :, :2], V0 = y[:, :, 2], V1 = y[:, :, 3].
     """
-    y = np.zeros((A0.shape[0], 2, 4), dtype=complex)
+    y = np.zeros((A.shape[0], 2, 4), dtype=complex)
     y[:, 0, 0] = y[:, 1, 1] = 1.0
     drive = np.zeros((3, 2, 4), dtype=complex)  # (i/2) Omega_p at t0, t_half, t1
     drive[0, 0, 2] = drive[2, 0, 3] = 0.5j
     drive[1, 0, 2:] = 0.25j
-    k1 = A0 @ y + drive[0]
-    k2 = Ah @ (y + 0.5 * dt * k1) + drive[1]
-    k3 = Ah @ (y + 0.5 * dt * k2) + drive[1]
-    k4 = A1 @ (y + dt * k3) + drive[2]
+    k1 = A @ y + drive[0]
+    k2 = A @ (y + 0.5 * dt * k1) + drive[1]
+    k3 = A @ (y + 0.5 * dt * k2) + drive[1]
+    k4 = A @ (y + dt * k3) + drive[2]
     y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return y
 
@@ -351,16 +351,17 @@ def _strided(total: int, stride: int) -> np.ndarray:
     return np.append(np.arange(0, total, stride), total)
 
 
-def _stretches(plan: tuple[Piece, ...]):
-    """The stretches of one RK4 map that ``plan`` runs, in order: a constant
-    piece, or one step of a cosine ramp, as a one-step ramp Piece."""
+def _stretches(plan: tuple[Piece, ...], schedule):
+    """The stretches of one constant gain that ``plan`` runs, in order: a
+    constant piece, or one step of a cosine ramp as a one-step Piece under
+    the gain at the step's midpoint."""
     for piece in plan:
         if piece.gain is not None:
             yield piece
             continue
         for i in range(piece.steps):
             t0 = piece.t_start + piece.dt * i
-            yield Piece(t0, t0 + piece.dt, 1, piece.dt, None)
+            yield Piece(t0, t0 + piece.dt, 1, piece.dt, schedule.gain(t0 + piece.dt / 2))
 
 
 def _blocks(steps: int, cap: int) -> list[int]:
@@ -381,12 +382,13 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     block ends and the last step, or at step 0 and the last step only when
     it is None.
 
-    One pass over the stretches of one RK4 map (``_stretches``), each split
-    into the blocks of ``_blocks`` at a cap of K steps, or with snapshots
-    min(K, ceil(total steps / snapshots)), through a skewed pipeline of the
-    z elements: at wavefront d element e runs the block that entered
-    element 0 at wavefront d - e.  The snapshots are taken at every j-th
-    block end, j = ceil(blocks / snapshots).  Every element with a block
+    One pass over the stretches of one constant gain (``_stretches``), each
+    split into the blocks of ``_blocks`` at a cap of K steps, or with
+    snapshots min(K, ceil(total steps / snapshots)), through a skewed
+    pipeline of the z elements: at wavefront d element e runs the block
+    that entered element 0 at wavefront d - e.  The snapshots are taken at
+    every j-th block end, j = ceil(blocks / snapshots): an element that has
+    run i j blocks of the whole run stores row i.  Every element with a block
     advances in one batched product per run of blocks of one stretch and
     length, and one shifted copy hands each element's outputs to the next
     element's inputs.  A stretch enters element 0 only once the stretch two
@@ -414,7 +416,8 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     cap, snap_at = K, np.array([0, total_steps])
     if snapshots:
         cap = min(K, -(-total_steps // snapshots))
-        ends = np.cumsum([m for piece in _stretches(plan) for m in _blocks(piece.steps, cap)])
+        ends = np.cumsum([m for piece in _stretches(plan, scenario.schedule)
+                          for m in _blocks(piece.steps, cap)])
         j = -(-ends.size // snapshots)
         snap_at = np.union1d(snap_at, ends[j - 1::j])
     snaps = np.zeros((2, snap_at.size, nz + 1), dtype=complex)  # step 0: rho = 0
@@ -426,17 +429,6 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     pin = scenario.probe.boundary_value(t).astype(complex)
     pout = pin.copy()  # at step 0 the medium holds no coherence
 
-    def coef(piece):
-        """The RK4 map of a stretch: a constant piece, or a ramp step under
-        the control at its start, middle and end, laid out for
-        ``_step_maps``."""
-        t0, dt = piece.t_start, piece.dt
-        gains = (piece.gain,) * 3 if piece.gain is not None else [
-            scenario.schedule.gain(u) for u in (t0, t0 + 0.5 * dt, t0 + dt)]
-        A0, Ah, A1 = (_coherence_matrix(g * prof_z, med) for g in gains)
-        y = _rk4_map(A0, Ah, A1, dt).reshape(E, p + 1, 2, 4)
-        return np.ascontiguousarray(y.transpose(3, 2, 1, 0)[..., None, :])
-
     # Row e of V is element e's state, then its inputs over its block; its
     # fused map overwrites them with its new state and its outputs, which
     # one shifted copy then hands to row e + 1 as inputs
@@ -447,13 +439,11 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     node = np.append(np.arange(E)[:, None] * width + np.arange(p),
                      (E - 1) * width + p)
     gather = np.stack((node, node + p + 1))
-    if snapshots:  # the snapshot row of every step, -1 if none
-        snap_row = np.full(total_steps + 1, -1)
-        snap_row[snap_at[1:-1]] = np.arange(1, snap_at.size - 1)
-        cols = np.arange(E)[:, None] * p + np.arange(p + 1)
+    cols = np.arange(E)[:, None] * p + np.arange(p + 1)  # element e's snapshot columns
     # the runs of equal blocks in the pipeline, oldest first: (wavefront at
-    # which the first entered element 0, blocks, first step, block length,
-    # maps, stretch); element e at wavefront d runs block d - w0 - e
+    # which the first entered element 0, blocks, first block, first step,
+    # block length, maps, stretch); element e at wavefront d runs block
+    # d - w0 - e of the run, block b0 + d - w0 - e of the whole run
     live = []
     peak, bad = 0.0, None  # bad: (end step, state, deadline) of the first bad block
 
@@ -463,7 +453,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
 
     def wavefront(d):
         nonlocal peak, bad
-        for w0, count, g0, m, F, _ in live:
+        for w0, count, b0, g0, m, F, _ in live:
             lo, hi = busy(w0, count, d)
             if lo >= hi:
                 continue
@@ -475,18 +465,19 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             if hi == E:
                 gs = g0 + m * (d - w0 - E + 1) + 1
                 pout[gs:gs + m] = V[E - 1, NS + 1:n:2]
-            if snapshots:
-                es = np.arange(lo, hi)
-                k = snap_row[g0 + m * (d - w0 + 1 - es)]
-                es, k = es[k >= 0], k[k >= 0]
-                snaps[:, k[:, None], cols[es]] = \
-                    V[es, :NS - 1].reshape(-1, 2, p + 1).transpose(1, 0, 2)
+            if snapshots:  # element e ran nb - e blocks: a multiple of j is row (nb - e) / j
+                nb = b0 + d - w0 + 1
+                first = lo + (nb - lo) % j
+                if first < hi:  # elements first, first + j, ... < hi
+                    rows = np.arange((nb - first) // j, (nb - hi) // j, -1)
+                    snaps[:, rows[:, None], cols[first:hi:j]] = \
+                        V[first:hi:j, :NS - 1].reshape(-1, 2, p + 1).transpose(1, 0, 2)
         V[1:, NS:] = V[:-1, NS:]
         wave_peak = float(np.abs(V[:, :NS - 1]).max())
         if not wave_peak <= MAX_COHERENCE:  # a NaN fails this too
             # the first bad block in run order may be on a far element that
             # has not reached it yet: wait until the last element has
-            for w0, count, g0, m, _, _ in live:
+            for w0, count, _, g0, m, _, _ in live:
                 for e in range(*busy(w0, count, d)):
                     end = g0 + m * (d - w0 - e + 1)
                     if (not np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE
@@ -499,21 +490,24 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
         while live and d >= live[0][0] + live[0][1] + E - 2:  # off the last element
             live.pop(0)
 
-    d = g = 0
+    d = g = b = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports blow-up
-        for s, piece in enumerate(_stretches(plan)):
-            while any(run[5] <= s - 2 for run in live):  # two stretches' maps at most
+        for s, piece in enumerate(_stretches(plan, scenario.schedule)):
+            while any(run[6] <= s - 2 for run in live):  # two stretches' maps at most
                 wavefront(d)
                 d += 1
             lengths = _blocks(piece.steps, cap)
-            maps = _step_maps(coef(piece), scale, Q, set(lengths))
+            # the stretch's RK4 map under its gain, laid out for _step_maps
+            y = _rk4_map(_coherence_matrix(piece.gain * prof_z, med), piece.dt)
+            coef = y.reshape(E, p + 1, 2, 4).transpose(3, 2, 1, 0)[..., None, :]
+            maps = _step_maps(np.ascontiguousarray(coef), scale, Q, set(lengths))
             for m, group in itertools.groupby(lengths):
                 count = len(list(group))
-                live.append((d, count, g, m, maps[m], s))
+                live.append((d, count, b, g, m, maps[m], s))
                 for _ in range(count):
                     wavefront(d)
                     d += 1
-                g += m * count
+                g, b = g + m * count, b + count
             del maps  # the runs hold them: freed as they leave the pipeline
         while live:
             wavefront(d)

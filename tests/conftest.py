@@ -131,7 +131,8 @@ def unfused_step_loop(scenario: Scenario):
     written one quantity at a time.
 
     The same inputs as ``gradecho.solver`` (``step_plan``, ``_rk4_map``,
-    ``_gll_rule``) in a loop of its own: per step, w = M11 rho31 + M12 rho21
+    ``_gll_rule``) in a loop of its own, with a ramp step frozen at the gain
+    of its midpoint, as the solver does: per step, w = M11 rho31 + M12 rho21
     + V01 Omega_p(t0); the predictor rho31 = w + V11 Omega_p(t0) gives the
     predicted field at the step end; the corrector puts that field in place
     of V11's and V12's Omega_p(t1); and each field rebuild adds the field
@@ -154,9 +155,8 @@ def unfused_step_loop(scenario: Scenario):
     prof = np.asarray(scenario.profile.value(zs, med.length), dtype=float)[stored]
     iQ = (0.5j * med.eta * h) * Q.T
 
-    def step_map(gains, dt):
-        A0, Ah, A1 = (_coherence_matrix(g * prof, med) for g in gains)
-        return _rk4_map(A0, Ah, A1, dt).transpose(1, 2, 0)
+    def step_map(gain, dt):
+        return _rk4_map(_coherence_matrix(gain * prof, med), dt).transpose(1, 2, 0)
 
     def field(r31, boundary):
         gained = r31.reshape(E, p + 1) @ iQ
@@ -172,11 +172,10 @@ def unfused_step_loop(scenario: Scenario):
         t1s = ta + dt * np.arange(1, steps + 1)
         boundary = probe(t1s)
         if gain is not None:
-            coef = step_map((gain,) * 3, dt)
+            coef = step_map(gain, dt)
         for n in range(steps):
-            if gain is None:
-                t0 = ta + n * dt
-                coef = step_map([sched.gain(t) for t in (t0, t0 + 0.5 * dt, t0 + dt)], dt)
+            if gain is None:  # a ramp step under the gain at its midpoint
+                coef = step_map(sched.gain(ta + n * dt + dt / 2), dt)
             (M11, M12, V01, V11), (M21, M22, V02, V12) = coef
             w = M11 * r31 + M12 * r21 + V01 * op
             predicted = field(w + V11 * op, boundary[n])

@@ -346,6 +346,34 @@ def test_bad_command_line_number_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["run", "{dir}", "--output", "{out}"], "{dir}"),
+    (["compare", "{dir}", "--output", "{out}"], "{dir}"),
+    (["run", "oracle", "--output", "{file}/out"], "{file}/out"),
+    (["run", "oracle", "--output", "{file}"], "{file}"),
+    (["compare", "oracle", "--output", "{file}/out"], "{file}/out"),
+    (["sweep", "fig4a-coarse", "--output", "{file}/out"], "{file}/out"),
+    (["analytic", "--omega-c", "100", "--eta-z", "5", "--output", "{file}/out"],
+     "{file}/out"),
+], ids=["run-dir-scenario", "compare-dir-scenario", "run-output-under-a-file",
+        "run-output-is-a-file", "compare-output-under-a-file",
+        "sweep-output-under-a-file", "analytic-output-under-a-file"])
+def test_a_bad_scenario_or_output_path_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                  argv, named):
+    # a directory is no scenario file, and an output directory that cannot
+    # be made is a config error naming the path, not a traceback
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("x", encoding="utf-8")
+    before = sorted(tmp_path.rglob("*"))
+    paths = dict(dir=tmp_path / "dir", file=tmp_path / "file", out=tmp_path / "out")
+    assert main([a.format(**paths) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert named.format(**paths) in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "x"
+
+
 def test_analytic_emission(tmp_path):
     out = tmp_path / "ana"
     code = main(["analytic", "--output", str(out), "--omega-c", "0.3",

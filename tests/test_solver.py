@@ -165,10 +165,10 @@ def _first_bad_step(s: Scenario) -> tuple[int, np.ndarray]:
     return first, np.flatnonzero(bad[first])
 
 
-def _block_ends(plan, cap) -> tuple[list, list, np.ndarray]:
-    """The stretches of ``plan``, the lengths of each one's blocks at a cap
-    of ``cap`` steps, and every block's end step."""
-    stretches = list(_stretches(plan))
+def _block_ends(plan, schedule, cap) -> tuple[list, list, np.ndarray]:
+    """The stretches of ``plan`` under ``schedule``, the lengths of each
+    one's blocks at a cap of ``cap`` steps, and every block's end step."""
+    stretches = list(_stretches(plan, schedule))
     blocks = [_blocks(piece.steps, cap) for piece in stretches]
     return stretches, blocks, np.cumsum([m for lengths in blocks for m in lengths])
 
@@ -193,10 +193,12 @@ def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(every_step, ra
     plan = step_plan(s)
     total = sum(piece.steps for piece in plan)
     snapshots, cap = (total, 1) if every_step else (None, K)
-    stretches, blocks, ends = _block_ends(plan, cap)
+    stretches, blocks, ends = _block_ends(plan, s.schedule, cap)
     assert ends[-1] == total and (every_step or np.max(np.diff(ends)) == K)
-    ramp_steps = [lengths for piece, lengths in zip(stretches, blocks) if piece.gain is None]
-    assert ramp_steps == [[1]] * sum(piece.steps for piece in plan if piece.gain is None)
+    ramp = [piece for piece in plan if piece.gain is None]
+    ramp_steps = [lengths for piece, lengths in zip(stretches, blocks)
+                  if any(r.t_start <= piece.t_start < r.t_end for r in ramp)]
+    assert ramp_steps == [[1]] * sum(piece.steps for piece in ramp)
     with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
         _run(s, plan, snapshots=snapshots)
     step = _named_step(err)
@@ -219,7 +221,7 @@ def test_divergence_guard_names_the_first_bad_block_of_a_far_element(zeta):
     s = replace(_diverging_scenario(), profile=Linear(zeta=zeta),
                 grid=GridSpec(t_end=50.0, nz=256, dt=0.1))
     first, bad = _first_bad_step(s)
-    _, _, ends = _block_ends(step_plan(s), K)
+    _, _, ends = _block_ends(step_plan(s), s.schedule, K)
     assert first > 0 and bad.min() > s.grid.nz // 2  # the far half goes first
     with pytest.raises(DivergenceError) as err, warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -265,7 +267,7 @@ def test_rk4_map_of_a_constant_control_is_the_taylor_map():
     dt = 2.5e-3
     med = MediumParams(xi=1.0, gamma_ground=0.01, delta_p=0.3, delta_c=-0.2)
     A = _coherence_matrix(np.linspace(-40.0, 40.0, 33), med)
-    y = _rk4_map(A, A, A, dt)
+    y = _rk4_map(A, dt)
     for got, want in zip((y[:, :, :2], y[:, :, 2], y[:, :, 3]), _taylor_map(A, dt)):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -327,9 +329,11 @@ def test_step_matches_the_unfused_reference_loop(case):
 
     # partial blocks: records at other strides and other snapshot counts
     # (integrate's 512 among them, 7, where the snapshots skip block ends,
-    # and none but the last step), and a pinned dt whose constant pieces end
-    # in a shorter block, against the reference subsampled (a record stride
-    # above the step count keeps only step 0 and the last)
+    # 1 and 2, where j divides the block count and the last j-th block end
+    # is the last step, stored once, and none but the last step), and a
+    # pinned dt whose constant pieces end in a shorter block, against the
+    # reference subsampled (a record stride above the step count keeps only
+    # step 0 and the last)
     pinned = small_scenario(grid=replace(MOL_GRID, dt=PINNED_DT), **MOL_CASES[case])
     assert all(piece.steps % _blocks(piece.steps, K)[0]
                for piece in step_plan(pinned) if piece.gain is not None)
@@ -339,19 +343,41 @@ def test_step_matches_the_unfused_reference_loop(case):
                       (pinned, unfused_step_loop(pinned))):
         total = ref[0].size - 1
         for rec_stride, snapshots in itertools.product(
-                (1, 3, total + 1), (total, 512, 7, None)):
+                (1, 3, total + 1), (total, 512, 7, 2, 1, None)):
             rec = _run(base, step_plan(base), record_stride=rec_stride,
                        snapshots=snapshots)
             at = _strided(total, rec_stride)
             snap = np.searchsorted(ref[0], rec.snapshot_times)
             assert snap[0] == 0 and snap[-1] == total
-            assert snapshots is not None or snap.size == 2
+            if snapshots in (None, 1, 2):  # the last step is stored once
+                assert snap.size == (snapshots or 1) + 1
             assert np.array_equal(rec.times, ref[0][at])
             assert np.array_equal(rec.probe_in, ref[1][at])
             assert np.array_equal(rec.snapshot_times, ref[0][snap])
             assert rel_l2(rec.probe_out, ref[2][at]) <= 1e-13
             assert rel_l2(rec.rho31, ref[3][snap]) <= 1e-13
             assert rel_l2(rec.rho21, ref[4][snap]) <= 1e-13
+
+
+def test_a_ramp_step_runs_under_the_gain_at_its_midpoint():
+    # every stretch the run steps has one constant gain: a ramp piece
+    # expands into one-step pieces that tile it, each frozen at the gain of
+    # its midpoint, and a constant piece passes through as it is
+    s = small_scenario(grid=MOL_GRID, **MOL_CASES["ramped"])
+    plan = step_plan(s)
+    ramps = [piece for piece in plan if piece.gain is None]
+    assert ramps
+    stretches = list(_stretches(plan, s.schedule))
+    assert len(stretches) == len(plan) - len(ramps) + sum(r.steps for r in ramps)
+    for ramp in ramps:
+        steps = [q for q in stretches if ramp.t_start <= q.t_start < ramp.t_end]
+        assert len(steps) == ramp.steps
+        assert steps[-1].t_end == pytest.approx(ramp.t_end, rel=1e-14)
+        for i, q in enumerate(steps):  # on the run's step grid t_start + dt i
+            t0 = ramp.t_start + ramp.dt * i
+            assert q == (t0, t0 + ramp.dt, 1, ramp.dt, s.schedule.gain(t0 + ramp.dt / 2))
+    assert [q for q in stretches if q.steps > 1] == [piece for piece in plan
+                                                     if piece.gain is not None]
 
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
@@ -388,7 +414,7 @@ def test_coherence_snapshots_land_on_block_ends(name):
         s = replace(s, schedule=replace(s.schedule, ramp_time=0.002))
     plan = step_plan(s)
     total = sum(piece.steps for piece in plan)
-    _, _, ends = _block_ends(plan, min(K, math.ceil(total / 512)))
+    _, _, ends = _block_ends(plan, s.schedule, min(K, math.ceil(total / 512)))
     rec = integrate(s, coherences=True)
     assert min(total, 256) + 1 <= rec.snapshot_times.size <= 514
     assert rec.rho31.shape == rec.rho21.shape == (rec.snapshot_times.size, s.grid.nz + 1)
@@ -637,7 +663,7 @@ def test_ramped_switch_runs_and_stays_close_to_instant():
 
 def test_ramp_path_matches_fast_path_for_constant_gain():
     # a "ramp" between equal gains steps a constant control field one step
-    # per block, each under the RK4 map of its own gains; both runs
+    # per block, each under the RK4 map of its midpoint gain; both runs
     # integrate the same dynamics.  The dt is pinned so both runs step at
     # the same rate and only the block layout differs.
     grid = GridSpec(t_end=2.0, nz=128, dt=small_scenario().resolved_dt())
