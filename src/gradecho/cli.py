@@ -45,23 +45,32 @@ def _load_scenario(ref: str) -> tuple[Scenario, str]:
     return parse_scenario_file(path), ""
 
 
-def _output_dir(path: str) -> Path:
+def _output_dir(path: str, *files: str) -> list[Path]:
+    """The paths of ``files`` in the output directory ``path``, made if
+    missing; a ConfigError names a directory that cannot be made or an
+    output file path that is an existing directory, before any work."""
     try:
         Path(path).mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot make output directory {path!r}: {exc.strerror}") from None
-    return Path(path)
+    paths = [Path(path) / f for f in files]
+    for out in paths:
+        if out.is_dir():
+            raise ConfigError(f"output file {str(out)!r} is a directory")
+    return paths
 
 
-def _prepare(args) -> tuple[Scenario, str, Path]:
+def _prepare(args, *files: str) -> tuple[Scenario, str, list[Path]]:
     scenario, note = _load_scenario(args.scenario)
     if args.grid_override:
         scenario = apply_grid_override(scenario, args.grid_override)
-    return scenario, note, _output_dir(args.output)
+    return scenario, note, _output_dir(args.output, *files)
 
 
 def cmd_run(args) -> int:
-    scenario, note, outdir = _prepare(args)
+    name = Path(args.scenario).stem if Path(args.scenario).exists() else args.scenario
+    scenario, note, (csv_path, metrics_path, manifest_path) = _prepare(
+        args, f"{name}_timeseries.csv", f"{name}_metrics.json", f"{name}_manifest.json")
     issues = validate_scenario(scenario)
     for issue in issues:
         print(f"{issue.severity}: {issue.message}", file=sys.stderr)
@@ -72,7 +81,6 @@ def cmd_run(args) -> int:
     if args.efficiency_cut is not None and not 0.0 <= args.efficiency_cut <= t_end:
         raise ConfigError(f"--efficiency-cut {args.efficiency_cut:g} lies outside the "
                           f"recorded window [0, t_end = {t_end:g}]")
-    name = Path(args.scenario).stem if Path(args.scenario).exists() else args.scenario
     plan = step_plan(scenario)
     manifest = RunManifestWriter(config_hash=config_hash(scenario),
                                  scenario=serialize_scenario(scenario),
@@ -98,14 +106,12 @@ def cmd_run(args) -> int:
         except UndefinedMetricError as exc:
             metrics_payload["echo"] = f"undefined: {exc}"
 
-    csv_path = outdir / f"{name}_timeseries.csv"
-    metrics_path = outdir / f"{name}_metrics.json"
     write_timeseries_csv(record, csv_path)
     write_json(metrics_payload, metrics_path)
     manifest.add_output(csv_path)
     manifest.add_output(metrics_path)
-    manifest.write(outdir / f"{name}_manifest.json",
-                   peak_coherence=record.peak_coherence, max_coherence=MAX_COHERENCE)
+    manifest.write(manifest_path, peak_coherence=record.peak_coherence,
+                   max_coherence=MAX_COHERENCE)
     print(f"wrote {csv_path} and {metrics_path}")
     return EXIT_OK
 
@@ -114,11 +120,11 @@ def cmd_sweep(args) -> int:
     if args.spec not in BUILTIN_SWEEPS:
         raise ConfigError(f"unknown sweep {args.spec!r}; available: "
                           f"{', '.join(sorted(BUILTIN_SWEEPS))}")
-    outdir = Path(args.output)
-    checkpoint = outdir / "sweep_checkpoint.jsonl"
+    checkpoint = Path(args.output) / "sweep_checkpoint.jsonl"
     # the spec first: a sweep that cannot start keeps the old checkpoint
     spec = builtin_sweep(args.spec, workers=args.workers, checkpoint=str(checkpoint))
-    _output_dir(args.output)
+    _, csv_path, manifest_path = _output_dir(args.output, checkpoint.name, "sweep.csv",
+                                             "sweep_manifest.json")
     if not args.resume:
         checkpoint.unlink(missing_ok=True)
     manifest = RunManifestWriter(sweep=args.spec, grid_shape=list(spec.shape),
@@ -126,17 +132,17 @@ def cmd_sweep(args) -> int:
                                  base_config_hash=config_hash(spec.base),
                                  workers=args.workers)
     result = run_sweep(spec)
-    csv_path = outdir / "sweep.csv"
     result.to_csv(csv_path)
     manifest.add_output(csv_path)
     failed = [r.index for r in result.rows if r.error]
-    manifest.write(outdir / "sweep_manifest.json", failed_points=failed)
+    manifest.write(manifest_path, failed_points=failed)
     print(f"wrote {csv_path} ({len(result.rows)} points, {len(failed)} failed)")
     return EXIT_OK
 
 
 def cmd_compare(args) -> int:
-    scenario, note, outdir = _prepare(args)
+    scenario, _, (residuals_path, csv_path) = _prepare(args, "compare_residuals.json",
+                                                       "compare.csv")
     if not isinstance(scenario.profile, Uniform) or len(scenario.schedule.segments) != 1:
         raise ConfigError("compare needs a constant control field: a uniform "
                           "profile and a single-segment schedule")
@@ -182,8 +188,8 @@ def cmd_compare(args) -> int:
         "impulse_amplitude": {"re": amp.real, "im": amp.imag},
     }
 
-    write_json(residuals, outdir / "compare_residuals.json")  # refuses a NaN first
-    write_csv(outdir / "compare.csv",
+    write_json(residuals, residuals_path)  # refuses a NaN first
+    write_csv(csv_path,
               "T,re_solver_tail,im_solver_tail,re_closed_tail,im_closed_tail",
               [T[mt], record.probe_out[mt].real, record.probe_out[mt].imag,
                tail_ref.real, tail_ref.imag])
@@ -194,13 +200,12 @@ def cmd_compare(args) -> int:
 def cmd_analytic(args) -> int:
     p = AnalyticParams(omega_c=args.omega_c, eta_z=args.eta_z,
                        gamma_decay=args.gamma, probe_amp=args.amp)
-    outdir = _output_dir(args.output)
+    [path] = _output_dir(args.output, "analytic.csv")
     T = np.linspace(args.t_min, args.t_max, args.samples)
     T = T[T > 0]
     r31 = rho31_closed(p, T)
     r21 = rho21_closed(p, T)
     tail = args.amp * probe_closed(p, T)
-    path = outdir / "analytic.csv"
     write_csv(path, "T,im_rho31,re_rho31,re_rho21,im_rho21,probe_tail",
               [T, r31.imag, r31.real, r21.real, r21.imag, tail.real])
     print(f"wrote {path}")

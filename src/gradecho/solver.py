@@ -1,34 +1,36 @@
 """Coupled coherence-field integration on a 1D space-time grid.
 
-The equations are solved in the retarded frame T = t - z/c, where the field
-equation loses its time derivative and becomes d(Omega_p)/dz = i eta rho31
-at fixed T.  Per time step the two coherence ODEs
+In the retarded frame T = t - z/c the field equation loses its time
+derivative, and with u = -i rho31 the equations read
 
-    d(rho31)/dT = -(Gamma/2 + i Dp) rho31 + (i/2) Omega_c rho21 + (i/2) Omega_p
-    d(rho21)/dT = i (Dc - Dp + i gamma) rho21 + (i/2) conj(Omega_c) rho31
+    du/dT = -(Gamma/2 + i Dp) u + (1/2) Omega_c rho21 + (1/2) Omega_p
+    d(rho21)/dT = i (Dc - Dp + i gamma) rho21 - (1/2) conj(Omega_c) u
+    d(Omega_p)/dz = -eta u  at fixed T.
 
-are advanced at every z with a classical 4-stage Runge-Kutta step, the field
-is rebuilt by integrating i eta rho31 from the boundary, and the pair is
-iterated once as a corrector.  The system is linear, so one RK4 step with
-the probe interpolated linearly across it is an affine map
-rho+ = M rho + V0 Omega_p(t0) + V1 Omega_p(t1) per z (``_rk4_map``), built
+Omega_c is real and the kernel runs the probe's real unit envelope, so on
+resonance (Dp = Dc = 0) a run steps in float64, and otherwise the same
+functions step in complex128; by linearity ``probe_out``, rho31 = i a u and
+rho21 are the unit run's times the probe amplitude a.  Per time step the
+coherences take a classical RK4 step at every z, the field is rebuilt by
+integrating -eta u from the boundary, and the pair is iterated once as a
+corrector.  One RK4 step, with the probe linear across it, is an affine map
+y+ = M y + V0 Omega_p(t0) + V1 Omega_p(t1) per z (``_rk4_map``), built
 under one constant gain: once for a constant-gain piece, and once per step,
-at the gain of its midpoint, on a cosine ramp.  ``step_plan`` lays out the
-time steps: they are aligned to segment boundaries so a gain change never
-happens mid-step, and with an automatic dt each piece is stepped at the
-control it reaches itself, and the short probe is resolved only while it
-enters the medium.
+at the gain of its midpoint, on a cosine ramp.  ``step_plan`` aligns the
+time steps to segment boundaries, so a gain change never happens mid-step;
+with an automatic dt each piece is stepped at the control it reaches
+itself, and the short probe is resolved only while it enters the medium.
 
 The z grid is nz / 8 equal elements, each with the 9 Gauss-Lobatto-Legendre
 nodes of its interval, and the field is exact for the degree-8 interpolant
-of rho31 in every element (``_gll_rule``): inside an element it is the
-field at the element's first node plus (i eta h / 2) Q rho31.  The record
-holds the nz + 1 distinct nodes.
+of u in every element (``_gll_rule``): inside an element it is the field at
+the element's first node plus (-eta h / 2) Q u.  The record holds the
+nz + 1 distinct nodes.
 
 Elements are coupled only through the field at their shared node, one
 predicted and one corrected value per step, and within a piece the scheme
 is linear.  So m steps of one element are a fixed linear map from its state
-(rho31 and rho21 at its 9 nodes and the corrected field at its first node,
+(u and rho21 at its 9 nodes and the corrected field at its first node,
 NS = 19 values) and its 2 m first-node inputs to its new state and its 2 m
 last-node outputs, which are the next element's inputs.  ``_step_maps``
 builds these fused maps, NS + 2 m square, under one RK4 map:
@@ -54,7 +56,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -117,29 +119,30 @@ class FieldRecord:
 
 
 def _coherence_matrix(oc: np.ndarray, med: MediumParams) -> np.ndarray:
-    """Per-z 2x2 matrix A of d(rho31, rho21)/dT = A (rho31, rho21) + drive
-    under the control field ``oc``."""
+    """Per-z 2x2 matrix A of d(u, rho21)/dT = A (u, rho21) + drive under the
+    real control field ``oc``: float64 when Dp = Dc = 0, where every entry
+    is real, and complex128 otherwise."""
     A = np.empty((oc.shape[0], 2, 2), dtype=complex)
     A[:, 0, 0] = -(med.gamma_decay / 2.0 + 1j * med.delta_p)
-    A[:, 0, 1] = 0.5j * oc
-    A[:, 1, 0] = 0.5j * np.conj(oc)
+    A[:, 0, 1] = 0.5 * oc
+    A[:, 1, 0] = -0.5 * np.conj(oc)
     A[:, 1, 1] = 1j * (med.delta_c - med.delta_p + 1j * med.gamma_ground)
-    return A
+    return A if med.delta_p or med.delta_c else A.real.copy()
 
 
 def _rk4_map(A: np.ndarray, dt: float):
     """One classical-RK4 step as an affine map, under the constant coherence
-    matrix ``A`` and the probe linear across the step.
+    matrix ``A`` and the probe linear across the step, in the dtype of A.
 
     The four stages run on the per-z 2x4 basis [I | e_g0 | e_g1]; returns
-    y of shape (nz, 2, 4) with rho_{n+1} = M rho_n + V0 Omega_p(t_n) +
+    y of shape (nz, 2, 4) with y_{n+1} = M y_n + V0 Omega_p(t_n) +
     V1 Omega_p(t_{n+1}) for M = y[:, :, :2], V0 = y[:, :, 2], V1 = y[:, :, 3].
     """
-    y = np.zeros((A.shape[0], 2, 4), dtype=complex)
+    y = np.zeros((A.shape[0], 2, 4), dtype=A.dtype)
     y[:, 0, 0] = y[:, 1, 1] = 1.0
-    drive = np.zeros((3, 2, 4), dtype=complex)  # (i/2) Omega_p at t0, t_half, t1
-    drive[0, 0, 2] = drive[2, 0, 3] = 0.5j
-    drive[1, 0, 2:] = 0.25j
+    drive = np.zeros((3, 2, 4), dtype=A.dtype)  # (1/2) Omega_p at t0, t_half, t1
+    drive[0, 0, 2] = drive[2, 0, 3] = 0.5
+    drive[1, 0, 2:] = 0.25
     k1 = A @ y + drive[0]
     k2 = A @ (y + 0.5 * dt * k1) + drive[1]
     k3 = A @ (y + 0.5 * dt * k2) + drive[1]
@@ -262,34 +265,34 @@ def _gll_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, Q
 
 
-def _element_steps(coef, k: int, scale: complex, Q: np.ndarray):
+def _element_steps(coef, k: int, scale: float, Q: np.ndarray):
     """The scheme on each element on its own for ``k`` steps under the RK4
-    map ``coef``, run on unit columns.
+    map ``coef``, run on unit columns in the dtype of ``coef``.
 
-    An element's state is rho31 and rho21 at its p + 1 nodes and the
+    An element's state is u = -i rho31 and rho21 at its p + 1 nodes and the
     corrected field at its first node at the step start (NS values); its
     inputs at a step are the predicted and the corrected field at its first
     node at the step end, and its outputs the same two at its last node,
     which are the next element's inputs.  Inside the element the field is
-    the first-node field plus ``scale`` Q rho31, scale = i eta h / 2.
+    the first-node field plus ``scale`` Q u, scale = -eta h / 2.
 
     Column c < NS starts as the unit state e_c, and columns NS and NS + 1
     are unit inputs at the first step; every later input is 0.  ``coef``
-    broadcasts to (4, 2, p + 1, NS + 2, E): the coefficients of rho31,
-    rho21, the start field and the end field in the rho31 row and in the
-    rho21 row.  After each step this yields the outputs, shape
-    (2, NS + 2, E), and the state, shape (NS, NS + 2, E): by linearity, the
-    columns of the maps that take an element's state and inputs to them.
+    broadcasts to (4, 2, p + 1, NS + 2, E): the coefficients of u, rho21,
+    the start field and the end field in the u row and in the rho21 row.
+    After each step this yields the outputs, shape (2, NS + 2, E), and the
+    state, shape (NS, NS + 2, E): by linearity, the columns of the maps that
+    take an element's state and inputs to them.
     """
     n, E = Q.shape[0], coef.shape[-1]
     M1, M2, V0, V1 = coef
 
     def gained(r, q=Q):
         """scale q r over the node axis, as one real product."""
-        return scale * (q @ r.view(float).reshape(n, -1)).view(complex).reshape(
+        return scale * (q @ r.view(float).reshape(n, -1)).view(r.dtype).reshape(
             len(q), *r.shape[1:])
 
-    x = np.zeros((NS, NS + 2, E), dtype=complex)
+    x = np.zeros((NS, NS + 2, E), dtype=coef.dtype)
     x[np.arange(NS), np.arange(NS)] = 1.0
     for j in range(k):
         r31 = x[:n]
@@ -309,7 +312,7 @@ def _element_steps(coef, k: int, scale: complex, Q: np.ndarray):
         yield np.stack((end[-1], x[-1] + gained(x[:n], Q[-1:])[0])), x
 
 
-def _step_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
+def _step_maps(coef, scale: float, Q: np.ndarray, lengths) -> dict:
     """Fused transfer maps of a stretch stepped under one RK4 map ``coef``
     in blocks of the given ``lengths``: per length m, shape (E, n, n) with
     n = NS + 2 m, the map of each element from its state and its 2 m inputs
@@ -323,8 +326,8 @@ def _step_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
     columns.
     """
     k, E = max(lengths), coef.shape[-1]
-    outs = np.empty((k, E, 2, NS + 2), dtype=complex)
-    kicks = np.empty((k, E, NS, 2), dtype=complex)
+    outs = np.empty((k, E, 2, NS + 2), dtype=coef.dtype)
+    kicks = np.empty((k, E, NS, 2), dtype=coef.dtype)
     states = {}
     for j, (y, x) in enumerate(_element_steps(coef, k, scale, Q)):
         outs[j] = y.transpose(2, 0, 1)
@@ -338,7 +341,7 @@ def _step_maps(coef, scale: complex, Q: np.ndarray, lengths) -> dict:
     maps = {}
     for m in states:
         n = NS + 2 * m
-        F = maps[m] = np.empty((E, n, n), dtype=complex)
+        F = maps[m] = np.empty((E, n, n), dtype=coef.dtype)
         F[:, :NS, :NS] = states[m]
         F[:, :NS, NS:] = kicks[m - 1::-1].transpose(1, 2, 0, 3).reshape(E, NS, 2 * m)
         F[:, NS:, :NS] = outs[:m, ..., :NS].transpose(1, 0, 2, 3).reshape(E, 2 * m, NS)
@@ -405,7 +408,8 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     zs = np.append((np.arange(E)[:, None] * h + 0.5 * h * (x[:-1] + 1.0)).ravel(), L)
     stored = (np.arange(E)[:, None] * p + np.arange(p + 1)).ravel()
     prof_z = np.asarray(scenario.profile.value(zs, L), dtype=float)[stored]
-    scale = 0.5j * med.eta * h
+    scale = -0.5 * med.eta * h
+    dtype = _coherence_matrix(prof_z, med).dtype  # float64 on resonance
 
     total_steps = sum(piece.steps for piece in plan)
     if total_steps > MAX_STEPS:
@@ -420,22 +424,24 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
                           for m in _blocks(piece.steps, cap)])
         j = -(-ends.size // snapshots)
         snap_at = np.union1d(snap_at, ends[j - 1::j])
-    snaps = np.zeros((2, snap_at.size, nz + 1), dtype=complex)  # step 0: rho = 0
+    snaps = np.zeros((2, snap_at.size, nz + 1), dtype=dtype)  # step 0: u = rho21 = 0
     # the end time, boundary probe and transmitted probe of every step
     t, g = np.zeros(total_steps + 1), 0
     for ta, _, steps, dt, _ in plan:
         t[g + 1:g + steps + 1] = ta + dt * np.arange(1, steps + 1)
         g += steps
-    pin = scenario.probe.boundary_value(t).astype(complex)
-    pout = pin.copy()  # at step 0 the medium holds no coherence
+    # the kernel runs the real unit envelope; the record takes the amplitude
+    amp = complex(scenario.probe.amplitude)
+    pin = replace(scenario.probe, amplitude=1.0).boundary_value(t)
+    pout = pin.astype(dtype)  # at step 0 the medium holds no coherence
 
     # Row e of V is element e's state, then its inputs over its block; its
     # fused map overwrites them with its new state and its outputs, which
     # one shifted copy then hands to row e + 1 as inputs
     width = NS + 2 * cap
-    V = np.zeros((E, width), dtype=complex)
+    V = np.zeros((E, width), dtype=dtype)
     V[:, NS - 1] = pin[0]
-    # the distinct nodes' rho31 and rho21 as flat indices into V
+    # the distinct nodes' u and rho21 as flat indices into V
     node = np.append(np.arange(E)[:, None] * width + np.arange(p),
                      (E - 1) * width + p)
     gather = np.stack((node, node + p + 1))
@@ -473,16 +479,16 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
                     snaps[:, rows[:, None], cols[first:hi:j]] = \
                         V[first:hi:j, :NS - 1].reshape(-1, 2, p + 1).transpose(1, 0, 2)
         V[1:, NS:] = V[:-1, NS:]
-        wave_peak = float(np.abs(V[:, :NS - 1]).max())
+        wave_peak = abs(amp) * float(np.abs(V[:, :NS - 1]).max())
         if not wave_peak <= MAX_COHERENCE:  # a NaN fails this too
             # the first bad block in run order may be on a far element that
             # has not reached it yet: wait until the last element has
             for w0, count, _, g0, m, _, _ in live:
                 for e in range(*busy(w0, count, d)):
                     end = g0 + m * (d - w0 - e + 1)
-                    if (not np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE
+                    if (not abs(amp) * np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE
                             and (bad is None or end < bad[0])):
-                        bad = end, V[e, :NS - 1].copy(), d - e + E - 1
+                        bad = end, amp * V[e, :NS - 1], d - e + E - 1
         else:
             peak = max(peak, wave_peak)
         if bad is not None and d >= bad[2]:
@@ -515,9 +521,9 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     snaps[:, -1] = V.take(gather)
 
     at = _strided(total_steps, record_stride or max(1, int(math.ceil(total_steps / 1e5))))
-    return FieldRecord(times=t[at], probe_in=pin[at], probe_out=pout[at],
-                       snapshot_times=t[snap_at], z=zs, rho31=snaps[0], rho21=snaps[1],
-                       peak_coherence=peak)
+    return FieldRecord(times=t[at], probe_in=amp * pin[at], probe_out=amp * pout[at],
+                       snapshot_times=t[snap_at], z=zs, rho31=1j * amp * snaps[0],
+                       rho21=amp * snaps[1], peak_coherence=peak)
 
 
 class ConvergenceReport(NamedTuple):
@@ -537,8 +543,6 @@ def convergence_check(scenario: Scenario, refinements: int = 2,
     """
     if refinements < 1:
         raise ValueError("refinements must be >= 1")
-    from dataclasses import replace
-
     if check:
         _raise_on_errors(scenario)
     plan = step_plan(scenario)

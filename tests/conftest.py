@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 from gradecho import builtin_scenario, integrate
 from gradecho.model import (GLL_ORDER, ControlSchedule, GridSpec, MediumParams,
                             ProbePulse, Scenario, Uniform)
-from gradecho.solver import _coherence_matrix, _gll_rule, _rk4_map, step_plan
+from gradecho.solver import _gll_rule, step_plan
 
 UTAU = 1e-6
 
@@ -125,14 +125,47 @@ def constant_control_response(scenario: Scenario, z: float, times):
             to_times(field))
 
 
+def rho31_coherence_matrix(oc: np.ndarray, med: MediumParams) -> np.ndarray:
+    """Per-z 2x2 matrix A of d(rho31, rho21)/dT = A (rho31, rho21) + drive
+    under the control field ``oc``, in the rho31 form the solver's u = -i rho31
+    form is checked against."""
+    A = np.empty((oc.shape[0], 2, 2), dtype=complex)
+    A[:, 0, 0] = -(med.gamma_decay / 2.0 + 1j * med.delta_p)
+    A[:, 0, 1] = 0.5j * oc
+    A[:, 1, 0] = 0.5j * np.conj(oc)
+    A[:, 1, 1] = 1j * (med.delta_c - med.delta_p + 1j * med.gamma_ground)
+    return A
+
+
+def rho31_rk4_map(A: np.ndarray, dt: float) -> np.ndarray:
+    """One classical-RK4 step of the rho31 form under the constant ``A`` with
+    the probe linear across the step, as y of shape (nz, 2, 4): rho_{n+1} =
+    M rho_n + V0 Omega_p(t_n) + V1 Omega_p(t_{n+1}) for M = y[:, :, :2],
+    V0 = y[:, :, 2], V1 = y[:, :, 3], under the drive (i/2) Omega_p."""
+    y = np.zeros((A.shape[0], 2, 4), dtype=complex)
+    y[:, 0, 0] = y[:, 1, 1] = 1.0
+    drive = np.zeros((3, 2, 4), dtype=complex)  # (i/2) Omega_p at t0, t_half, t1
+    drive[0, 0, 2] = drive[2, 0, 3] = 0.5j
+    drive[1, 0, 2:] = 0.25j
+    k1 = A @ y + drive[0]
+    k2 = A @ (y + 0.5 * dt * k1) + drive[1]
+    k3 = A @ (y + 0.5 * dt * k2) + drive[1]
+    k4 = A @ (y + dt * k3) + drive[2]
+    y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+    return y
+
+
 def unfused_step_loop(scenario: Scenario):
     """(times, probe_in, probe_out, rho31, rho21) after every step of
     ``step_plan(scenario)``, at the distinct z nodes, from the solver's scheme
-    written one quantity at a time.
+    written one quantity at a time in the rho31 form, in complex arithmetic.
 
-    The same inputs as ``gradecho.solver`` (``step_plan``, ``_rk4_map``,
-    ``_gll_rule``) in a loop of its own, with a ramp step frozen at the gain
-    of its midpoint, as the solver does: per step, w = M11 rho31 + M12 rho21
+    The solver steps u = -i rho31 from the probe's unit envelope and scales
+    by the amplitude at the end; this loop steps rho31 and rho21 under the
+    amplitude's own probe (``rho31_coherence_matrix``, ``rho31_rk4_map``), so
+    it checks that change of variables.  It shares ``step_plan`` and
+    ``_gll_rule`` with the solver, with a ramp step frozen at the gain of its
+    midpoint, as the solver does: per step, w = M11 rho31 + M12 rho21
     + V01 Omega_p(t0); the predictor rho31 = w + V11 Omega_p(t0) gives the
     predicted field at the step end; the corrector puts that field in place
     of V11's and V12's Omega_p(t1); and each field rebuild adds the field
@@ -156,7 +189,7 @@ def unfused_step_loop(scenario: Scenario):
     iQ = (0.5j * med.eta * h) * Q.T
 
     def step_map(gain, dt):
-        return _rk4_map(_coherence_matrix(gain * prof, med), dt).transpose(1, 2, 0)
+        return rho31_rk4_map(rho31_coherence_matrix(gain * prof, med), dt).transpose(1, 2, 0)
 
     def field(r31, boundary):
         gained = r31.reshape(E, p + 1) @ iQ

@@ -355,21 +355,41 @@ def test_bad_command_line_number_exits_2(tmp_path, capsys, argv):
     (["sweep", "fig4a-coarse", "--output", "{file}/out"], "{file}/out"),
     (["analytic", "--omega-c", "100", "--eta-z", "5", "--output", "{file}/out"],
      "{file}/out"),
+    (["run", "oracle", "--output", "{out}"], "{out}/oracle_timeseries.csv"),
+    (["run", "oracle", "--output", "{out}"], "{out}/oracle_manifest.json"),
+    (["sweep", "fig4a-coarse", "--output", "{out}"], "{out}/sweep_checkpoint.jsonl"),
+    (["sweep", "fig4a-coarse", "--output", "{out}"], "{out}/sweep.csv"),
+    (["compare", "oracle", "--output", "{out}"], "{out}/compare.csv"),
+    (["analytic", "--omega-c", "100", "--eta-z", "5", "--output", "{out}"],
+     "{out}/analytic.csv"),
 ], ids=["run-dir-scenario", "compare-dir-scenario", "run-output-under-a-file",
         "run-output-is-a-file", "compare-output-under-a-file",
-        "sweep-output-under-a-file", "analytic-output-under-a-file"])
+        "sweep-output-under-a-file", "analytic-output-under-a-file",
+        "run-csv-is-a-dir", "run-manifest-is-a-dir", "sweep-checkpoint-is-a-dir",
+        "sweep-csv-is-a-dir", "compare-csv-is-a-dir", "analytic-csv-is-a-dir"])
 def test_a_bad_scenario_or_output_path_exits_2_and_writes_nothing(tmp_path, capsys,
-                                                                  argv, named):
+                                                                  monkeypatch, argv, named):
     # a directory is no scenario file, and an output directory that cannot
-    # be made is a config error naming the path, not a traceback
+    # be made, or an output file path inside it that is an existing
+    # directory, is a config error naming the path, before any run: not a
+    # traceback, and not after the whole run
     (tmp_path / "dir").mkdir()
     (tmp_path / "file").write_text("x", encoding="utf-8")
-    before = sorted(tmp_path.rglob("*"))
     paths = dict(dir=tmp_path / "dir", file=tmp_path / "file", out=tmp_path / "out")
+    named = named.format(**paths)
+    if named.startswith(str(paths["out"])):
+        Path(named).mkdir(parents=True)
+    before = sorted(tmp_path.rglob("*"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("ran before checking its output paths")
+
+    monkeypatch.setattr(gradecho.cli, "integrate", no_run)
+    monkeypatch.setattr(gradecho.cli, "run_sweep", no_run)
     assert main([a.format(**paths) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    assert named.format(**paths) in err
+    assert named in err
     assert sorted(tmp_path.rglob("*")) == before
     assert (tmp_path / "file").read_text(encoding="utf-8") == "x"
 

@@ -11,7 +11,7 @@ from scipy.special import j0, j1
 from gradecho.analytic import AnalyticParams, impulse_equivalent_amplitude, rho31_closed
 from gradecho.model import (ControlSchedule, GridSpec, Linear, MediumParams,
                             ProbePulse, Scenario, Uniform, scale_scenario)
-from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario
+from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario, builtin_sweep
 from gradecho.solver import (MAX_COHERENCE, DivergenceError, K, ResourceLimitError,
                              _blocks, _check_coherences, _coherence_matrix,
                              _gll_rule, _rk4_map, _run, _strided, _stretches,
@@ -96,6 +96,30 @@ def test_global_phase_covariance():
     assert rel_l2(rec.probe_out, np.exp(1j * phi) * base.probe_out) < 1e-12
     assert rel_l2(np.abs(rec.rho31), np.abs(base.rho31)) < 1e-12
     assert rel_l2(np.abs(rec.rho21), np.abs(base.rho21)) < 1e-12
+
+
+def test_the_record_is_the_unit_run_times_the_probe_amplitude():
+    # the kernel runs the probe's unit envelope and the record takes the
+    # amplitude at the end: amplitude 0 is an all-zero record, with no
+    # division and so no warning, and any other amplitude is that times the
+    # unit run to rounding
+    unit = integrate(small_scenario(), coherences=True)
+    fields = ("probe_in", "probe_out", "rho31", "rho21")
+    for amplitude in (0.0, -2.0, np.exp(1j * np.pi / 3)):
+        s = small_scenario(probe=ProbePulse(amplitude=amplitude, center_time=0.2,
+                                            width=0.05))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rec = integrate(s, coherences=True)
+        for f in fields:
+            got, want = getattr(rec, f), amplitude * getattr(unit, f)
+            assert got.dtype == complex
+            if amplitude == 0:
+                assert np.all(got == 0)
+            else:
+                assert rel_l2(got, want) <= 1e-15
+        assert rec.peak_coherence == pytest.approx(abs(amplitude) * unit.peak_coherence,
+                                                   rel=1e-15, abs=0.0)
 
 
 def test_control_sign_symmetry():
@@ -248,15 +272,14 @@ def test_guard_passes_large_but_bounded_coherences():
     assert _check_coherences(np.stack((r, 1j * r)), step=1, t=0.0) == 9.995
 
 
-def _taylor_map(A, dt):
+def _taylor_map(A, dt, c):
     """Closed form of one RK4 step under a constant A with the probe linear
     across the step: M is the 4th-order Taylor polynomial of exp(A dt) and
-    V0, V1 push the drive (i/2, 0) Omega_p through the four stages."""
+    V0, V1 push the drive c Omega_p through the four stages."""
     A2 = A @ A
     A3 = A2 @ A
     A4 = A3 @ A
     M = np.eye(2) + dt * A + dt**2 / 2.0 * A2 + dt**3 / 6.0 * A3 + dt**4 / 24.0 * A4
-    c = np.array([0.5j, 0.0])
     Ac, A2c, A3c = A @ c, A2 @ c, A3 @ c
     V0 = dt / 6.0 * (3 * c + 2 * dt * Ac + 0.75 * dt**2 * A2c + 0.25 * dt**3 * A3c)
     V1 = dt / 6.0 * (3 * c + dt * Ac + 0.25 * dt**2 * A2c)
@@ -268,8 +291,40 @@ def test_rk4_map_of_a_constant_control_is_the_taylor_map():
     med = MediumParams(xi=1.0, gamma_ground=0.01, delta_p=0.3, delta_c=-0.2)
     A = _coherence_matrix(np.linspace(-40.0, 40.0, 33), med)
     y = _rk4_map(A, dt)
-    for got, want in zip((y[:, :, :2], y[:, :, 2], y[:, :, 3]), _taylor_map(A, dt)):
+    # the u = -i rho31 form: its drive is (1/2, 0) Omega_p
+    taylor = _taylor_map(A, dt, np.array([0.5, 0.0]))
+    for got, want in zip((y[:, :, :2], y[:, :, 2], y[:, :, 3]), taylor):
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+class _Built(Exception):
+    """Stops a run after its first map build."""
+
+
+def test_resonant_runs_step_in_real_arithmetic(monkeypatch):
+    # every builtin and every fig4a-coarse point has Dp = Dc = 0 and builds
+    # float64 maps; any detuning steps the same functions in complex128
+    import gradecho.solver as solver
+
+    step_maps, built = solver._step_maps, []
+
+    def spy(*args):
+        built.append({F.dtype for F in step_maps(*args).values()})
+        raise _Built
+
+    monkeypatch.setattr(solver, "_step_maps", spy)
+    spec = builtin_sweep("fig4a-coarse")
+    resonant = ([builtin_scenario(name) for name in sorted(BUILTIN_SCENARIOS)]
+                + [spec.point(i)[1] for i in range(spec.size())])
+    detuned = [small_scenario(medium=MediumParams(xi=50.0, **detuning))
+               for detuning in (dict(delta_p=2.0, delta_c=2.0), dict(delta_c=-1.0),
+                                dict(delta_p=0.5, gamma_ground=0.1))]
+    for s in resonant + detuned:
+        with pytest.raises(_Built):
+            integrate(s)
+    assert len(resonant) == 35
+    assert built == ([{np.dtype(np.float64)}] * len(resonant)
+                     + [{np.dtype(np.complex128)}] * len(detuned))
 
 
 def test_gll_rule_integrates_degree_8_exactly():
@@ -686,12 +741,20 @@ def test_fig4b_default_grid_is_converged():
     assert rep.errors[0] < 0.01
 
 
-@pytest.mark.parametrize("name", ["oracle", "oracle-ats"])
-def test_auto_plan_matches_exact_constant_control_response(name):
+@pytest.mark.parametrize("name, detuning, gate", [
+    ("oracle", {}, 1e-3),
+    ("oracle-ats", {}, 1e-3),
+    ("oracle-ats", dict(delta_p=20.0, delta_c=20.0), 6e-4),
+    ("oracle-ats", dict(delta_p=10.0, delta_c=4.0, gamma_ground=0.5), 6e-4),
+], ids=["oracle", "oracle-ats", "oracle-ats-dp=dc", "oracle-ats-dp!=dc"])
+def test_auto_plan_matches_exact_constant_control_response(name, detuning, gate):
     # the coarse step after the probe has entered keeps the run within 1e-3
     # of the exact response at an overdamped and a broadband Omega_c
-    # (measured: at most 3.5e-4 and 4.1e-4)
+    # (measured: at most 3.5e-4 and 4.1e-4); the detuned runs step in
+    # complex arithmetic, with a one-photon detuning on two-photon resonance
+    # and off it with ground dephasing (measured 4.9e-4 and 4.5e-4)
     s = builtin_scenario(name)
+    s = replace(s, medium=replace(s.medium, **detuning))
     rec = integrate(s, coherences=True)
     t0 = s.probe.center_time
     snap_t, r31, r21 = rec.coherence_at(0.5)
@@ -701,4 +764,6 @@ def test_auto_plan_matches_exact_constant_control_response(name):
     mt = (rec.times - t0 >= 0.5) & (rec.times - t0 <= 10.0)
     _, _, tail = constant_control_response(s, s.medium.length, rec.times[mt])
     errs = (rel_l2(r31[m], x31), rel_l2(r21[m], x21), rel_l2(rec.probe_out[mt], tail))
-    assert max(errs) <= 1e-3
+    print(f"rho31, rho21, tail errors: {errs[0]:.3g}, {errs[1]:.3g}, {errs[2]:.3g} "
+          f"(gate {gate:g})")
+    assert max(errs) <= gate
