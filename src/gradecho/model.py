@@ -274,16 +274,21 @@ class Scenario:
 
     def auto_dt(self, gain: float) -> tuple[float, float]:
         """The automatic (window, after-window) time steps under a control
-        of peak Omega = |gain| * profile.peak.
+        of peak |gain| * profile.peak and the detunings.
 
-        While the probe enters, dt = min(width / 20, 0.1 / Omega, t_end / 50).
-        After it the probe limit gives way to the medium's, 0.1 / (eta L),
-        but the step never falls below the window's.  A limit whose rate is
-        0 (no control, no medium) drops out.  ``solver.step_plan`` applies
+        Omega is the largest of that peak, 2 |Dp| and 2 |Dc - Dp|, so that
+        dt Omega <= 0.1 holds the control's rotation rate Omega_c / 2 and the
+        detuning rates |Dp| and |Dc - Dp| to 0.05 per step.  While the probe
+        enters, dt = min(width / 20, 0.1 / Omega, t_end / 50).  After it the
+        probe limit gives way to the medium's, 0.1 / (eta L), but the step
+        never falls below the window's.  A limit whose rate is 0 (no control
+        and no detuning, no medium) drops out.  ``solver.step_plan`` applies
         this per piece, with the largest |gain| the piece reaches.
         """
-        omega = abs(gain) * self.profile.peak(self.medium.length)
-        eta_l = self.medium.eta * self.medium.length
+        med = self.medium
+        omega = max(abs(gain) * self.profile.peak(med.length), 2.0 * abs(med.delta_p),
+                    2.0 * abs(med.delta_c - med.delta_p))
+        eta_l = med.eta * med.length
         control = 0.1 / omega if omega > 0 else math.inf
         medium = 0.1 / eta_l if eta_l > 0 else math.inf
         window = min(self.probe.width / 20.0, control, self.grid.t_end / 50.0)

@@ -43,18 +43,20 @@ at most K steps, apart from a shorter tail (``_blocks``).  The coherence
 snapshots are taken at every j-th block end, found by block number, so
 they change the blocks only on a run of 512 (K - 1) steps or fewer, which
 takes shorter blocks to keep its snapshots dense.  The blocks run through
-a skewed pipeline of the elements: at wavefront d element e runs the block
-that entered element 0 at wavefront d - e.  One batched product per run of
-equal blocks advances every element that holds one, one shifted copy hands
-each element's outputs to the next element as inputs, the boundary probe
-enters element 0 and the last element's outputs are the transmitted probe.
-A wavefront makes about 5 numpy calls plus one per run of blocks it holds,
-whatever E: under one call per step at 10-step blocks.
+a skewed pipeline of the elements: block b enters element 0 at wavefront b,
+so at wavefront d element e runs block d - e, and B blocks take B + E - 1
+wavefronts.  One batched product per run of equal blocks advances every
+element that holds one, one shifted copy hands each element's outputs to
+the next element as inputs, the boundary probe enters element 0 and the
+last element's outputs are the transmitted probe.  A wavefront makes about
+5 numpy calls plus one per run of blocks it holds, whatever E: under one
+call per step at 10-step blocks.  A stretch's maps live until its last
+block leaves the last element, so at most E maps, one per block in the
+pipeline, are alive at once.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
@@ -367,13 +369,13 @@ def _stretches(plan: tuple[Piece, ...], schedule):
             yield Piece(t0, t0 + piece.dt, 1, piece.dt, schedule.gain(t0 + piece.dt / 2))
 
 
-def _blocks(steps: int, cap: int) -> list[int]:
-    """The block lengths of a stretch of ``steps`` steps: ceil(steps / cap)
-    blocks of m = ceil(steps / ceil(steps / cap)) <= cap steps, the last
-    one shorter when m does not divide ``steps``."""
+def _blocks(steps: int, cap: int) -> list[tuple[int, int]]:
+    """The blocks of a stretch of ``steps`` steps as runs (length, count):
+    ceil(steps / cap) blocks of m = ceil(steps / ceil(steps / cap)) <= cap
+    steps, the last one shorter when m does not divide ``steps``."""
     m = -(-steps // -(-steps // cap))
     body, tail = divmod(steps, m)
-    return [m] * body + [tail] * (tail > 0)
+    return [(m, body)] + [(tail, 1)] * (tail > 0)
 
 
 def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
@@ -385,18 +387,23 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     block ends and the last step, or at step 0 and the last step only when
     it is None.
 
-    One pass over the stretches of one constant gain (``_stretches``), each
-    split into the blocks of ``_blocks`` at a cap of K steps, or with
-    snapshots min(K, ceil(total steps / snapshots)), through a skewed
-    pipeline of the z elements: at wavefront d element e runs the block
-    that entered element 0 at wavefront d - e.  The snapshots are taken at
+    One walk of the stretches of one constant gain (``_stretches``), each
+    split into the runs of equal blocks of ``_blocks`` at a cap of K steps,
+    or with snapshots min(K, ceil(total steps / snapshots)), gives the step
+    that starts every block.  The blocks run through a skewed pipeline of
+    the z elements: block b enters element 0 at wavefront b, so at
+    wavefront d element e runs block d - e.  The snapshots are taken at
     every j-th block end, j = ceil(blocks / snapshots): an element that has
-    run i j blocks of the whole run stores row i.  Every element with a block
-    advances in one batched product per run of blocks of one stretch and
-    length, and one shifted copy hands each element's outputs to the next
-    element's inputs.  A stretch enters element 0 only once the stretch two
-    before it has left the last element, so at most two stretches' maps
-    are alive.
+    run i j blocks stores row i.  Every element with a block advances in one
+    batched product per run of blocks of one stretch and length, and one
+    shifted copy hands each element's outputs to the next element's inputs.
+    A stretch builds its maps as its first block enters and frees them once
+    its last block has left the last element, so at most E maps of
+    E (NS + 2 m)^2 values are alive: in float64, 12.5 MB at nz = 256 and
+    200 MB at nz = 1024 when every stretch is one 10-step block.  Long
+    stretches hold far less (tracemalloc peaks: fig3a 2.8 MB, oracle-ats
+    2.0 MB; fig4b under 120 segments of 5 blocks, 3.9 MB at nz = 256 and
+    45 MB at nz = 1024).
     """
     med = scenario.medium
     L = med.length
@@ -417,19 +424,22 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             f"run needs {total_steps} steps, above the budget of {MAX_STEPS}; "
             f"coarsen dt or shorten t_end")
 
-    cap, snap_at = K, np.array([0, total_steps])
+    cap = min(K, -(-total_steps // snapshots)) if snapshots else K
+    walk = [(piece, _blocks(piece.steps, cap))
+            for piece in _stretches(plan, scenario.schedule)]
+    # block b runs steps start[b] + 1 .. start[b + 1]; a plain list, since
+    # the wavefront reads it one entry at a time
+    start = np.cumsum([0] + [m for _, runs in walk for m, count in runs
+                             for _ in range(count)]).tolist()
+    blocks = len(start) - 1
+    snap_at = np.array([0, total_steps])
     if snapshots:
-        cap = min(K, -(-total_steps // snapshots))
-        ends = np.cumsum([m for piece in _stretches(plan, scenario.schedule)
-                          for m in _blocks(piece.steps, cap)])
-        j = -(-ends.size // snapshots)
-        snap_at = np.union1d(snap_at, ends[j - 1::j])
+        j = -(-blocks // snapshots)
+        snap_at = np.union1d(snap_at, start[j::j])
     snaps = np.zeros((2, snap_at.size, nz + 1), dtype=dtype)  # step 0: u = rho21 = 0
     # the end time, boundary probe and transmitted probe of every step
-    t, g = np.zeros(total_steps + 1), 0
-    for ta, _, steps, dt, _ in plan:
-        t[g + 1:g + steps + 1] = ta + dt * np.arange(1, steps + 1)
-        g += steps
+    t = np.concatenate([[0.0]] + [ta + dt * np.arange(1, steps + 1)
+                                  for ta, _, steps, dt, _ in plan])
     # the kernel runs the real unit envelope; the record takes the amplitude
     amp = complex(scenario.probe.amplitude)
     pin = replace(scenario.probe, amplitude=1.0).boundary_value(t)
@@ -446,10 +456,9 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
                      (E - 1) * width + p)
     gather = np.stack((node, node + p + 1))
     cols = np.arange(E)[:, None] * p + np.arange(p + 1)  # element e's snapshot columns
-    # the runs of equal blocks in the pipeline, oldest first: (wavefront at
-    # which the first entered element 0, blocks, first block, first step,
-    # block length, maps, stretch); element e at wavefront d runs block
-    # d - w0 - e of the run, block b0 + d - w0 - e of the whole run
+    # the runs of equal blocks in the pipeline, oldest first: (the number of
+    # the first block, blocks, block length, maps); block b enters element 0
+    # at wavefront b, so at wavefront d element e runs block d - e
     live = []
     peak, bad = 0.0, None  # bad: (end step, state, deadline) of the first bad block
 
@@ -459,36 +468,34 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
 
     def wavefront(d):
         nonlocal peak, bad
-        for w0, count, b0, g0, m, F, _ in live:
+        for w0, count, m, F in live:
             lo, hi = busy(w0, count, d)
             if lo >= hi:
                 continue
             n = NS + 2 * m
-            if lo == 0:  # the predicted and the corrected field: the probe
-                gs = g0 + m * (d - w0) + 1
-                V[0, NS:n].reshape(m, 2)[:] = pin[gs:gs + m, None]
+            if lo == 0:  # block d enters: its predicted and corrected fields are the probe
+                V[0, NS:n].reshape(m, 2)[:] = pin[start[d] + 1:start[d] + m + 1, None]
             np.matmul(F[lo:hi], V[lo:hi, :n, None], out=V[lo:hi, :n, None])
-            if hi == E:
-                gs = g0 + m * (d - w0 - E + 1) + 1
+            if hi == E:  # block d - E + 1 leaves
+                gs = start[d - E + 1] + 1
                 pout[gs:gs + m] = V[E - 1, NS + 1:n:2]
-            if snapshots:  # element e ran nb - e blocks: a multiple of j is row (nb - e) / j
-                nb = b0 + d - w0 + 1
-                first = lo + (nb - lo) % j
-                if first < hi:  # elements first, first + j, ... < hi
-                    rows = np.arange((nb - first) // j, (nb - hi) // j, -1)
-                    snaps[:, rows[:, None], cols[first:hi:j]] = \
-                        V[first:hi:j, :NS - 1].reshape(-1, 2, p + 1).transpose(1, 0, 2)
+        lo, hi = busy(0, blocks, d)
+        if snapshots:  # element e has run d + 1 - e blocks: row (d + 1 - e) / j if j divides it
+            first = lo + (d + 1 - lo) % j
+            if first < hi:  # elements first, first + j, ... < hi
+                rows = np.arange((d + 1 - first) // j, (d + 1 - hi) // j, -1)
+                snaps[:, rows[:, None], cols[first:hi:j]] = \
+                    V[first:hi:j, :NS - 1].reshape(-1, 2, p + 1).transpose(1, 0, 2)
         V[1:, NS:] = V[:-1, NS:]
         wave_peak = abs(amp) * float(np.abs(V[:, :NS - 1]).max())
         if not wave_peak <= MAX_COHERENCE:  # a NaN fails this too
             # the first bad block in run order may be on a far element that
             # has not reached it yet: wait until the last element has
-            for w0, count, _, g0, m, _, _ in live:
-                for e in range(*busy(w0, count, d)):
-                    end = g0 + m * (d - w0 - e + 1)
-                    if (not abs(amp) * np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE
-                            and (bad is None or end < bad[0])):
-                        bad = end, amp * V[e, :NS - 1], d - e + E - 1
+            for e in range(lo, hi):
+                end = start[d - e + 1]
+                if (not abs(amp) * np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE
+                        and (bad is None or end < bad[0])):
+                    bad = end, amp * V[e, :NS - 1], d - e + E - 1
         else:
             peak = max(peak, wave_peak)
         if bad is not None and d >= bad[2]:
@@ -496,24 +503,18 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
         while live and d >= live[0][0] + live[0][1] + E - 2:  # off the last element
             live.pop(0)
 
-    d = g = b = 0
+    d = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports blow-up
-        for s, piece in enumerate(_stretches(plan, scenario.schedule)):
-            while any(run[6] <= s - 2 for run in live):  # two stretches' maps at most
-                wavefront(d)
-                d += 1
-            lengths = _blocks(piece.steps, cap)
+        for piece, runs in walk:
             # the stretch's RK4 map under its gain, laid out for _step_maps
             y = _rk4_map(_coherence_matrix(piece.gain * prof_z, med), piece.dt)
             coef = y.reshape(E, p + 1, 2, 4).transpose(3, 2, 1, 0)[..., None, :]
-            maps = _step_maps(np.ascontiguousarray(coef), scale, Q, set(lengths))
-            for m, group in itertools.groupby(lengths):
-                count = len(list(group))
-                live.append((d, count, b, g, m, maps[m], s))
+            maps = _step_maps(np.ascontiguousarray(coef), scale, Q, {m for m, _ in runs})
+            for m, count in runs:
+                live.append((d, count, m, maps[m]))
                 for _ in range(count):
                     wavefront(d)
                     d += 1
-                g, b = g + m * count, b + count
             del maps  # the runs hold them: freed as they leave the pipeline
         while live:
             wavefront(d)

@@ -193,7 +193,8 @@ def _block_ends(plan, schedule, cap) -> tuple[list, list, np.ndarray]:
     """The stretches of ``plan`` under ``schedule``, the lengths of each
     one's blocks at a cap of ``cap`` steps, and every block's end step."""
     stretches = list(_stretches(plan, schedule))
-    blocks = [_blocks(piece.steps, cap) for piece in stretches]
+    blocks = [[m for m, count in _blocks(piece.steps, cap) for _ in range(count)]
+              for piece in stretches]
     return stretches, blocks, np.cumsum([m for lengths in blocks for m in lengths])
 
 
@@ -365,15 +366,20 @@ def test_matches_method_of_lines_oracle(case):
     assert rel_l2(rec.probe_out, method_of_lines_response(s, rec.times)) <= 1e-3
 
 
-PINNED_DT = 2.1e-3  # pieces of 381, 572 (flipped) or 381, 10, 562 (ramped) steps
+PINNED_DT = 2.1e-3  # pieces of 381, 572 (flipped), 381, 10, 562 (ramped) or 62 (switching) steps
+# 16 alternating segments of 11 to 62 steps, 2 to 7 blocks each on the 8
+# elements of MOL_GRID, each ending in a shorter block: up to four stretches
+# of two block lengths each share the pipeline (two at the pinned dt)
+STEP_CASES = {**MOL_CASES, "switching": dict(schedule=ControlSchedule(
+    segments=tuple((0.1285 * i, (-1.0) ** i) for i in range(16))))}
 
 
-@pytest.mark.parametrize("case", sorted(MOL_CASES))
+@pytest.mark.parametrize("case", sorted(STEP_CASES))
 def test_step_matches_the_unfused_reference_loop(case):
     # the transfer blocks change only the rounding (measured <= 1.5e-14); a slip
     # in the predictor or corrector of one coefficient is far above 1e-13 and
     # far below the 1e-3 oracle gates; "ramped" builds a map every step
-    s = small_scenario(grid=MOL_GRID, **MOL_CASES[case])
+    s = small_scenario(grid=MOL_GRID, **STEP_CASES[case])
     total = sum(piece.steps for piece in step_plan(s))
     rec = _run(s, step_plan(s), record_stride=1, snapshots=total)
     times, probe_in, probe_out, rho31, rho21 = unfused_step_loop(s)
@@ -389,8 +395,8 @@ def test_step_matches_the_unfused_reference_loop(case):
     # pinned dt whose constant pieces end in a shorter block, against the
     # reference subsampled (a record stride above the step count keeps only
     # step 0 and the last)
-    pinned = small_scenario(grid=replace(MOL_GRID, dt=PINNED_DT), **MOL_CASES[case])
-    assert all(piece.steps % _blocks(piece.steps, K)[0]
+    pinned = small_scenario(grid=replace(MOL_GRID, dt=PINNED_DT), **STEP_CASES[case])
+    assert all(piece.steps % _blocks(piece.steps, K)[0][0]
                for piece in step_plan(pinned) if piece.gain is not None)
     assert _strided(10, 3).tolist() == [0, 3, 6, 9, 10]
     assert _strided(9, 3).tolist() == [0, 3, 6, 9]
@@ -746,13 +752,20 @@ def test_fig4b_default_grid_is_converged():
     ("oracle-ats", {}, 1e-3),
     ("oracle-ats", dict(delta_p=20.0, delta_c=20.0), 6e-4),
     ("oracle-ats", dict(delta_p=10.0, delta_c=4.0, gamma_ground=0.5), 6e-4),
-], ids=["oracle", "oracle-ats", "oracle-ats-dp=dc", "oracle-ats-dp!=dc"])
+    ("oracle", dict(delta_p=20.0, delta_c=20.0), 1e-3),
+    ("oracle", dict(delta_p=100.0, delta_c=100.0), 1e-3),
+    ("oracle", dict(delta_p=300.0, delta_c=300.0), 1e-3),
+], ids=["oracle", "oracle-ats", "oracle-ats-dp=dc", "oracle-ats-dp!=dc",
+        "oracle-dp=dc=20", "oracle-dp=dc=100", "oracle-dp=dc=300"])
 def test_auto_plan_matches_exact_constant_control_response(name, detuning, gate):
     # the coarse step after the probe has entered keeps the run within 1e-3
     # of the exact response at an overdamped and a broadband Omega_c
     # (measured: at most 3.5e-4 and 4.1e-4); the detuned runs step in
     # complex arithmetic, with a one-photon detuning on two-photon resonance
-    # and off it with ground dephasing (measured 4.9e-4 and 4.5e-4)
+    # and off it with ground dephasing (measured 4.9e-4 and 4.5e-4); on
+    # oracle a detuning, not Omega_c = 0.3, sets the step (4,334, 20,388 and
+    # 60,524 steps at Dp = Dc = 20, 100 and 300; measured at most 6.8e-4,
+    # where the resonant step count read 1.1e-2, 0.70 and diverged)
     s = builtin_scenario(name)
     s = replace(s, medium=replace(s.medium, **detuning))
     rec = integrate(s, coherences=True)

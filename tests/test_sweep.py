@@ -170,10 +170,10 @@ def test_checkpoint_of_another_spec_is_refused(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="another sweep spec"):
         run_sweep(_spec(tmp_path, xis=(20.0,)))
     # so is one of the same spec written by another version, here the last
-    # one: its rows may differ and must not be mixed (0.5.4 rows move by up
-    # to 1.4e-14 with the real arithmetic of a resonant run)
+    # one: its rows may differ and must not be mixed (0.5.5 steps a detuned
+    # point more finely)
     ckpt.unlink()
-    monkeypatch.setattr(gradecho.sweep, "__version__", "0.5.3")
+    monkeypatch.setattr(gradecho.sweep, "__version__", "0.5.4")
     run_sweep(_spec(tmp_path, xis=(20.0,)))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="gradecho version"):
