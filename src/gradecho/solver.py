@@ -39,20 +39,20 @@ states and one pair of unit inputs at the first step, and the step does not
 change, so the inputs of later steps are that response shifted.  A run is
 one pass over stretches of one constant gain, a constant piece or one ramp
 step (``_stretches``): each builds its maps once and is cut into blocks of
-at most K steps, apart from a shorter tail (``_blocks``).  The coherence
-snapshots are taken at every j-th block end, found by block number, so
-they change the blocks only on a run of 512 (K - 1) steps or fewer, which
-takes shorter blocks to keep its snapshots dense.  The blocks run through
-a skewed pipeline of the elements: block b enters element 0 at wavefront b,
-so at wavefront d element e runs block d - e, and B blocks take B + E - 1
-wavefronts.  One batched product per run of equal blocks advances every
-element that holds one, one shifted copy hands each element's outputs to
-the next element as inputs, the boundary probe enters element 0 and the
-last element's outputs are the transmitted probe.  A wavefront makes about
+at most K steps, apart from a shorter tail (``_blocks``), with or without
+a coherence trace.  The blocks run through a skewed pipeline of the
+elements: block b enters element 0 at wavefront b, so at wavefront d
+element e runs block d - e, and B blocks take B + E - 1 wavefronts.  One
+batched product per run of equal blocks advances every element that holds
+one, one shifted copy hands each element's outputs to the next element as
+inputs, the boundary probe enters element 0 and the last element's outputs
+are the transmitted probe.  A wavefront makes about
 5 numpy calls plus one per run of blocks it holds, whatever E: under one
 call per step at 10-step blocks.  A stretch's maps live until its last
 block leaves the last element, so at most E maps, one per block in the
-pipeline, are alive at once.
+pipeline, are alive at once.  A traced node is copied out of its element's
+state at every wavefront; element e ends block d - e at wavefront d, so the
+trace at every block end is read off those copies after the last wavefront.
 """
 from __future__ import annotations
 
@@ -94,13 +94,13 @@ class ResourceLimitError(RuntimeError):
 class FieldRecord:
     """Immutable simulation output.
 
-    ``times/probe_in/probe_out`` sample the boundary and transmitted probe;
-    ``z`` holds the nz + 1 distinct grid nodes and ``rho31/rho21`` coherence
-    snapshots of shape (len(snapshot_times), len(z)).  The probe holds
-    step 0, every stride-th step and the last step (``_strided``), at the
-    smallest stride that keeps 1e5 samples or fewer after step 0.  The
-    coherences hold step 0 and the last step and, when ``integrate`` is
-    asked for them, every j-th block end in between, at most 512 of them.
+    ``times/probe_in/probe_out`` sample the boundary and transmitted probe
+    at step 0, every stride-th step and the last step (``_strided``), at the
+    smallest stride that keeps 1e5 samples or fewer after step 0; ``z``
+    holds the nz + 1 distinct grid nodes.  ``snapshot_times`` is step 0 and
+    every block end, and ``rho31/rho21``, of shape (len(snapshot_times),
+    len(nodes)), trace the coherences there at the ``nodes`` ``integrate``
+    was asked for: column k at the distinct node nearest nodes[k].
     ``peak_coherence`` is the largest |rho| the divergence guard
     saw, at any stored node of any state it checked.
     """
@@ -113,11 +113,6 @@ class FieldRecord:
     rho31: np.ndarray
     rho21: np.ndarray
     peak_coherence: float
-
-    def coherence_at(self, z_target: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(snapshot_times, rho31, rho21) at the grid node nearest z_target."""
-        j = int(np.argmin(np.abs(self.z - z_target)))
-        return self.snapshot_times, self.rho31[:, j], self.rho21[:, j]
 
 
 def _coherence_matrix(oc: np.ndarray, med: MediumParams) -> np.ndarray:
@@ -219,26 +214,25 @@ def step_plan(scenario: Scenario) -> tuple[Piece, ...]:
 
 
 def integrate(scenario: Scenario, check: bool = True,
-              coherences: bool = False) -> FieldRecord:
+              nodes: tuple[float, ...] = ()) -> FieldRecord:
     """Run the scenario through ``step_plan(scenario)`` and return the
     sampled fields.
 
     With ``check=True`` (default) validation errors abort the run; warnings
     are allowed.  A plan above ``MAX_STEPS`` steps raises ResourceLimitError.
-    With ``coherences=True`` the record holds coherence snapshots at step 0,
-    at every j-th block end (at most 512 of them) and at the last step, in
-    blocks of at most min(K, ceil(steps / 512)) steps (``_run``); otherwise
-    only at step 0 and the last step.  The run stops with DivergenceError
-    when the state at the end of a block has a non-finite |rho| or one above
-    ``MAX_COHERENCE``, naming the end of the first such block in run order;
-    blocks end at every piece end, after every ramp step and after at most
-    K steps (``_blocks``), so the check runs at least that often and at the
-    last step.  ``peak_coherence`` of the record is the largest |rho| over
-    the states checked.
+    The record traces rho31 and rho21 at step 0 and every block end at the
+    distinct grid node nearest each z position in ``nodes``; the trace
+    changes no block and no other field of the record.  The run stops with
+    DivergenceError when the state at the end of a block has a non-finite
+    |rho| or one above ``MAX_COHERENCE``, naming the end of the first such
+    block in run order; blocks end at every piece end, after every ramp
+    step and after at most K steps (``_blocks``), so the check runs at least
+    that often and at the last step.  ``peak_coherence`` of the record is
+    the largest |rho| over the states checked.
     """
     if check:
         _raise_on_errors(scenario)
-    return _run(scenario, step_plan(scenario), snapshots=512 if coherences else None)
+    return _run(scenario, step_plan(scenario), nodes=nodes)
 
 
 def _raise_on_errors(scenario: Scenario) -> None:
@@ -369,41 +363,41 @@ def _stretches(plan: tuple[Piece, ...], schedule):
             yield Piece(t0, t0 + piece.dt, 1, piece.dt, schedule.gain(t0 + piece.dt / 2))
 
 
-def _blocks(steps: int, cap: int) -> list[tuple[int, int]]:
+def _blocks(steps: int) -> list[tuple[int, int]]:
     """The blocks of a stretch of ``steps`` steps as runs (length, count):
-    ceil(steps / cap) blocks of m = ceil(steps / ceil(steps / cap)) <= cap
+    ceil(steps / K) blocks of m = ceil(steps / ceil(steps / K)) <= K
     steps, the last one shorter when m does not divide ``steps``."""
-    m = -(-steps // -(-steps // cap))
+    m = -(-steps // -(-steps // K))
     body, tail = divmod(steps, m)
     return [(m, body)] + [(tail, 1)] * (tail > 0)
 
 
 def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
          record_stride: Optional[int] = None,
-         snapshots: Optional[int] = None) -> FieldRecord:
+         nodes: tuple[float, ...] = ()) -> FieldRecord:
     """Step ``scenario`` through ``plan`` (no validation), recording the
     probe every ``record_stride`` steps (``_strided``, by default that of
-    ``FieldRecord``) and the coherences at step 0, at most ``snapshots``
-    block ends and the last step, or at step 0 and the last step only when
-    it is None.
+    ``FieldRecord``) and the coherences at step 0 and every block end at
+    the distinct node nearest each z in ``nodes``.
 
     One walk of the stretches of one constant gain (``_stretches``), each
-    split into the runs of equal blocks of ``_blocks`` at a cap of K steps,
-    or with snapshots min(K, ceil(total steps / snapshots)), gives the step
-    that starts every block.  The blocks run through a skewed pipeline of
-    the z elements: block b enters element 0 at wavefront b, so at
-    wavefront d element e runs block d - e.  The snapshots are taken at
-    every j-th block end, j = ceil(blocks / snapshots): an element that has
-    run i j blocks stores row i.  Every element with a block advances in one
+    split into the runs of equal blocks of ``_blocks``, gives the step that
+    starts every block.  The blocks run through a skewed pipeline of the z
+    elements: block b enters element 0 at wavefront b, so at wavefront d
+    element e runs block d - e.  Every element with a block advances in one
     batched product per run of blocks of one stretch and length, and one
     shifted copy hands each element's outputs to the next element's inputs.
+    Distinct node i is stored in element e = min(i // p, E - 1), and every
+    wavefront copies the traced nodes' u and rho21 out of the state (one
+    ``take``); element e ends block b at wavefront b + e, which picks the
+    block-end rows of those copies after the last wavefront.
     A stretch builds its maps as its first block enters and frees them once
     its last block has left the last element, so at most E maps of
     E (NS + 2 m)^2 values are alive: in float64, 12.5 MB at nz = 256 and
     200 MB at nz = 1024 when every stretch is one 10-step block.  Long
-    stretches hold far less (tracemalloc peaks: fig3a 2.8 MB, oracle-ats
-    2.0 MB; fig4b under 120 segments of 5 blocks, 3.9 MB at nz = 256 and
-    45 MB at nz = 1024).
+    stretches hold far less (tracemalloc peaks: fig3a 2.0 MB, oracle-ats
+    2.0 MB with or without a trace at L/2; fig4b under 120 segments of 5
+    blocks, 3.9 MB at nz = 256 and 45 MB at nz = 1024).
     """
     med = scenario.medium
     L = med.length
@@ -424,19 +418,13 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             f"run needs {total_steps} steps, above the budget of {MAX_STEPS}; "
             f"coarsen dt or shorten t_end")
 
-    cap = min(K, -(-total_steps // snapshots)) if snapshots else K
-    walk = [(piece, _blocks(piece.steps, cap))
+    walk = [(piece, _blocks(piece.steps))
             for piece in _stretches(plan, scenario.schedule)]
     # block b runs steps start[b] + 1 .. start[b + 1]; a plain list, since
     # the wavefront reads it one entry at a time
     start = np.cumsum([0] + [m for _, runs in walk for m, count in runs
                              for _ in range(count)]).tolist()
     blocks = len(start) - 1
-    snap_at = np.array([0, total_steps])
-    if snapshots:
-        j = -(-blocks // snapshots)
-        snap_at = np.union1d(snap_at, start[j::j])
-    snaps = np.zeros((2, snap_at.size, nz + 1), dtype=dtype)  # step 0: u = rho21 = 0
     # the end time, boundary probe and transmitted probe of every step
     t = np.concatenate([[0.0]] + [ta + dt * np.arange(1, steps + 1)
                                   for ta, _, steps, dt, _ in plan])
@@ -448,14 +436,15 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     # Row e of V is element e's state, then its inputs over its block; its
     # fused map overwrites them with its new state and its outputs, which
     # one shifted copy then hands to row e + 1 as inputs
-    width = NS + 2 * cap
+    width = NS + 2 * K
     V = np.zeros((E, width), dtype=dtype)
     V[:, NS - 1] = pin[0]
-    # the distinct nodes' u and rho21 as flat indices into V
-    node = np.append(np.arange(E)[:, None] * width + np.arange(p),
-                     (E - 1) * width + p)
-    gather = np.stack((node, node + p + 1))
-    cols = np.arange(E)[:, None] * p + np.arange(p + 1)  # element e's snapshot columns
+    # the traced nodes' elements, and their u and rho21 as flat indices into V
+    at_node = np.abs(zs[:, None] - np.asarray(nodes, dtype=float)).argmin(axis=0)
+    home = np.minimum(at_node // p, E - 1)
+    flat = home * width + at_node - home * p
+    flat = np.concatenate((flat, flat + p + 1))
+    seen = np.empty((blocks + E - 1, flat.size), dtype=dtype)  # the copies, per wavefront
     # the runs of equal blocks in the pipeline, oldest first: (the number of
     # the first block, blocks, block length, maps); block b enters element 0
     # at wavefront b, so at wavefront d element e runs block d - e
@@ -479,19 +468,13 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             if hi == E:  # block d - E + 1 leaves
                 gs = start[d - E + 1] + 1
                 pout[gs:gs + m] = V[E - 1, NS + 1:n:2]
-        lo, hi = busy(0, blocks, d)
-        if snapshots:  # element e has run d + 1 - e blocks: row (d + 1 - e) / j if j divides it
-            first = lo + (d + 1 - lo) % j
-            if first < hi:  # elements first, first + j, ... < hi
-                rows = np.arange((d + 1 - first) // j, (d + 1 - hi) // j, -1)
-                snaps[:, rows[:, None], cols[first:hi:j]] = \
-                    V[first:hi:j, :NS - 1].reshape(-1, 2, p + 1).transpose(1, 0, 2)
+        V.take(flat, out=seen[d])
         V[1:, NS:] = V[:-1, NS:]
         wave_peak = abs(amp) * float(np.abs(V[:, :NS - 1]).max())
         if not wave_peak <= MAX_COHERENCE:  # a NaN fails this too
             # the first bad block in run order may be on a far element that
             # has not reached it yet: wait until the last element has
-            for e in range(lo, hi):
+            for e in range(*busy(0, blocks, d)):
                 end = start[d - e + 1]
                 if (not abs(amp) * np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE
                         and (bad is None or end < bad[0])):
@@ -519,12 +502,15 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
         while live:
             wavefront(d)
             d += 1
-    snaps[:, -1] = V.take(gather)
+    # element e ended block b at wavefront b + e; step 0 holds no coherence
+    trace = np.zeros((blocks + 1, flat.size), dtype=dtype)
+    trace[1:] = np.take_along_axis(seen, np.arange(blocks)[:, None] + np.tile(home, 2), axis=0)
+    u, rho21 = np.split(trace, 2, axis=1)
 
     at = _strided(total_steps, record_stride or max(1, int(math.ceil(total_steps / 1e5))))
     return FieldRecord(times=t[at], probe_in=amp * pin[at], probe_out=amp * pout[at],
-                       snapshot_times=t[snap_at], z=zs, rho31=1j * amp * snaps[0],
-                       rho21=amp * snaps[1], peak_coherence=peak)
+                       snapshot_times=t[start], z=zs, rho31=1j * amp * u,
+                       rho21=amp * rho21, peak_coherence=peak)
 
 
 class ConvergenceReport(NamedTuple):

@@ -16,6 +16,7 @@ from gradecho.model import (GLL_ORDER, ControlSchedule, GridSpec, MediumParams,
 from gradecho.solver import _gll_rule, step_plan
 
 UTAU = 1e-6
+TRACED = (0.0, 0.3, 0.5, 1.0)  # the z nodes the property checks trace
 
 
 def small_scenario(flip: bool = True, **overrides) -> Scenario:

@@ -27,7 +27,7 @@ from gradecho.scenarios import builtin_scenario, builtin_sweep
 from gradecho.solver import convergence_check, integrate
 from gradecho.sweep import SweepSpec, run_sweep
 
-from .conftest import (UTAU, constant_control_response, rel_l2,
+from .conftest import (TRACED, UTAU, constant_control_response, rel_l2,
                        small_scenario)
 
 
@@ -73,7 +73,7 @@ def timed_run():
     def get(name: str):
         if name not in cache:
             t0 = time.monotonic()
-            rec = integrate(builtin_scenario(name), coherences=True)
+            rec = integrate(builtin_scenario(name), nodes=(0.5,))
             cache[name] = (rec, time.monotonic() - t0)
         return cache[name]
 
@@ -91,7 +91,7 @@ def test_criterion_1_oracle_equivalence(timed_run):
     closed forms are its broadband limit Omega_c >> Gamma and do not
     describe this overdamped point (Omega_c < Gamma/2): against them the
     residuals are 1.11 (rho31), 0.94 (rho21) and 1.02 (tail), while against
-    the exact response they are 8.4e-5, 3.9e-4 and 2.9e-4.  The closed forms
+    the exact response they are 8.5e-5, 3.7e-4 and 2.9e-4.  The closed forms
     themselves are checked in test_criterion_1_supplement below.
     """
     c = Criterion("1 (oracle equivalence, Omega_c = 0.3 Gamma)")
@@ -99,7 +99,7 @@ def test_criterion_1_oracle_equivalence(timed_run):
     s = builtin_scenario("oracle")
     t0 = s.probe.center_time
 
-    snap_t, r31, r21 = rec.coherence_at(0.5)
+    snap_t, r31, r21 = rec.snapshot_times, rec.rho31[:, 0], rec.rho21[:, 0]
     z_mid = rec.z[np.argmin(np.abs(rec.z - 0.5))]
     m = (snap_t - t0 >= 0.5) & (snap_t - t0 <= 10.0)
     x31, x21, _ = constant_control_response(s, z_mid, snap_t[m])
@@ -129,7 +129,7 @@ def test_criterion_1_supplement_broadband_regime(timed_run):
     t0 = s.probe.center_time
     eta = s.medium.eta
 
-    snap_t, r31, r21 = rec.coherence_at(0.5)
+    snap_t, r31, r21 = rec.snapshot_times, rec.rho31[:, 0], rec.rho21[:, 0]
     T = snap_t - t0
     m = (T >= 0.5) & (T <= 10.0)
     p_mid = AnalyticParams(omega_c=100.0, eta_z=eta * 0.5, probe_amp=amp)
@@ -351,13 +351,13 @@ def test_criterion_8_contour_landmark(tmp_path):
 
 def test_criterion_9_property_suite(tmp_path):
     c = Criterion("9 (always-on property suite)")
-    base = integrate(small_scenario(), coherences=True)
+    base = integrate(small_scenario(), nodes=TRACED)
 
     worst = 0.0
     for alpha in (2.0, 1j, -1.0):
         s = small_scenario(probe=ProbePulse(amplitude=alpha, center_time=0.2,
                                             width=0.05))
-        rec = integrate(s, coherences=True)
+        rec = integrate(s, nodes=TRACED)
         worst = max(worst,
                     rel_l2(rec.probe_out, alpha * base.probe_out),
                     rel_l2(rec.rho31, alpha * base.rho31),
@@ -367,7 +367,7 @@ def test_criterion_9_property_suite(tmp_path):
     phi = 0.7
     rec_phi = integrate(small_scenario(
         probe=ProbePulse(amplitude=np.exp(1j * phi), center_time=0.2, width=0.05)),
-        coherences=True)
+        nodes=TRACED)
     dev = max(rel_l2(rec_phi.probe_out, np.exp(1j * phi) * base.probe_out),
               rel_l2(np.abs(rec_phi.rho21), np.abs(base.rho21)))
     c.check("global-phase covariance", dev <= 1e-12, f"max rel dev {dev:.2e}")
