@@ -201,9 +201,12 @@ def cmd_compare(args) -> int:
 def cmd_analytic(args) -> int:
     p = AnalyticParams(omega_c=args.omega_c, eta_z=args.eta_z,
                        gamma_decay=args.gamma, probe_amp=args.amp)
-    [path] = _output_dir(args.output, "analytic.csv")
     T = np.linspace(args.t_min, args.t_max, args.samples)
     T = T[T > 0]
+    if not T.size:
+        raise ConfigError(f"no sample time T > 0 among {args.samples} samples "
+                          f"from {args.t_min:g} to {args.t_max:g}")
+    [path] = _output_dir(args.output, "analytic.csv")
     r31 = rho31_closed(p, T)
     r21 = rho21_closed(p, T)
     tail = args.amp * probe_closed(p, T)

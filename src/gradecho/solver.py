@@ -32,11 +32,10 @@ predicted and one corrected value per step, and within a piece the scheme
 is linear.  So m steps of one element are a fixed linear map from its state
 (u and rho21 at its 9 nodes and the corrected field at its first node,
 NS = 19 values) and its 2 m first-node inputs to its new state and its 2 m
-last-node outputs, which are the next element's inputs.  ``_step_maps``
-builds these fused maps, NS + 2 m square, under one RK4 map:
-``_element_steps`` runs the scheme on each element on its own, on unit
-states and one pair of unit inputs at the first step, and the step does not
-change, so the inputs of later steps are that response shifted.  A run is
+last-node outputs, which are the next element's inputs.  Under one RK4
+map every step is the same: ``_step_map`` runs the scheme once on unit
+states and inputs for the one-step map F1, and ``_step_maps`` composes the
+fused maps, NS + 2 m square, from it one step at a time.  A run is
 one pass over stretches of one constant gain, a constant piece or one ramp
 step (``_stretches``): each builds its maps once and is cut into blocks of
 at most K steps, apart from a shorter tail (``_blocks``), with or without
@@ -261,9 +260,10 @@ def _gll_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, Q
 
 
-def _element_steps(coef, k: int, scale: float, Q: np.ndarray):
-    """The scheme on each element on its own for ``k`` steps under the RK4
-    map ``coef``, run on unit columns in the dtype of ``coef``.
+def _step_map(y: np.ndarray, scale: float, Q: np.ndarray) -> np.ndarray:
+    """One step of the scheme on each element on its own under the RK4 map
+    ``y`` of ``_rk4_map``, as the map F1 of shape (E, NS + 2, NS + 2) in the
+    dtype of y.
 
     An element's state is u = -i rho31 and rho21 at its p + 1 nodes and the
     corrected field at its first node at the step start (NS values); its
@@ -272,76 +272,65 @@ def _element_steps(coef, k: int, scale: float, Q: np.ndarray):
     which are the next element's inputs.  Inside the element the field is
     the first-node field plus ``scale`` Q u, scale = -eta h / 2.
 
-    Column c < NS starts as the unit state e_c, and columns NS and NS + 1
-    are unit inputs at the first step; every later input is 0.  ``coef``
-    broadcasts to (4, 2, p + 1, NS + 2, E): the coefficients of u, rho21,
-    the start field and the end field in the u row and in the rho21 row.
-    After each step this yields the outputs, shape (2, NS + 2, E), and the
-    state, shape (NS, NS + 2, E): by linearity, the columns of the maps that
-    take an element's state and inputs to them.
+    The step runs once on unit columns: column c < NS starts as the unit
+    state e_c, and columns NS and NS + 1 are the unit inputs.  By linearity
+    the rows of F1 are then the new state and the 2 outputs, and its columns
+    the state and the 2 inputs.
     """
-    n, E = Q.shape[0], coef.shape[-1]
-    M1, M2, V0, V1 = coef
+    n = Q.shape[0]
+    E = y.shape[0] // n
+    # the coefficients of u, rho21, the start field and the end field in the
+    # u row and in the rho21 row, shape (4, 2, p + 1, 1, E)
+    M1, M2, V0, V1 = np.ascontiguousarray(
+        y.reshape(E, n, 2, 4).transpose(3, 2, 1, 0)[..., None, :])
 
     def gained(r, q=Q):
         """scale q r over the node axis, as one real product."""
         return scale * (q @ r.view(float).reshape(n, -1)).view(r.dtype).reshape(
             len(q), *r.shape[1:])
 
-    x = np.zeros((NS, NS + 2, E), dtype=coef.dtype)
-    x[np.arange(NS), np.arange(NS)] = 1.0
-    for j in range(k):
-        r31 = x[:n]
-        op = x[2 * n] + gained(r31)  # the field at the step start
-        xn = np.empty_like(x)
-        rho = xn[:2 * n].reshape(2, n, NS + 2, E)
-        np.multiply(M1, r31, out=rho)
-        rho += M2 * x[n:2 * n]
-        rho += V0 * op
-        end = gained(rho[0] + V1[0] * op)  # the predicted field at the step end
-        xn[-1] = 0.0
-        if j == 0:
-            end[:, NS] += 1.0
-            xn[-1, NS + 1] = 1.0
-        rho += V1 * end
-        x = xn
-        yield np.stack((end[-1], x[-1] + gained(x[:n], Q[-1:])[0])), x
+    x = np.eye(NS, NS + 2, dtype=y.dtype)[..., None]  # the same for every element
+    u = x[:n]
+    op = x[2 * n] + gained(u)  # the field at the step start
+    F = np.zeros((NS + 2, NS + 2, E), dtype=y.dtype)
+    rho = F[:2 * n].reshape(2, n, NS + 2, E)
+    np.multiply(M1, u, out=rho)
+    rho += M2 * x[n:2 * n]
+    rho += V0 * op
+    end = gained(rho[0] + V1[0] * op)  # the predicted field at the step end
+    end[:, NS] += 1.0
+    rho += V1 * end
+    F[2 * n, NS + 1] = 1.0  # the corrected input is the new first-node field
+    F[NS] = end[-1]
+    F[NS + 1] = F[2 * n] + gained(rho[0], Q[-1:])[0]
+    return np.ascontiguousarray(F.transpose(2, 0, 1))
 
 
-def _step_maps(coef, scale: float, Q: np.ndarray, lengths) -> dict:
-    """Fused transfer maps of a stretch stepped under one RK4 map ``coef``
-    in blocks of the given ``lengths``: per length m, shape (E, n, n) with
-    n = NS + 2 m, the map of each element from its state and its 2 m inputs
-    to its new state and its 2 m outputs.
+def _step_maps(F1: np.ndarray, lengths) -> dict:
+    """Fused transfer maps of a stretch whose every step is the one-step
+    map ``F1`` (``_step_map``), for blocks of the given ``lengths``: per
+    length m, shape (E, n, n) with n = NS + 2 m, the map of each element
+    from its state and its 2 m inputs to its new state and its 2 m outputs.
 
-    The step is the same every step, so one build of k = max(lengths) steps
-    on the NS unit states and one pair of inputs at the first step gives
-    every column: the response to the inputs at step i is the first-step
-    response i steps later, so the input-to-output block is lower-triangular
-    Toeplitz, and the map of m steps reads the leading 2 m of its rows and
-    columns.
+    The map of m steps is that of m - 1 steps followed by F1, which takes
+    its new state and the 2 inputs of step m to the new state and the 2
+    outputs of step m, appended after the outputs of the steps before.
+    Only the maps asked for and the one being extended are kept.
     """
-    k, E = max(lengths), coef.shape[-1]
-    outs = np.empty((k, E, 2, NS + 2), dtype=coef.dtype)
-    kicks = np.empty((k, E, NS, 2), dtype=coef.dtype)
-    states = {}
-    for j, (y, x) in enumerate(_element_steps(coef, k, scale, Q)):
-        outs[j] = y.transpose(2, 0, 1)
-        kicks[j] = x[:, NS:].transpose(2, 0, 1)
-        if j + 1 in lengths:
-            states[j + 1] = x[:, :NS].transpose(2, 0, 1)
-    # outputs at step a from the inputs at step b: outs at lag a - b, 0 for a < b
-    lag = np.subtract.outer(np.arange(k), np.arange(k))
-    lagged = np.concatenate((outs[..., NS:], np.zeros_like(outs[:1, ..., NS:])))
-    io = lagged[np.where(lag >= 0, lag, k)].transpose(2, 0, 3, 1, 4).reshape(E, 2 * k, 2 * k)
-    maps = {}
-    for m in states:
-        n = NS + 2 * m
-        F = maps[m] = np.empty((E, n, n), dtype=coef.dtype)
-        F[:, :NS, :NS] = states[m]
-        F[:, :NS, NS:] = kicks[m - 1::-1].transpose(1, 2, 0, 3).reshape(E, NS, 2 * m)
-        F[:, NS:, :NS] = outs[:m, ..., :NS].transpose(1, 0, 2, 3).reshape(E, 2 * m, NS)
-        F[:, NS:, NS:] = io[:, :2 * m, :2 * m]
+    E = F1.shape[0]
+    maps, F = {}, F1
+    for m in range(1, max(lengths) + 1):
+        if m > 1:
+            n = NS + 2 * m
+            G = np.zeros((E, n, n), dtype=F1.dtype)
+            np.matmul(F1[:, :NS, :NS], F[:, :NS], out=G[:, :NS, :n - 2])
+            np.matmul(F1[:, NS:, :NS], F[:, :NS], out=G[:, n - 2:, :n - 2])
+            G[:, NS:n - 2, :n - 2] = F[:, NS:]  # the outputs of steps 1 .. m - 1
+            G[:, :NS, n - 2:] = F1[:, :NS, NS:]
+            G[:, n - 2:, n - 2:] = F1[:, NS:, NS:]
+            F = G
+        if m in lengths:
+            maps[m] = F
     return maps
 
 
@@ -395,9 +384,9 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     its last block has left the last element, so at most E maps of
     E (NS + 2 m)^2 values are alive: in float64, 12.5 MB at nz = 256 and
     200 MB at nz = 1024 when every stretch is one 10-step block.  Long
-    stretches hold far less (tracemalloc peaks: fig3a 2.0 MB, oracle-ats
-    2.0 MB with or without a trace at L/2; fig4b under 120 segments of 5
-    blocks, 3.9 MB at nz = 256 and 45 MB at nz = 1024).
+    stretches hold far less (tracemalloc peaks: fig3a 1.9 MB, oracle-ats
+    1.8 MB with or without a trace at L/2; fig4b under 120 segments of 5
+    blocks, 3.8 MB at nz = 256 and 44 MB at nz = 1024).
     """
     med = scenario.medium
     L = med.length
@@ -468,7 +457,8 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             if hi == E:  # block d - E + 1 leaves
                 gs = start[d - E + 1] + 1
                 pout[gs:gs + m] = V[E - 1, NS + 1:n:2]
-        V.take(flat, out=seen[d])
+        if flat.size:
+            V.take(flat, out=seen[d])
         V[1:, NS:] = V[:-1, NS:]
         wave_peak = abs(amp) * float(np.abs(V[:, :NS - 1]).max())
         if not wave_peak <= MAX_COHERENCE:  # a NaN fails this too
@@ -489,10 +479,8 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     d = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports blow-up
         for piece, runs in walk:
-            # the stretch's RK4 map under its gain, laid out for _step_maps
             y = _rk4_map(_coherence_matrix(piece.gain * prof_z, med), piece.dt)
-            coef = y.reshape(E, p + 1, 2, 4).transpose(3, 2, 1, 0)[..., None, :]
-            maps = _step_maps(np.ascontiguousarray(coef), scale, Q, {m for m, _ in runs})
+            maps = _step_maps(_step_map(y, scale, Q), {m for m, _ in runs})
             for m, count in runs:
                 live.append((d, count, m, maps[m]))
                 for _ in range(count):

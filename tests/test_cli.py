@@ -349,6 +349,9 @@ def _exit_code(argv) -> int:
     ["analytic", "--omega-c", "100", "--eta-z", "-5"],
     ["analytic", "--omega-c", "100", "--eta-z", "5", "--gamma", "-1"],
     ["analytic", "--omega-c", "100", "--eta-z", "5", "--t-max", "inf"],
+    ["analytic", "--omega-c", "100", "--eta-z", "5", "--samples", "-5"],
+    ["analytic", "--omega-c", "100", "--eta-z", "5", "--samples", "0"],  # no curve
+    ["analytic", "--omega-c", "100", "--eta-z", "5", "--t-min", "0", "--t-max", "0"],
 ])
 def test_bad_command_line_number_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out"

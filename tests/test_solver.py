@@ -12,10 +12,11 @@ from gradecho.analytic import AnalyticParams, impulse_equivalent_amplitude, rho3
 from gradecho.model import (ControlSchedule, GridSpec, Linear, MediumParams,
                             ProbePulse, Scenario, Uniform, scale_scenario)
 from gradecho.scenarios import BUILTIN_SCENARIOS, builtin_scenario, builtin_sweep
-from gradecho.solver import (MAX_COHERENCE, DivergenceError, K, ResourceLimitError,
+from gradecho.solver import (MAX_COHERENCE, NS, DivergenceError, K, ResourceLimitError,
                              _blocks, _check_coherences, _coherence_matrix,
-                             _gll_rule, _rk4_map, _run, _strided, _stretches,
-                             convergence_check, integrate, step_plan)
+                             _gll_rule, _rk4_map, _run, _step_map, _step_maps,
+                             _strided, _stretches, convergence_check, integrate,
+                             step_plan)
 
 from .conftest import (TRACED, UTAU, constant_control_response, method_of_lines_response,
                        rel_l2, small_scenario, unfused_step_loop)
@@ -323,6 +324,42 @@ def test_resonant_runs_step_in_real_arithmetic(monkeypatch):
     assert len(resonant) == 35
     assert built == ([{np.dtype(np.float64)}] * len(resonant)
                      + [{np.dtype(np.complex128)}] * len(detuned))
+
+
+@pytest.mark.parametrize("medium", [
+    MediumParams(xi=50.0),
+    MediumParams(xi=50.0, delta_p=0.5, delta_c=-1.0, gamma_ground=0.1)],
+    ids=["resonant", "detuned"])
+def test_composed_maps_are_successive_one_step_maps(medium):
+    # the m-step map composed from F1 does what m steps of F1 in turn do:
+    # each step takes the state and its own 2 inputs to the new state and
+    # its 2 outputs, which follow those of the steps before
+    p, E = 8, 4
+    _, Q = _gll_rule(p)
+    y = _rk4_map(_coherence_matrix(np.linspace(-30.0, 30.0, E * (p + 1)), medium), 2e-3)
+    F1 = _step_map(y, -0.5 * medium.eta / E, Q)
+    assert F1.shape == (E, NS + 2, NS + 2)
+    assert F1.dtype == (np.float64 if medium.delta_p == 0.0 else np.complex128)
+    rng = np.random.default_rng(3)
+
+    def draw(*shape):
+        v = rng.standard_normal(shape)
+        return v + 1j * rng.standard_normal(shape) if F1.dtype.kind == "c" else v
+
+    def apply(F, *parts):
+        return (F @ np.concatenate(parts, axis=1)[..., None])[..., 0]
+
+    for m in range(1, K + 1):
+        maps = _step_maps(F1, {m})
+        assert maps.keys() == {m}
+        state, inputs = draw(E, NS), draw(E, 2 * m)
+        stepped, outs = state, []
+        for i in range(m):
+            stepped = apply(F1, stepped[:, :NS], inputs[:, 2 * i:2 * i + 2])
+            outs.append(stepped[:, NS:])
+        want = np.concatenate([stepped[:, :NS]] + outs, axis=1)
+        got = apply(maps[m], state, inputs)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_gll_rule_integrates_degree_8_exactly():
