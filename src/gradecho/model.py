@@ -314,20 +314,20 @@ def broadband_ordering_ok(bandwidth: float, omega_c_max: float,
 
 
 def validate_scenario(s: Scenario) -> list[ValidationIssue]:
-    """Check grid resolution (errors) and physical-regime expectations (warnings).
-
-    Structurally invalid inputs (non-monotone schedules, bad grid fields)
-    already raise at construction time.
+    """Check the resolution of a given ``grid.dt`` (errors; an automatic dt
+    meets both bounds by construction) and physical-regime expectations
+    (warnings).  Structurally invalid inputs (non-monotone schedules, bad
+    grid fields) already raise at construction time.
     """
     issues: list[ValidationIssue] = []
-    dt = s.resolved_dt()
+    dt = s.grid.dt
     omega_max = s.max_abs_control()
 
-    if omega_max > 0 and dt * omega_max > 0.1 * (1 + 1e-12):
+    if dt is not None and omega_max > 0 and dt * omega_max > 0.1 * (1 + 1e-12):
         issues.append(ValidationIssue(
             "error", f"grid under-resolves the control field: dt*max|Omega_c| = "
                      f"{dt * omega_max:.3g} > 0.1"))
-    if dt > s.probe.width / 20.0 * (1 + 1e-12):
+    if dt is not None and dt > s.probe.width / 20.0 * (1 + 1e-12):
         issues.append(ValidationIssue(
             "error", f"grid under-resolves the probe: dt = {dt:.3g} > width/20 = "
                      f"{s.probe.width / 20.0:.3g}"))

@@ -40,18 +40,18 @@ one pass over stretches of one constant gain, a constant piece or one ramp
 step (``_stretches``): each builds its maps once and is cut into blocks of
 at most K steps, apart from a shorter tail (``_blocks``), with or without
 a coherence trace.  The blocks run through a skewed pipeline of the
-elements: block b enters element 0 at wavefront b, so at wavefront d
-element e runs block d - e, and B blocks take B + E - 1 wavefronts.  One
-batched product per run of equal blocks advances every element that holds
-one, one shifted copy hands each element's outputs to the next element as
-inputs, the boundary probe enters element 0 and the last element's outputs
-are the transmitted probe.  A wavefront makes about
-5 numpy calls plus one per run of blocks it holds, whatever E: under one
-call per step at 10-step blocks.  A stretch's maps live until its last
-block leaves the last element, so at most E maps, one per block in the
-pipeline, are alive at once.  A traced node is copied out of its element's
-state at every wavefront; element e ends block d - e at wavefront d, so the
-trace at every block end is read off those copies after the last wavefront.
+elements, B blocks in B + E - 1 wavefronts, and wavefront d is enter,
+advance, leave.  Enter: one shifted copy hands each element's outputs to
+the next element as inputs, and the boundary probe enters element 0 as
+block d's inputs.  Advance: one batched product per run of equal blocks
+advances every element that holds one; element e runs block d - e.  Leave:
+block d - E + 1 leaves the last element with its transmitted probe and is
+settled there: the divergence guard judges it, and a stretch's maps go once
+its last block has left, so at most E maps are alive.  A wavefront makes
+about 5 numpy calls plus one per run of blocks it holds, whatever E: under
+one call per step at 10-step blocks.  Every wavefront copies the traced
+nodes out of the state, and the trace at every block end is read off those
+copies after the last wavefront.
 """
 from __future__ import annotations
 
@@ -372,21 +372,22 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     One walk of the stretches of one constant gain (``_stretches``), each
     split into the runs of equal blocks of ``_blocks``, gives the step that
     starts every block.  The blocks run through a skewed pipeline of the z
-    elements: block b enters element 0 at wavefront b, so at wavefront d
-    element e runs block d - e.  Every element with a block advances in one
-    batched product per run of blocks of one stretch and length, and one
-    shifted copy hands each element's outputs to the next element's inputs.
+    elements, and wavefront d is enter, advance, leave: one shifted copy
+    hands each element's outputs to the next element's inputs and block d
+    enters element 0; every element with a block advances, in one batched
+    product per run of blocks of one stretch and length, so element e runs
+    block d - e; and block d - E + 1 leaves element E - 1 and is settled:
+    its transmitted probe is read, and the guard, which keeps the first bad
+    state of every block, raises if it has one.  Blocks leave in run order,
+    so the first bad block to leave is the first in run order.
     Distinct node i is stored in element e = min(i // p, E - 1), and every
     wavefront copies the traced nodes' u and rho21 out of the state (one
     ``take``); element e ends block b at wavefront b + e, which picks the
-    block-end rows of those copies after the last wavefront.
-    A stretch builds its maps as its first block enters and frees them once
-    its last block has left the last element, so at most E maps of
-    E (NS + 2 m)^2 values are alive: in float64, 12.5 MB at nz = 256 and
-    200 MB at nz = 1024 when every stretch is one 10-step block.  Long
-    stretches hold far less (tracemalloc peaks: fig3a 1.9 MB, oracle-ats
-    1.8 MB with or without a trace at L/2; fig4b under 120 segments of 5
-    blocks, 3.8 MB at nz = 256 and 44 MB at nz = 1024).
+    block-end rows of those copies after the last wavefront.  A stretch's
+    maps are built as its first block enters and dropped once its last
+    block has left, so at most E maps of E (NS + 2 m)^2 values are alive:
+    in float64, 12.5 MB at nz = 256 and 200 MB at nz = 1024 when every
+    stretch is one 10-step block.
     """
     med = scenario.medium
     L = med.length
@@ -435,46 +436,42 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     flat = np.concatenate((flat, flat + p + 1))
     seen = np.empty((blocks + E - 1, flat.size), dtype=dtype)  # the copies, per wavefront
     # the runs of equal blocks in the pipeline, oldest first: (the number of
-    # the first block, blocks, block length, maps); block b enters element 0
-    # at wavefront b, so at wavefront d element e runs block d - e
+    # the first block, blocks, maps); at wavefront d element e runs block d - e
     live = []
-    peak, bad = 0.0, None  # bad: (end step, state, deadline) of the first bad block
-
-    def busy(w0, count, d):
-        """The elements lo .. hi - 1 that run a block of a run at wavefront d."""
-        return max(0, d - w0 - count + 1), min(E, d - w0 + 1)
+    peak, bad = 0.0, {}  # bad: the first bad state of each bad block, by number
 
     def wavefront(d):
-        nonlocal peak, bad
-        for w0, count, m, F in live:
-            lo, hi = busy(w0, count, d)
-            if lo >= hi:
-                continue
-            n = NS + 2 * m
-            if lo == 0:  # block d enters: its predicted and corrected fields are the probe
-                V[0, NS:n].reshape(m, 2)[:] = pin[start[d] + 1:start[d] + m + 1, None]
+        """Block d enters element 0, every busy element advances, and block
+        d - E + 1 leaves element E - 1, where it is settled."""
+        nonlocal peak
+        # enter: each element's outputs are the next one's inputs, and block
+        # d's inputs at element 0 are the boundary probe
+        V[1:, NS:] = V[:-1, NS:]
+        if d < blocks:
+            s0, s1 = start[d], start[d + 1]
+            V[0, NS:NS + 2 * (s1 - s0)].reshape(-1, 2)[:] = pin[s0 + 1:s1 + 1, None]
+        for w0, count, F in live:  # advance: elements lo .. hi - 1 run a block of the run
+            lo, hi = max(0, d - w0 - count + 1), min(E, d - w0 + 1)
+            n = F.shape[-1]
             np.matmul(F[lo:hi], V[lo:hi, :n, None], out=V[lo:hi, :n, None])
-            if hi == E:  # block d - E + 1 leaves
-                gs = start[d - E + 1] + 1
-                pout[gs:gs + m] = V[E - 1, NS + 1:n:2]
         if flat.size:
             V.take(flat, out=seen[d])
-        V[1:, NS:] = V[:-1, NS:]
         wave_peak = abs(amp) * float(np.abs(V[:, :NS - 1]).max())
         if not wave_peak <= MAX_COHERENCE:  # a NaN fails this too
-            # the first bad block in run order may be on a far element that
-            # has not reached it yet: wait until the last element has
-            for e in range(*busy(0, blocks, d)):
-                end = start[d - e + 1]
-                if (not abs(amp) * np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE
-                        and (bad is None or end < bad[0])):
-                    bad = end, amp * V[e, :NS - 1], d - e + E - 1
+            for e in range(max(0, d - blocks + 1), min(E, d + 1)):  # the busy elements
+                if not abs(amp) * np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE:
+                    bad.setdefault(d - e, amp * V[e, :NS - 1])
         else:
             peak = max(peak, wave_peak)
-        if bad is not None and d >= bad[2]:
-            _check_coherences(bad[1], bad[0], t[bad[0]])
-        while live and d >= live[0][0] + live[0][1] + E - 2:  # off the last element
-            live.pop(0)
+        b = d - E + 1
+        if b >= 0:  # leave: the first bad block to leave is the first in run order
+            s0, s1 = start[b], start[b + 1]
+            pout[s0 + 1:s1 + 1] = V[E - 1, NS + 1:NS + 2 * (s1 - s0):2]
+            if b in bad:
+                _check_coherences(bad[b], s1, t[s1])
+            w0, count, _ = live[0]
+            if b == w0 + count - 1:  # the last block of the oldest run
+                live.pop(0)
 
     d = 0
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports blow-up
@@ -482,7 +479,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
             y = _rk4_map(_coherence_matrix(piece.gain * prof_z, med), piece.dt)
             maps = _step_maps(_step_map(y, scale, Q), {m for m, _ in runs})
             for m, count in runs:
-                live.append((d, count, m, maps[m]))
+                live.append((d, count, maps[m]))
                 for _ in range(count):
                     wavefront(d)
                     d += 1

@@ -153,6 +153,18 @@ def test_run_with_no_echo_records_undefined_and_writes_every_file(tmp_path):
         "small_manifest.json", "small_metrics.json", "small_timeseries.csv"]
 
 
+def test_run_with_no_flip_records_no_echo_and_writes_every_file(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "oracle", "--output", str(out)]) == 0
+    assert (out / "oracle_timeseries.csv").exists()
+    metrics = json.loads((out / "oracle_metrics.json").read_text())
+    assert set(metrics) == {"builtin", "config_hash", "echo"}
+    assert metrics["echo"] == "no control flip in schedule"
+    manifest = json.loads((out / "oracle_manifest.json").read_text())
+    assert manifest["outputs"] == [str(out / "oracle_timeseries.csv"),
+                                   str(out / "oracle_metrics.json")]
+
+
 @pytest.mark.parametrize("extra", [
     ["--grid-override", "t_end=0.1, nz=128"],  # the last flip lies past t_end
     ["--grid-override", "t_end=0.3, nz=128", "--efficiency-cut", "0.5"],

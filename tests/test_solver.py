@@ -203,15 +203,22 @@ def _named_step(err) -> int:
     return int(re.search(r"at step (\d+) ", str(err.value)).group(1))
 
 
+def _ramped_variant() -> Scenario:
+    return replace(_diverging_scenario(), schedule=ControlSchedule(
+        segments=((0.0, 1.0), (0.2, 2.0)), ramp_time=2.0))
+
+
+def _far_element_variant(zeta: float) -> Scenario:
+    return replace(_diverging_scenario(), profile=Linear(zeta=zeta),
+                   grid=GridSpec(t_end=50.0, nz=256, dt=0.1))
+
+
 @pytest.mark.parametrize("ramped", [False, True], ids=["constant", "ramped"])
 def test_divergence_guard_stops_by_the_end_of_the_first_bad_block(ramped):
     # the guard checks every block-end state: blocks run K steps, except on
     # a ramp, where every step is a block of its own (here steps 3 to 22,
     # and the run blows up at step 4)
-    s = _diverging_scenario()
-    if ramped:
-        s = replace(s, schedule=ControlSchedule(segments=((0.0, 1.0), (0.2, 2.0)),
-                                                ramp_time=2.0))
+    s = _ramped_variant() if ramped else _diverging_scenario()
     first, _ = _first_bad_step(s)
     assert first > 0
     plan = step_plan(s)
@@ -241,8 +248,7 @@ def test_divergence_guard_names_the_first_bad_block_of_a_far_element(zeta):
     # blow-up raises no RuntimeWarning on the way
     # (at zeta = 300 the states overflow before the last element has run
     # the first bad block)
-    s = replace(_diverging_scenario(), profile=Linear(zeta=zeta),
-                grid=GridSpec(t_end=50.0, nz=256, dt=0.1))
+    s = _far_element_variant(zeta)
     first, bad = _first_bad_step(s)
     _, _, ends = _block_ends(step_plan(s), s.schedule)
     assert first > 0 and bad.min() > s.grid.nz // 2  # the far half goes first
@@ -250,6 +256,24 @@ def test_divergence_guard_names_the_first_bad_block_of_a_far_element(zeta):
         warnings.simplefilter("error")
         integrate(s, check=False)
     assert first <= _named_step(err) <= ends[np.searchsorted(ends, first)]
+
+
+@pytest.mark.parametrize("make, step, peak", [
+    (_diverging_scenario, 10, "3.41e+09"),
+    (_ramped_variant, 4, "20.2"),
+    (lambda: _far_element_variant(70.0), 10, "15.7"),
+    (lambda: _far_element_variant(300.0), 10, "565"),
+    (lambda: replace(_diverging_scenario(),
+                     probe=replace(_diverging_scenario().probe, amplitude=3j)), 10, "1.02e+10"),
+], ids=["constant", "ramped", "zeta70", "zeta300", "amplitude3i"])
+def test_divergence_guard_names_its_block_and_state(make, step, peak):
+    # the verdict on a block is taken as it leaves the last element: the
+    # named step and the state printed are those of the first bad block in
+    # run order, at the element where it first went bad
+    with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
+        integrate(make(), check=False)
+    assert _named_step(err) == step
+    assert str(err.value).endswith(f"max |rho| = {peak}")
 
 
 @pytest.mark.parametrize("bad", [10 * (1 + 1e-9), np.nan, np.inf, -1j * np.inf])
@@ -626,13 +650,19 @@ def test_a_rounding_sliver_joins_the_ramp_under_the_ramp_bound():
     assert joined.dt * 4.0 * s.profile.b <= 0.1 * (1 + 1e-9)
 
 
-@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+FIG4A_COARSE = builtin_sweep("fig4a-coarse")
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS)
+                         + [f"fig4a-coarse:{i}" for i in range(FIG4A_COARSE.size())])
 def test_auto_plan_respects_step_limits(name):
     # each piece keeps dt |Omega_c| <= 0.1 under the control its own stretch
     # reaches, and dt <= width / 20 where it overlaps the probe window; and
     # it steps no finer than those limits, the medium's 0.1 / (eta L) and
     # t_end / 50 need, so a piece stepped at another piece's control is caught
-    s = builtin_scenario(name)
+    # (validate_scenario checks only a given dt and leans on this)
+    sweep, _, point = name.rpartition(":")
+    s = builtin_sweep(sweep).point(int(point))[1] if sweep else builtin_scenario(name)
     plan = step_plan(s)
     peak = s.profile.peak(s.medium.length)
     medium = 0.1 / (s.medium.eta * s.medium.length)
