@@ -146,7 +146,7 @@ def phase_area(schedule: ControlSchedule, profile: SpatialProfile,
 def predict_echo_time(schedule: ControlSchedule, profile: SpatialProfile,
                       t0: float, t_end: float, length: float = 1.0) -> Optional[float]:
     """Earliest zero crossing of the phase area after both t0 and the last
-    gain sign flip.
+    gain sign flip before t_end.
 
     The area is taken at ``profile.focus(length)``, the profile maximum (echo
     emission is dominated by the highest-coherence region).  Returns None
@@ -157,8 +157,8 @@ def predict_echo_time(schedule: ControlSchedule, profile: SpatialProfile,
     """
     from scipy.optimize import brentq
 
-    last_flip = schedule.last_flip_time()
-    if last_flip is None or last_flip >= t_end:
+    last_flip = schedule.last_flip_time(t_end)
+    if last_flip is None:
         return None
     start = max(last_flip, t0)  # the area vanishes trivially at t0
     focus = profile.focus(length)
@@ -188,18 +188,20 @@ def first_order_signal(profile: SpatialProfile, T, nquad: int = 256,
     """|integral_0^L cos(Omega_c(z) T / 2) dz|^2 / L^2 by composite Simpson.
 
     First-order scattering estimate of the transmitted intensity envelope for
-    a static control profile.
+    a static control profile.  The integrals at every T are one product of
+    the matrix of cosines at the n + 1 nodes (n = nquad rounded up to even)
+    with the Simpson weights h/3 [1, 4, 2, ..., 4, 1]; that matrix takes
+    len(T) x (n + 1) doubles of memory.
     """
-    from scipy.integrate import simpson
-
     if nquad < 16:
         raise ValueError("nquad must be >= 16")
     n = nquad + (nquad % 2)  # Simpson needs an even interval count
     zs = np.linspace(0.0, length, n + 1)
     omega = np.asarray(profile.value(zs, length), dtype=float)
+    w = np.full(n + 1, 2.0)
+    w[1::2] = 4.0
+    w[0] = w[-1] = 1.0
+    w *= (zs[1] - zs[0]) / 3.0
     Tarr = np.atleast_1d(np.asarray(T, dtype=float))
-    vals = np.empty(Tarr.shape, dtype=float)
-    for i, t in enumerate(Tarr):
-        integ = simpson(np.cos(omega * t / 2.0), x=zs)
-        vals[i] = (integ / length) ** 2
+    vals = (np.cos(np.multiply.outer(Tarr, omega) / 2.0) @ w / length) ** 2
     return float(vals[0]) if np.isscalar(T) else vals

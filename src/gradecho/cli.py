@@ -93,11 +93,11 @@ def cmd_run(args) -> int:
     record = integrate(scenario, check=False)  # validated above
 
     # score before writing: a scoring error (exit 2) leaves no files
-    after = scenario.schedule.last_flip_time()
+    after = scenario.schedule.last_flip_time(t_end)
     t_cut = args.efficiency_cut if args.efficiency_cut is not None else after
     metrics_payload: dict = {"builtin": name, "config_hash": config_hash(scenario)}
     if after is None:
-        metrics_payload["echo"] = "no control flip in schedule"
+        metrics_payload["echo"] = "no control flip before t_end"
     else:
         try:
             metrics_payload.update(asdict(compute_echo_metrics(record, after, t_cut)))

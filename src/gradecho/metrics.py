@@ -49,22 +49,22 @@ class NoEchoError(UndefinedMetricError):
     """Nothing rises above the echo detection floor in the detection window."""
 
 
-def _vertex(t: np.ndarray, y: np.ndarray, i: int) -> Optional[tuple[float, float]]:
-    """Offset from t[i] and value of the vertex of the parabola through the
-    samples i - 1, i, i + 1, for unequal spacing (a step plan's dt changes
-    at piece edges); None at either end of the samples or unless that
-    parabola has a maximum.  The offset is clipped to half a spacing either
-    side of t[i]."""
+def _vertex(t: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
+    """Time and value of the peak at sample i: the vertex of the parabola
+    through the samples i - 1, i, i + 1, for unequal spacing (a step plan's
+    dt changes at piece edges), clipped to half a spacing either side of
+    t[i]; the sample itself at either end of the samples or unless that
+    parabola has a maximum."""
     if not 0 < i < t.size - 1:
-        return None
+        return float(t[i]), float(y[i])
     h0, h1 = t[i] - t[i - 1], t[i + 1] - t[i]
     d0, d1 = (y[i] - y[i - 1]) / h0, (y[i + 1] - y[i]) / h1
     a = (d1 - d0) / (h0 + h1)
     if not a < 0:
-        return None
+        return float(t[i]), float(y[i])
     b = (d0 * h1 + d1 * h0) / (h0 + h1)  # the slope at t[i]
     s = float(np.clip(-0.5 * b / a, -0.5 * h0, 0.5 * h1))
-    return s, float(y[i] + s * (b + a * s))
+    return float(t[i] + s), float(y[i] + s * (b + a * s))
 
 
 def _crossing(t: np.ndarray, y: np.ndarray, i: int, level: float) -> float:
@@ -93,9 +93,10 @@ def fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
     linear where fewer exist: sampled at spacing w/20, a Gaussian intensity
     exp(-2 (t/w)^2) reads within 2e-5 of its width.  The global maximum
     must dominate: a secondary sample above 80% of the peak outside the main
-    lobe raises AmbiguousPeakError.  A peak sitting on a window edge uses
-    the edge as that side's crossing.  A reported "half duration"
-    corresponds to half this value.
+    lobe raises AmbiguousPeakError.  Each crossing follows the last sample
+    below half before the peak and the first one after it; a side that
+    never falls below half (a peak on a window edge) takes the edge as its
+    crossing.  A reported "half duration" corresponds to half this value.
     """
     t = np.asarray(times, dtype=float)
     y = np.asarray(intensity, dtype=float)
@@ -105,29 +106,15 @@ def fwhm(times: np.ndarray, intensity: np.ndarray) -> float:
     peak = y[i]
     if peak <= 0:
         raise UndefinedMetricError("trace has no positive maximum")
-    vertex = _vertex(t, y, i)
-    half = (vertex[1] if vertex else peak) / 2.0
+    half = _vertex(t, y, i)[1] / 2.0
+    below = np.nonzero(y < half)[0]
+    left, right = below[below < i], below[below > i]
+    il = left[-1] if left.size else 0
+    ir = right[0] if right.size else t.size - 1
+    tl = _crossing(t, y, il, half) if left.size else t[0]
+    tr = _crossing(t, y, ir - 1, half) if right.size else t[-1]
 
-    # left crossing
-    below = np.nonzero(y[: i + 1] < half)[0]
-    if below.size:
-        il = below[-1]
-        tl = _crossing(t, y, il, half)
-        left_edge = il
-    else:
-        tl = t[0]
-        left_edge = 0
-    # right crossing
-    below = np.nonzero(y[i:] < half)[0]
-    if below.size:
-        ir = i + below[0]
-        tr = _crossing(t, y, ir - 1, half)
-        right_edge = ir
-    else:
-        tr = t[-1]
-        right_edge = t.size - 1
-
-    outside = np.concatenate([y[:left_edge], y[right_edge + 1:]])
+    outside = np.concatenate([y[:il], y[ir + 1:]])
     significant = outside[outside > NOISE_FLOOR * peak]
     if significant.size and np.max(significant) > 0.8 * peak:
         raise AmbiguousPeakError(
@@ -162,10 +149,7 @@ def detect_echo(record: FieldRecord, after: float,
     i = int(np.argmax(yw))
     if yw[i] <= NO_ECHO_FLOOR * input_peak:
         return None
-    vertex = _vertex(tw, yw, i)
-    if vertex:
-        return EchoDetection(float(tw[i] + vertex[0]), vertex[1])
-    return EchoDetection(float(tw[i]), float(yw[i]))
+    return EchoDetection(*_vertex(tw, yw, i))
 
 
 def storage_efficiency(record: FieldRecord, t_cut: float) -> float:
@@ -186,7 +170,7 @@ def storage_efficiency(record: FieldRecord, t_cut: float) -> float:
     return num / den
 
 
-def _uniform(t: np.ndarray, y: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
+def _uniform(t: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
     """Linear resampling of complex ``y`` onto a grid of step ``dt`` from t[0];
     UndefinedMetricError if that takes more than _MAX_RESAMPLE samples."""
     n = int(round((t[-1] - t[0]) / dt)) + 1
@@ -194,7 +178,7 @@ def _uniform(t: np.ndarray, y: np.ndarray, dt: float) -> tuple[np.ndarray, np.nd
         raise UndefinedMetricError(f"resampling needs {n} samples at spacing "
                                    f"{dt:.3g}, above {_MAX_RESAMPLE}")
     tu = t[0] + dt * np.arange(n)
-    return tu, np.interp(tu, t, y.real) + 1j * np.interp(tu, t, y.imag)
+    return np.interp(tu, t, y.real) + 1j * np.interp(tu, t, y.imag)
 
 
 def _xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -205,45 +189,37 @@ def _xcorr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(np.conj(b), size) * np.fft.fft(a[::-1], size))[:n]
 
 
-def _correlation(t_in, in_trace, t_out, out_trace):
+def _correlation(t_in, in_trace, t_out, out_trace) -> tuple[float, float, float]:
     """Resample both traces onto the finest spacing of either and
     cross-correlate them.
 
-    Returns (|corr|^2, lags, e_in, e_out): |int out*(t) in(t - lag) dt|^2 per
-    delay ``lag`` of in relative to out, and the energies of the resampled
-    traces.
+    Returns (peak, e_in, e_out): the largest |int out*(t) in(t - lag) dt|^2
+    over the lags of that grid, and the energies of the resampled traces.
     """
     t_in = np.asarray(t_in, float)
     t_out = np.asarray(t_out, float)
     dt = min(float(np.min(np.diff(t_in))), float(np.min(np.diff(t_out))))
-    ta, au = _uniform(t_in, np.asarray(in_trace, complex), dt)
-    tb, bu = _uniform(t_out, np.asarray(out_trace, complex), dt)
-    corr = _xcorr(au, bu) * dt
-    lags = (tb[0] - ta[0]) + dt * (np.arange(corr.size) - (ta.size - 1))
-    return (np.abs(corr) ** 2, lags, float(np.sum(np.abs(au) ** 2) * dt),
+    au = _uniform(t_in, np.asarray(in_trace, complex), dt)
+    bu = _uniform(t_out, np.asarray(out_trace, complex), dt)
+    peak = float(np.max(np.abs(_xcorr(au, bu) * dt) ** 2))
+    return (peak, float(np.sum(np.abs(au) ** 2) * dt),
             float(np.sum(np.abs(bu) ** 2) * dt))
 
 
 def classical_fidelity(t_in: np.ndarray, in_trace: np.ndarray,
-                       t_out: np.ndarray, out_trace: np.ndarray,
-                       delay_range: Optional[tuple[float, float]] = None) -> float:
+                       t_out: np.ndarray, out_trace: np.ndarray) -> float:
     """Delay-optimized normalized cross-correlation squared,
 
         max over tau_d of |int out*(t) in(t - tau_d) dt|^2
                         / (int |in|^2 dt * int |out|^2 dt),
 
     a value in [0, 1], invariant under global phase, amplitude scaling and
-    (within the searched range) time translation of either trace.
+    time translation of either trace.
     """
-    power, lags, eau, ebu = _correlation(t_in, in_trace, t_out, out_trace)
-    if eau <= 0 or ebu <= 0:
+    peak, e_in, e_out = _correlation(t_in, in_trace, t_out, out_trace)
+    if e_in <= 0 or e_out <= 0:
         raise UndefinedMetricError("fidelity needs two traces with energy")
-    if delay_range is not None:
-        sel = (lags >= delay_range[0]) & (lags <= delay_range[1])
-        if not np.any(sel):
-            raise ValueError("delay_range excludes every available lag")
-        power = power[sel]
-    return min(float(np.max(power) / (eau * ebu)), 1.0)
+    return min(peak / (e_in * e_out), 1.0)
 
 
 @dataclass(frozen=True)
@@ -354,9 +330,9 @@ def compute_echo_metrics(record: FieldRecord, after: float, t_cut: float) -> Ech
     input_peak_time = float(t[np.argmax(iin)])
     # fidelity and overlap_fidelity from one correlation; the detected echo
     # and storage_efficiency already guarantee both energies
-    power, _, eau, ebu = _correlation(t, record.probe_in, t[m], record.probe_out[m])
-    fid = min(float(np.max(power) / (eau * ebu)), 1.0)
-    ovl = float(np.max(power) / eau**2)
+    peak, e_in, e_out = _correlation(t, record.probe_in, t[m], record.probe_out[m])
+    fid = min(peak / (e_in * e_out), 1.0)
+    ovl = peak / e_in**2
     dbp = delay_bandwidth(det.peak_time, input_peak_time, echo_fwhm)
     return EchoMetrics(echo_peak_time=det.peak_time, echo_fwhm=echo_fwhm,
                        efficiency_R=eff, fidelity=fid, delay_bandwidth=dbp,

@@ -187,20 +187,24 @@ class ControlSchedule:
     def max_abs_gain(self) -> float:
         return max(abs(g) for _, g in self.segments)
 
-    def flip_times(self) -> Tuple[float, ...]:
-        """Start times of segments whose gain has the opposite sign of the last
-        nonzero gain before it, so a flip may pass through zero-gain segments
-        (control off, the memory protocol's storage interval)."""
+    def flip_times(self, t_end: float = math.inf) -> Tuple[float, ...]:
+        """Start times before ``t_end`` of segments whose gain has the
+        opposite sign of the last nonzero gain before it, so a flip may pass
+        through zero-gain segments (control off, the memory protocol's
+        storage interval)."""
         out, last = [], 0.0
         for t, g in self.segments:
+            if t >= t_end:
+                break
             if g * last < 0:
                 out.append(t)
             if g != 0:
                 last = g
         return tuple(out)
 
-    def last_flip_time(self) -> Optional[float]:
-        flips = self.flip_times()
+    def last_flip_time(self, t_end: float = math.inf) -> Optional[float]:
+        """The last of ``flip_times(t_end)``, or None without a flip."""
+        flips = self.flip_times(t_end)
         return flips[-1] if flips else None
 
 

@@ -180,10 +180,10 @@ def _run_point(args) -> PointResult:
             return PointResult(index, values, None, {},
                                error=f"validation: {'; '.join(errors)}")
         after = (spec.detect_after if spec.detect_after is not None
-                 else scenario.schedule.last_flip_time())
+                 else scenario.schedule.last_flip_time(scenario.grid.t_end))
         if after is None:  # nothing to score: the record is not computed
             return PointResult(index, values, None, {"no_echo": True, "dispersion": ""},
-                               error="schedule has no flip; echo metrics undefined")
+                               error="no control flip before t_end; echo metrics undefined")
         t_cut = spec.efficiency_cut if spec.efficiency_cut is not None else after
         m = compute_echo_metrics(integrate(scenario, check=False), after, t_cut)
     except NoEchoError:

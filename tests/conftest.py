@@ -3,6 +3,7 @@ for the whole session."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -33,25 +34,16 @@ def small_scenario(flip: bool = True, **overrides) -> Scenario:
     return Scenario(**fields)
 
 
-@pytest.fixture(scope="session")
-def fig2a_records():
-    return {beta: integrate(builtin_scenario(f"fig2a-beta{beta}"))
-            for beta in (1, 2, 4)}
-
-
-@pytest.fixture(scope="session")
-def fig2b_record():
-    return integrate(builtin_scenario("fig2b"))
+def fig4b_with_a_segment_past_t_end() -> Scenario:
+    """fig4b with a third segment after its t_end = 0.6: the last flip inside
+    the window is still the one at 0.16."""
+    s = builtin_scenario("fig4b")
+    return replace(s, schedule=ControlSchedule(s.schedule.segments + ((0.7, 1.0),)))
 
 
 @pytest.fixture(scope="session")
 def fig3a_record():
     return integrate(builtin_scenario("fig3a"))
-
-
-@pytest.fixture(scope="session")
-def fig3b_record():
-    return integrate(builtin_scenario("fig3b"))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,8 @@ from gradecho.model import (ControlSchedule, GaussianBeam, GridSpec, Linear,
                             MediumParams, ProbePulse, Scenario, Uniform)
 from gradecho.scenarios import builtin_scenario
 
-from .conftest import UTAU, constant_control_response, rel_l2
+from .conftest import (UTAU, constant_control_response,
+                       fig4b_with_a_segment_past_t_end, rel_l2)
 
 
 @pytest.fixture
@@ -187,6 +188,12 @@ def test_predict_echo_after_a_t0_past_the_last_flip():
     # from t0 = 0.1 on the gain stays -1, so the area never returns to zero
     sched = ControlSchedule(segments=((0.0, 1.0), (0.05, -1.0)))
     assert predict_echo_time(sched, Uniform(b=1.0), t0=0.1, t_end=1.0) is None
+
+
+def test_predict_echo_ignores_a_segment_past_t_end():
+    s = fig4b_with_a_segment_past_t_end()
+    t = predict_echo_time(s.schedule, s.profile, t0=0.048, t_end=0.6)
+    assert t == pytest.approx(0.272, rel=1e-12)
 
 
 def test_predict_echo_after_a_flip_through_zero_gain():

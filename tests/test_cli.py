@@ -14,7 +14,7 @@ from gradecho.scenarios import builtin_scenario, builtin_sweep
 from gradecho.solver import MAX_COHERENCE, integrate
 from gradecho.sweep import SweepSpec
 
-from .conftest import small_scenario
+from .conftest import fig4b_with_a_segment_past_t_end, small_scenario
 from .test_config import FIG3A_TEXT_0_4_3
 
 SMALL_OVERRIDE = "nz=128,t_end=2.0"
@@ -159,14 +159,36 @@ def test_run_with_no_flip_records_no_echo_and_writes_every_file(tmp_path):
     assert (out / "oracle_timeseries.csv").exists()
     metrics = json.loads((out / "oracle_metrics.json").read_text())
     assert set(metrics) == {"builtin", "config_hash", "echo"}
-    assert metrics["echo"] == "no control flip in schedule"
+    assert metrics["echo"] == "no control flip before t_end"
     manifest = json.loads((out / "oracle_manifest.json").read_text())
     assert manifest["outputs"] == [str(out / "oracle_timeseries.csv"),
                                    str(out / "oracle_metrics.json")]
 
 
+def test_run_scores_the_echo_after_the_last_flip_before_t_end(tmp_path):
+    cfg = tmp_path / "fig4b.cfg"
+    cfg.write_text(serialize_scenario(fig4b_with_a_segment_past_t_end()), encoding="utf-8")
+    assert main(["run", str(cfg), "--output", str(tmp_path / "ext")]) == 0
+    assert main(["run", "fig4b", "--output", str(tmp_path / "plain")]) == 0
+    ext = json.loads((tmp_path / "ext" / "fig4b_metrics.json").read_text())
+    plain = json.loads((tmp_path / "plain" / "fig4b_metrics.json").read_text())
+    for key in ("builtin", "config_hash"):
+        del ext[key], plain[key]
+    assert "echo_peak_time" in plain
+    assert ext == plain
+
+
+def test_run_with_the_flip_past_t_end_records_no_echo(tmp_path):
+    out = tmp_path / "out"
+    assert main(["run", "fig4b", "--output", str(out),
+                 "--grid-override", "t_end=0.15, nz=128"]) == 0
+    assert (out / "fig4b_timeseries.csv").exists()
+    metrics = json.loads((out / "fig4b_metrics.json").read_text())
+    assert metrics["echo"] == "no control flip before t_end"
+
+
 @pytest.mark.parametrize("extra", [
-    ["--grid-override", "t_end=0.1, nz=128"],  # the last flip lies past t_end
+    ["--grid-override", "t_end=0.1602, nz=128"],  # < 3 samples after the flip
     ["--grid-override", "t_end=0.3, nz=128", "--efficiency-cut", "0.5"],
 ])
 def test_scoring_error_exits_2_and_writes_nothing(tmp_path, extra):

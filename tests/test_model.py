@@ -70,6 +70,11 @@ def test_schedule_gain_and_flips():
     assert sched.gain(10.0) == 4.0
     assert sched.flip_times() == (1.0, 4.5)
     assert sched.last_flip_time() == 4.5
+    # only flips before t_end count
+    assert sched.flip_times(4.5) == (1.0,)
+    assert sched.last_flip_time(4.5) == 1.0
+    assert sched.flip_times(1.0) == ()
+    assert sched.last_flip_time(1.0) is None
 
 
 def test_a_flip_through_zero_gain_is_a_flip():

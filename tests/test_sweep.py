@@ -6,11 +6,11 @@ import gradecho.sweep
 from gradecho.metrics import compute_echo_metrics
 from gradecho.model import MediumParams
 from gradecho.solver import integrate
-from gradecho.scenarios import builtin_sweep
+from gradecho.scenarios import builtin_scenario, builtin_sweep
 from gradecho.sweep import (PointResult, SweepSpec, _longest_first,
                             get_scenario_field, run_sweep, set_scenario_field)
 
-from .conftest import small_scenario
+from .conftest import fig4b_with_a_segment_past_t_end, small_scenario
 
 
 def _spec(tmp_path=None, workers=1, xis=(20.0, 50.0)):
@@ -118,12 +118,21 @@ def test_no_flip_point_marked_no_echo(monkeypatch):
         raise AssertionError("integrate called")
 
     monkeypatch.setattr(gradecho.sweep, "integrate", no_integrate)
-    spec = SweepSpec(base=small_scenario(flip=False),
-                     axes=(("medium.xi", (50.0,)),))
-    row = run_sweep(spec).rows[0]
-    assert row == PointResult(0, {"medium.xi": 50.0}, None,
-                              {"no_echo": True, "dispersion": ""},
-                              error="schedule has no flip; echo metrics undefined")
+    # no flip at all, and fig4b's flip at 0.16 past a t_end of 0.15
+    for base, axis in ((small_scenario(flip=False), ("medium.xi", 50.0)),
+                       (builtin_scenario("fig4b"), ("grid.t_end", 0.15))):
+        spec = SweepSpec(base=base, axes=((axis[0], (axis[1],)),))
+        row = run_sweep(spec).rows[0]
+        assert row == PointResult(0, {axis[0]: axis[1]}, None,
+                                  {"no_echo": True, "dispersion": ""},
+                                  error="no control flip before t_end; echo metrics undefined")
+
+
+def test_a_segment_past_t_end_leaves_the_row_unchanged():
+    rows = [run_sweep(SweepSpec(base=s, axes=(("medium.xi", (2000.0,)),))).rows[0]
+            for s in (builtin_scenario("fig4b"), fig4b_with_a_segment_past_t_end())]
+    assert rows[0].metrics is not None
+    assert rows[0] == rows[1]
 
 
 def test_flipped_no_echo_point_is_a_result_not_an_error():
