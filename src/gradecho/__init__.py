@@ -3,7 +3,7 @@ numerical integration of the coupled coherence-field dynamics, closed-form
 cross-checks, echo metrics, parameter sweeps, and a CLI.
 """
 
-__version__ = "0.5.9"
+__version__ = "0.6.0"
 
 from .model import (ControlSchedule, GaussianBeam, GridSpec, Linear,
                     MediumParams, ProbePulse, Scenario, Uniform,

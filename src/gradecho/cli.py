@@ -150,6 +150,9 @@ def cmd_compare(args) -> int:
     if med.delta_p or med.delta_c or med.gamma_ground or med.xi == 0:
         raise ConfigError("compare needs the medium its closed forms describe: "
                           "xi > 0 and delta_p = delta_c = gamma_ground = 0")
+    if scenario.probe.amplitude == 0:
+        raise ConfigError("compare needs a nonzero probe amplitude: its residuals are "
+                          "relative to the closed-form response to that probe")
     t0 = scenario.probe.center_time
     # the impulse closed forms hold once the probe has entered: past its window
     tail = max(PROBE_WINDOW * scenario.probe.width, 1e-9)

@@ -309,8 +309,9 @@ def compute_echo_metrics(record: FieldRecord, after: float, t_cut: float) -> Ech
 
     ``after`` restricts echo detection (usually the last flip time); ``t_cut``
     is the storage-efficiency lower integration limit.  Raises NoEchoError
-    when nothing rises above the detection floor, and AmbiguousPeakError with
-    the still-defined ``metrics`` for a multimodal echo.
+    when nothing rises above the detection floor, UndefinedMetricError when
+    the largest sample of (after, t_end] is its first or last, and
+    AmbiguousPeakError with the still-defined ``metrics`` for a multimodal echo.
     """
     det = detect_echo(record, after)
     if det is None:
@@ -320,6 +321,9 @@ def compute_echo_metrics(record: FieldRecord, after: float, t_cut: float) -> Ech
     iout = np.abs(record.probe_out) ** 2
     iin = np.abs(record.probe_in) ** 2
     m = t > after
+    i = int(np.argmax(iout[m]))
+    if not 0 < i < np.count_nonzero(m) - 1:
+        raise UndefinedMetricError(f"no whole echo: peak at the window edge t = {t[m][i]:g}")
     try:
         echo_fwhm = fwhm(t[m], iout[m])
         input_fwhm = fwhm(t, iin)

@@ -99,7 +99,7 @@ def scenario_notes(name: str) -> str:
 
 def _fig4a_coarse(workers: int = 1, checkpoint=None) -> SweepSpec:
     # contour protocol: retrieval immediately after the probe has fully
-    # entered (flip and efficiency cut both at 0.065 tau)
+    # entered (flip at 0.065 tau, echoes looked for from 0.075 tau)
     base = _fig4(-1.0, flip_time=0.065, t_end=0.3)
     return SweepSpec(
         base=base,
@@ -107,7 +107,6 @@ def _fig4a_coarse(workers: int = 1, checkpoint=None) -> SweepSpec:
               ("profile.zeta", (250.0, 500.0, 1000.0, 2000.0, 4000.0))),
         workers=workers,
         checkpoint=checkpoint,
-        efficiency_cut=0.065,
         detect_after=0.075,
     )
 

@@ -76,15 +76,13 @@ class SweepSpec:
     ``axes`` maps dotted scenario paths (e.g. "medium.xi", "profile.zeta") to
     value lists (floats, or ints on a field declared int, e.g. "grid.nz");
     the grid is their Cartesian product in axis order, indexed row-major.
-    ``detect_after`` defaults to the last flip time of each point's
-    schedule; ``efficiency_cut`` to the same.
+    ``detect_after`` defaults to each point's last flip, where its efficiency starts.
     """
 
     base: Scenario
     axes: Tuple[Tuple[str, Tuple[float, ...]], ...]
     workers: int = 1
     checkpoint: Optional[str] = None
-    efficiency_cut: Optional[float] = None
     detect_after: Optional[float] = None
 
     def __post_init__(self) -> None:
@@ -179,12 +177,12 @@ def _run_point(args) -> PointResult:
         if errors:
             return PointResult(index, values, None, {},
                                error=f"validation: {'; '.join(errors)}")
-        after = (spec.detect_after if spec.detect_after is not None
-                 else scenario.schedule.last_flip_time(scenario.grid.t_end))
+        flip = scenario.schedule.last_flip_time(scenario.grid.t_end)
+        after = spec.detect_after if spec.detect_after is not None else flip
         if after is None:  # nothing to score: the record is not computed
             return PointResult(index, values, None, {"no_echo": True, "dispersion": ""},
                                error="no control flip before t_end; echo metrics undefined")
-        t_cut = spec.efficiency_cut if spec.efficiency_cut is not None else after
+        t_cut = after if flip is None else flip
         m = compute_echo_metrics(integrate(scenario, check=False), after, t_cut)
     except NoEchoError:
         return PointResult(index, values, None, {"no_echo": True, "dispersion": ""})
@@ -213,11 +211,10 @@ def _longest_first(spec: SweepSpec, indices) -> list[int]:
 
 
 def _spec_hash(spec: SweepSpec) -> str:
-    """Identity of the rows a spec produces: base scenario, axes, metric
-    windows and package version (worker count and checkpoint path excluded)."""
+    """Identity of the rows a spec produces: base scenario, axes, detection
+    start and package version (worker count and checkpoint path excluded)."""
     key = {"base": config_hash(spec.base), "axes": spec.axes,
-           "efficiency_cut": spec.efficiency_cut, "detect_after": spec.detect_after,
-           "version": __version__}
+           "detect_after": spec.detect_after, "version": __version__}
     return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
 
 

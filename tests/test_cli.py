@@ -187,24 +187,38 @@ def test_run_with_the_flip_past_t_end_records_no_echo(tmp_path):
     assert metrics["echo"] == "no control flip before t_end"
 
 
-@pytest.mark.parametrize("extra", [
-    ["--grid-override", "t_end=0.1602, nz=128"],  # < 3 samples after the flip
-    ["--grid-override", "t_end=0.3, nz=128", "--efficiency-cut", "0.5"],
-])
-def test_scoring_error_exits_2_and_writes_nothing(tmp_path, extra):
+@pytest.mark.parametrize("t_end", ["0.1602", "0.161"])
+def test_run_with_no_whole_echo_after_the_flip_records_undefined(tmp_path, t_end):
+    # fig4b flips at 0.16: at 0.1602 the window holds two samples and the run
+    # exited 2 after integrating; at 0.161 its last sample was the echo
     out = tmp_path / "out"
-    assert main(["run", "fig4b", "--output", str(out), *extra]) == 2
+    assert main(["run", "fig4b", "--output", str(out),
+                 "--grid-override", f"t_end={t_end}, nz=128"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "fig4b_manifest.json", "fig4b_metrics.json", "fig4b_timeseries.csv"]
+    metrics = json.loads((out / "fig4b_metrics.json").read_text())
+    assert metrics["echo"] == f"undefined: no whole echo: peak at the window edge t = {t_end}"
+
+
+def test_efficiency_cut_past_an_overridden_t_end_exits_2_and_writes_nothing(tmp_path,
+                                                                           monkeypatch):
+    monkeypatch.setattr(gradecho.cli, "integrate", _no_integrate)
+    out = tmp_path / "out"
+    assert main(["run", "fig4b", "--output", str(out), "--grid-override", "t_end=0.3, nz=128",
+                 "--efficiency-cut", "0.5"]) == 2
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("segments, ramp", [
+@pytest.mark.parametrize("segments, ramp, xi", [
     # the ramp from 0.7 ends one ulp before the 0.8 segment
-    (((0.0, 1.0), (0.7, -1.0), (0.8, 1.0), (1.2, -1.0)), 0.1),
-    # a flip through zero gain, with the probe window ending one ulp past 0.6
-    (((0.0, 1.0), (0.6, 0.0), (0.8, -1.0)), 0.0),
+    (((0.0, 1.0), (0.7, -1.0), (0.8, 1.0), (1.2, -1.0)), 0.1, 50.0),
+    # a flip through zero gain, with the probe window ending one ulp past 0.6;
+    # at xi = 75 the echo after the flip outgrows the decaying forward emission
+    (((0.0, 1.0), (0.6, 0.0), (0.8, -1.0)), 0.0, 75.0),
 ], ids=["ramp-end", "zero-gain-flip"])
-def test_run_scores_schedules_near_rounding_edges(tmp_path, segments, ramp):
-    cfg = _write_small_config(tmp_path, schedule=ControlSchedule(segments, ramp_time=ramp))
+def test_run_scores_schedules_near_rounding_edges(tmp_path, segments, ramp, xi):
+    cfg = _write_small_config(tmp_path, schedule=ControlSchedule(segments, ramp_time=ramp),
+                              medium=MediumParams(xi=xi))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--output", str(out)]) == 0
     metrics = json.loads((out / "small_metrics.json").read_text())
@@ -215,8 +229,9 @@ def test_run_scores_schedules_near_rounding_edges(tmp_path, segments, ramp):
 def test_run_with_a_short_segment_records_undefined(tmp_path):
     # a 1e-10 segment makes the finest record spacing 2e10 times below the
     # window: the correlation refuses the resample grid instead of allocating it
+    # (at xi = 75 the echo after the flip outgrows the decaying forward emission)
     cfg = _write_small_config(tmp_path, schedule=ControlSchedule(
-        ((0.0, 1.0), (0.8, -1.0), (0.8000000001, -1.0))))
+        ((0.0, 1.0), (0.8, -1.0), (0.8000000001, -1.0))), medium=MediumParams(xi=75.0))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--output", str(out)]) == 0
     metrics = json.loads((out / "small_metrics.json").read_text())
@@ -245,7 +260,7 @@ def test_sweep_cli_with_injected_tiny_grid(tmp_path, monkeypatch):
     def tiny(workers=1, checkpoint=None):
         return SweepSpec(base=small_scenario(), axes=(("medium.xi", (20.0, 50.0)),),
                          workers=workers, checkpoint=checkpoint,
-                         efficiency_cut=0.8, detect_after=0.8)
+                         detect_after=1.1)
 
     monkeypatch.setitem(cli_mod.BUILTIN_SWEEPS, "tiny", tiny)
     monkeypatch.setattr("gradecho.scenarios.BUILTIN_SWEEPS",
@@ -280,9 +295,9 @@ def test_sweep_manifest(tmp_path, monkeypatch):
     import gradecho.cli as cli_mod
 
     def tiny(workers=1, checkpoint=None):
-        return SweepSpec(base=small_scenario(), axes=(("medium.xi", (20.0, -5.0)),),
+        return SweepSpec(base=small_scenario(), axes=(("medium.xi", (50.0, -5.0)),),
                          workers=workers, checkpoint=checkpoint,
-                         efficiency_cut=0.8, detect_after=0.8)
+                         detect_after=1.1)
 
     monkeypatch.setitem(cli_mod.BUILTIN_SWEEPS, "tiny", tiny)
     out = tmp_path / "out"
@@ -293,7 +308,7 @@ def test_sweep_manifest(tmp_path, monkeypatch):
                              "failed_points", "wall_time_s"}
     assert manifest["sweep"] == "tiny"
     assert manifest["grid_shape"] == [2]
-    assert manifest["axes"] == [["medium.xi", [20.0, -5.0]]]
+    assert manifest["axes"] == [["medium.xi", [50.0, -5.0]]]
     assert manifest["workers"] == 1
     assert manifest["outputs"] == [str(out / "sweep.csv")]
     assert manifest["failed_points"] == [1]
@@ -363,6 +378,20 @@ def test_compare_refuses_a_medium_its_closed_forms_do_not_describe(tmp_path, mon
     out = tmp_path / "out"
     assert main(["compare", str(cfg), "--output", str(out)]) == 2
     assert not any(out.iterdir())
+
+
+def test_compare_refuses_a_zero_probe_amplitude(tmp_path, monkeypatch, capsys):
+    # it integrated, warned of a 0/0 in the relative residuals and exited 2
+    # on a NaN that JSON refuses
+    s = builtin_scenario("oracle-ats")
+    s = replace(s, probe=replace(s.probe, amplitude=0.0), grid=replace(s.grid, t_end=0.5))
+    cfg = tmp_path / "ats.cfg"
+    cfg.write_text(serialize_scenario(s), encoding="utf-8")
+    monkeypatch.setattr(gradecho.cli, "integrate", _no_integrate)
+    out = tmp_path / "out"
+    assert main(["compare", str(cfg), "--output", str(out)]) == 2
+    assert not any(out.iterdir())
+    assert "amplitude" in capsys.readouterr().err
 
 
 def _exit_code(argv) -> int:

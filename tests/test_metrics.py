@@ -262,6 +262,42 @@ def test_echo_metrics_of_a_flipped_empty_medium_raise_no_echo():
         compute_echo_metrics(rec, after=0.8, t_cut=0.8)
 
 
+def _echo_record(t_echo: float) -> FieldRecord:
+    """A unit Gaussian input at t = 1 and a half-amplitude copy of it at
+    ``t_echo`` as the output, sampled 0.01 apart on [0, 4]."""
+    t = np.linspace(0.0, 4.0, 401)
+    none = np.empty(0)
+    return FieldRecord(times=t, probe_in=np.exp(-((t - 1.0) / 0.2) ** 2).astype(complex),
+                       probe_out=0.5 * np.exp(-((t - t_echo) / 0.2) ** 2).astype(complex),
+                       snapshot_times=none, z=none, rho31=none, rho21=none,
+                       peak_coherence=0.0)
+
+
+@pytest.mark.parametrize("t_echo, after, edge", [
+    (4.5, 2.0, "4"), (1.9, 2.0, "2.01"), (3.99, 3.995, "4"), (3.99, 3.985, "3.99")],
+    ids=["rises-to-the-end", "falls-from-the-start", "one-sample", "two-samples"])
+def test_echo_metrics_of_a_window_without_a_whole_echo_are_undefined(t_echo, after, edge):
+    with pytest.raises(UndefinedMetricError,
+                       match=f"^no whole echo: peak at the window edge t = {edge}$"):
+        compute_echo_metrics(_echo_record(t_echo), after=after, t_cut=after)
+
+
+def test_echo_metrics_from_the_small_flip_see_only_a_decaying_tail(small_record):
+    # right after the flip at 0.8 the output still carries the forward
+    # emission (0.0094 of the input peak); the echo at 1.44 reaches 3.9e-4
+    with pytest.raises(UndefinedMetricError, match="edge t = 0.804$"):
+        compute_echo_metrics(small_record, after=0.8, t_cut=0.8)
+    m = compute_echo_metrics(small_record, after=1.1, t_cut=0.8)
+    assert m.echo_peak_time == pytest.approx(1.444, abs=0.002)
+
+
+def test_echo_metrics_of_an_interior_echo_score():
+    m = compute_echo_metrics(_echo_record(3.0), after=2.0, t_cut=2.0)
+    assert m.echo_peak_time == pytest.approx(3.0, abs=1e-9)
+    assert m.echo_fwhm == pytest.approx(m.input_fwhm, rel=1e-9)
+    assert m.efficiency_R == pytest.approx(0.25, rel=1e-9)
+
+
 def test_multimodal_echo_carries_its_defined_metrics():
     # fig4a-coarse point 22 (xi = 8000, zeta = 1000): the echo has a
     # secondary peak at 0.87 of its maximum

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,8 +20,8 @@ def _spec(tmp_path=None, workers=1, xis=(20.0, 50.0)):
         axes=(("medium.xi", xis),),
         workers=workers,
         checkpoint=None if tmp_path is None else str(tmp_path / "ckpt.jsonl"),
-        efficiency_cut=0.8,
-        detect_after=0.8,
+        # small_scenario flips at 0.8; past its decaying tail, the echo peaks at 1.44
+        detect_after=1.1,
     )
 
 
@@ -44,7 +45,8 @@ def test_spec_rejects_bad_axis_before_running():
 def test_integer_axis_keeps_ints_and_points_round_trip():
     from gradecho.config import parse_scenario, serialize_scenario
 
-    spec = SweepSpec(base=small_scenario(), axes=(("grid.nz", (64, 128.0)),))
+    spec = SweepSpec(base=small_scenario(), axes=(("grid.nz", (64, 128.0)),),
+                     detect_after=1.1)
     assert spec.axes == (("grid.nz", (64, 128)),)
     assert all(type(v) is int for v in spec.axes[0][1])
     result = run_sweep(spec)
@@ -62,7 +64,7 @@ def test_singleton_grid_matches_direct_call():
     assert len(result.rows) == 1
     row = result.rows[0]
     rec = integrate(small_scenario())
-    m = compute_echo_metrics(rec, after=0.8, t_cut=0.8)
+    m = compute_echo_metrics(rec, after=1.1, t_cut=0.8)  # efficiency from the flip
     assert row.error is None
     assert row.metrics["efficiency_R"] == pytest.approx(m.efficiency_R, rel=1e-12)
     assert row.metrics["echo_peak_time"] == pytest.approx(m.echo_peak_time, rel=1e-12)
@@ -71,7 +73,7 @@ def test_singleton_grid_matches_direct_call():
 def test_worker_count_does_not_change_results(tmp_path):
     r1 = run_sweep(_spec())
     r2 = run_sweep(SweepSpec(base=small_scenario(), axes=(("medium.xi", (20.0, 50.0)),),
-                             workers=2, efficiency_cut=0.8, detect_after=0.8))
+                             workers=2, detect_after=1.1))
     csv1 = tmp_path / "a.csv"
     csv2 = tmp_path / "b.csv"
     r1.to_csv(csv1)
@@ -105,7 +107,7 @@ def test_resume_is_bit_identical(tmp_path):
 def test_failed_point_recorded_not_fatal():
     # xi < 0 fails MediumParams construction inside the point
     spec = SweepSpec(base=small_scenario(), axes=(("medium.xi", (50.0, -5.0)),),
-                     efficiency_cut=0.8, detect_after=0.8)
+                     detect_after=1.1)
     result = run_sweep(spec)
     assert result.rows[0].error is None
     assert result.rows[1].error is not None
@@ -126,6 +128,27 @@ def test_no_flip_point_marked_no_echo(monkeypatch):
         assert row == PointResult(0, {axis[0]: axis[1]}, None,
                                   {"no_echo": True, "dispersion": ""},
                                   error="no control flip before t_end; echo metrics undefined")
+
+
+@pytest.mark.parametrize("t_end", [0.1602, 0.161])
+def test_a_window_with_no_whole_echo_is_an_undefined_metric(t_end):
+    # fig4b flips at 0.16: the largest sample after it is the last one
+    s = builtin_scenario("fig4b")
+    s = replace(s, grid=replace(s.grid, nz=128))
+    row = run_sweep(SweepSpec(base=s, axes=(("grid.t_end", (t_end,)),))).rows[0]
+    assert row == PointResult(0, {"grid.t_end": t_end}, None, {},
+                              error="UndefinedMetricError: no whole echo: peak at the "
+                                    f"window edge t = {t_end}")
+
+
+def test_a_point_that_fails_validation_is_an_error_row():
+    rows = run_sweep(SweepSpec(base=small_scenario(), axes=(("grid.dt", (0.5, 0.001)),),
+                               detect_after=1.1)).rows
+    assert rows[0] == PointResult(
+        0, {"grid.dt": 0.5}, None, {},
+        error="validation: grid under-resolves the control field: dt*max|Omega_c| = 1 > 0.1; "
+              "grid under-resolves the probe: dt = 0.5 > width/20 = 0.0025")
+    assert rows[1].error is None and rows[1].metrics is not None
 
 
 def test_a_segment_past_t_end_leaves_the_row_unchanged():
@@ -172,6 +195,8 @@ def test_checkpoint_of_another_spec_is_refused(tmp_path, monkeypatch):
     run_sweep(_spec(tmp_path, xis=(20.0,)))
     with pytest.raises(ValueError, match="another sweep spec"):
         run_sweep(_spec(tmp_path, xis=(50.0,)))
+    with pytest.raises(ValueError, match="another sweep spec"):  # another detection start
+        run_sweep(replace(_spec(tmp_path, xis=(20.0,)), detect_after=0.9))
     # a checkpoint without a header (older format) is refused too
     ckpt = tmp_path / "ckpt.jsonl"
     ckpt.write_text(ckpt.read_text(encoding="utf-8").splitlines()[1] + "\n",
