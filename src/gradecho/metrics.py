@@ -46,7 +46,7 @@ class UndefinedMetricError(ValueError):
 
 
 class NoEchoError(UndefinedMetricError):
-    """Nothing rises above the echo detection floor in the detection window."""
+    """Nothing after the last flip rises above the echo detection floor."""
 
 
 def _vertex(t: np.ndarray, y: np.ndarray, i: int) -> tuple[float, float]:
@@ -136,8 +136,6 @@ def detect_echo(record: FieldRecord, after: float,
     (no echo is a result, not an error).
     """
     t = record.times
-    if after >= t[-1]:
-        raise ValueError("'after' lies beyond the recorded window")
     m = t > after
     if before is not None:
         m &= t <= before
@@ -304,42 +302,50 @@ def delay_bandwidth(echo_peak_time: float, input_peak_time: float,
     return (echo_peak_time - input_peak_time) / echo_fwhm
 
 
-def compute_echo_metrics(record: FieldRecord, after: float, t_cut: float) -> EchoMetrics:
+def compute_echo_metrics(record: FieldRecord, flip: float, t_cut: float) -> EchoMetrics:
     """Bundle the standard per-run diagnostics for a flip protocol.
 
-    ``after`` restricts echo detection (usually the last flip time); ``t_cut``
-    is the storage-efficiency lower integration limit.  Raises NoEchoError
-    when nothing rises above the detection floor, UndefinedMetricError when
-    the largest sample of (after, t_end] is its first or last, and
+    The echo is the largest sample of (valley, t_end]; the valley is the
+    first i past the first sample after the last ``flip`` with y[i - 1] >
+    y[i] <= y[i + 1], y = |probe_out|^2, the dip that ends the forward
+    emission: a lone lobe after the flip is no echo, and a ripple that dips
+    the forward lobe opens the window on the ripple.  ``t_cut`` starts the
+    storage efficiency.  Raises NoEchoError when nothing after the flip
+    rises above the detection floor, UndefinedMetricError when the output
+    does not dip or the window's largest sample is its first or last, and
     AmbiguousPeakError with the still-defined ``metrics`` for a multimodal echo.
     """
-    det = detect_echo(record, after)
-    if det is None:
-        raise NoEchoError("no echo above the detection floor")
-    eff = storage_efficiency(record, t_cut)
     t = record.times
     iout = np.abs(record.probe_out) ** 2
     iin = np.abs(record.probe_in) ** 2
-    m = t > after
-    i = int(np.argmax(iout[m]))
-    if not 0 < i < np.count_nonzero(m) - 1:
-        raise UndefinedMetricError(f"no whole echo: peak at the window edge t = {t[m][i]:g}")
+    y = iout[np.searchsorted(t, flip, side="right"):]
+    if not np.max(y, initial=0.0) > NO_ECHO_FLOOR * np.max(iin):
+        raise NoEchoError("no echo above the detection floor")
+    dips = np.flatnonzero((y[:-2] > y[1:-1]) & (y[1:-1] <= y[2:]))
+    if not dips.size:
+        raise UndefinedMetricError(f"no whole echo: no dip after the flip at t = {flip:g}")
+    start = t.size - y.size + dips[0] + 2  # the first sample past the valley
+    tw, yw = t[start:], iout[start:]
+    i = int(np.argmax(yw))
+    if not 0 < i < yw.size - 1:
+        raise UndefinedMetricError(f"no whole echo: peak at the window edge t = {tw[i]:g}")
+    peak_time, peak_value = _vertex(tw, yw, i)
+    eff = storage_efficiency(record, t_cut)
     try:
-        echo_fwhm = fwhm(t[m], iout[m])
+        echo_fwhm = fwhm(tw, yw)
         input_fwhm = fwhm(t, iin)
     except AmbiguousPeakError as exc:
-        exc.metrics = {"efficiency_R": eff, "echo_peak_time": det.peak_time,
-                       "echo_peak_value": det.peak_value}
+        exc.metrics = {"efficiency_R": eff, "echo_peak_time": peak_time,
+                       "echo_peak_value": peak_value}
         raise
     input_peak_time = float(t[np.argmax(iin)])
-    # fidelity and overlap_fidelity from one correlation; the detected echo
-    # and storage_efficiency already guarantee both energies
-    peak, e_in, e_out = _correlation(t, record.probe_in, t[m], record.probe_out[m])
+    # both fidelities from one correlation; the peak and the input carry energy
+    peak, e_in, e_out = _correlation(t, record.probe_in, tw, record.probe_out[start:])
     fid = min(peak / (e_in * e_out), 1.0)
     ovl = peak / e_in**2
-    dbp = delay_bandwidth(det.peak_time, input_peak_time, echo_fwhm)
-    return EchoMetrics(echo_peak_time=det.peak_time, echo_fwhm=echo_fwhm,
+    dbp = delay_bandwidth(peak_time, input_peak_time, echo_fwhm)
+    return EchoMetrics(echo_peak_time=peak_time, echo_fwhm=echo_fwhm,
                        efficiency_R=eff, fidelity=fid, delay_bandwidth=dbp,
-                       echo_peak_value=det.peak_value,
+                       echo_peak_value=peak_value,
                        input_peak_time=input_peak_time, input_fwhm=input_fwhm,
                        overlap_fidelity=ovl, truncation_time=float(t[-1]))

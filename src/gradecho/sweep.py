@@ -76,14 +76,12 @@ class SweepSpec:
     ``axes`` maps dotted scenario paths (e.g. "medium.xi", "profile.zeta") to
     value lists (floats, or ints on a field declared int, e.g. "grid.nz");
     the grid is their Cartesian product in axis order, indexed row-major.
-    ``detect_after`` defaults to each point's last flip, where its efficiency starts.
     """
 
     base: Scenario
     axes: Tuple[Tuple[str, Tuple[float, ...]], ...]
     workers: int = 1
     checkpoint: Optional[str] = None
-    detect_after: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not self.axes:
@@ -178,12 +176,10 @@ def _run_point(args) -> PointResult:
             return PointResult(index, values, None, {},
                                error=f"validation: {'; '.join(errors)}")
         flip = scenario.schedule.last_flip_time(scenario.grid.t_end)
-        after = spec.detect_after if spec.detect_after is not None else flip
-        if after is None:  # nothing to score: the record is not computed
+        if flip is None:  # nothing to score: the record is not computed
             return PointResult(index, values, None, {"no_echo": True, "dispersion": ""},
                                error="no control flip before t_end; echo metrics undefined")
-        t_cut = after if flip is None else flip
-        m = compute_echo_metrics(integrate(scenario, check=False), after, t_cut)
+        m = compute_echo_metrics(integrate(scenario, check=False), flip, flip)
     except NoEchoError:
         return PointResult(index, values, None, {"no_echo": True, "dispersion": ""})
     except AmbiguousPeakError as exc:
@@ -211,10 +207,8 @@ def _longest_first(spec: SweepSpec, indices) -> list[int]:
 
 
 def _spec_hash(spec: SweepSpec) -> str:
-    """Identity of the rows a spec produces: base scenario, axes, detection
-    start and package version (worker count and checkpoint path excluded)."""
-    key = {"base": config_hash(spec.base), "axes": spec.axes,
-           "detect_after": spec.detect_after, "version": __version__}
+    """Identity of the rows a spec produces: base scenario, axes, version."""
+    key = {"base": config_hash(spec.base), "axes": spec.axes, "version": __version__}
     return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
 
 

@@ -2,6 +2,7 @@
 for the whole session."""
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import replace
 from typing import Optional
@@ -11,7 +12,7 @@ import numpy.polynomial.legendre as leg
 import pytest
 from scipy.integrate import solve_ivp
 
-from gradecho import builtin_scenario, integrate
+from gradecho import builtin_scenario, builtin_sweep, integrate
 from gradecho.model import (GLL_ORDER, ControlSchedule, GridSpec, MediumParams,
                             ProbePulse, Scenario, Uniform)
 from gradecho.solver import _gll_rule, step_plan
@@ -59,6 +60,14 @@ def fig4c_record():
 @pytest.fixture(scope="session")
 def small_record():
     return integrate(small_scenario())
+
+
+@pytest.fixture(scope="session")
+def fig4a_coarse_record():
+    """The record of fig4a-coarse grid point i (each flips at 0.065),
+    integrated once per session."""
+    spec = builtin_sweep("fig4a-coarse")
+    return functools.cache(lambda i: integrate(spec.point(i)[1]))
 
 
 def rel_l2(a: np.ndarray, b: np.ndarray) -> float:

@@ -395,9 +395,9 @@ def test_criterion_9_property_suite(tmp_path):
             "errors " + ", ".join(f"{e:.2e}" for e in rep.errors))
 
     spec1 = SweepSpec(base=small_scenario(), axes=(("medium.xi", (20.0, 50.0)),),
-                      workers=1, detect_after=1.1)
+                      workers=1)
     spec2 = SweepSpec(base=small_scenario(), axes=(("medium.xi", (20.0, 50.0)),),
-                      workers=2, detect_after=1.1)
+                      workers=2)
     p1, p2 = tmp_path / "w1.csv", tmp_path / "w2.csv"
     run_sweep(spec1).to_csv(p1)
     run_sweep(spec2).to_csv(p2)

@@ -189,15 +189,15 @@ def test_run_with_the_flip_past_t_end_records_no_echo(tmp_path):
 
 @pytest.mark.parametrize("t_end", ["0.1602", "0.161"])
 def test_run_with_no_whole_echo_after_the_flip_records_undefined(tmp_path, t_end):
-    # fig4b flips at 0.16: at 0.1602 the window holds two samples and the run
-    # exited 2 after integrating; at 0.161 its last sample was the echo
+    # fig4b flips at 0.16: at 0.1602 two samples follow the flip and the run
+    # exited 2 after integrating; up to 0.161 the output only rises
     out = tmp_path / "out"
     assert main(["run", "fig4b", "--output", str(out),
                  "--grid-override", f"t_end={t_end}, nz=128"]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "fig4b_manifest.json", "fig4b_metrics.json", "fig4b_timeseries.csv"]
     metrics = json.loads((out / "fig4b_metrics.json").read_text())
-    assert metrics["echo"] == f"undefined: no whole echo: peak at the window edge t = {t_end}"
+    assert metrics["echo"] == "undefined: no whole echo: no dip after the flip at t = 0.16"
 
 
 def test_efficiency_cut_past_an_overridden_t_end_exits_2_and_writes_nothing(tmp_path,
@@ -209,21 +209,25 @@ def test_efficiency_cut_past_an_overridden_t_end_exits_2_and_writes_nothing(tmp_
     assert not any(out.iterdir())
 
 
-@pytest.mark.parametrize("segments, ramp, xi", [
-    # the ramp from 0.7 ends one ulp before the 0.8 segment
-    (((0.0, 1.0), (0.7, -1.0), (0.8, 1.0), (1.2, -1.0)), 0.1, 50.0),
+@pytest.mark.parametrize("segments, ramp, xi, echo", [
+    # the ramp from 0.7 ends one ulp before the 0.8 segment; the phase area
+    # rephases only past t_end = 2, and the lobe at 1.45 after the last flip
+    # is the forward emission, so the echo is still rising at the last sample
+    (((0.0, 1.0), (0.7, -1.0), (0.8, 1.0), (1.2, -1.0)), 0.1, 50.0,
+     "undefined: no whole echo: peak at the window edge t = 2"),
     # a flip through zero gain, with the probe window ending one ulp past 0.6;
     # at xi = 75 the echo after the flip outgrows the decaying forward emission
-    (((0.0, 1.0), (0.6, 0.0), (0.8, -1.0)), 0.0, 75.0),
+    (((0.0, 1.0), (0.6, 0.0), (0.8, -1.0)), 0.0, 75.0, None),
 ], ids=["ramp-end", "zero-gain-flip"])
-def test_run_scores_schedules_near_rounding_edges(tmp_path, segments, ramp, xi):
+def test_run_scores_schedules_near_rounding_edges(tmp_path, segments, ramp, xi, echo):
     cfg = _write_small_config(tmp_path, schedule=ControlSchedule(segments, ramp_time=ramp),
                               medium=MediumParams(xi=xi))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--output", str(out)]) == 0
     metrics = json.loads((out / "small_metrics.json").read_text())
-    assert "echo" not in metrics
-    assert metrics["echo_peak_time"] > segments[-1][0]
+    assert metrics.get("echo") == echo
+    if echo is None:
+        assert metrics["echo_peak_time"] > segments[-1][0]
 
 
 def test_run_with_a_short_segment_records_undefined(tmp_path):
@@ -259,8 +263,7 @@ def test_sweep_cli_with_injected_tiny_grid(tmp_path, monkeypatch):
 
     def tiny(workers=1, checkpoint=None):
         return SweepSpec(base=small_scenario(), axes=(("medium.xi", (20.0, 50.0)),),
-                         workers=workers, checkpoint=checkpoint,
-                         detect_after=1.1)
+                         workers=workers, checkpoint=checkpoint)
 
     monkeypatch.setitem(cli_mod.BUILTIN_SWEEPS, "tiny", tiny)
     monkeypatch.setattr("gradecho.scenarios.BUILTIN_SWEEPS",
@@ -296,8 +299,7 @@ def test_sweep_manifest(tmp_path, monkeypatch):
 
     def tiny(workers=1, checkpoint=None):
         return SweepSpec(base=small_scenario(), axes=(("medium.xi", (50.0, -5.0)),),
-                         workers=workers, checkpoint=checkpoint,
-                         detect_after=1.1)
+                         workers=workers, checkpoint=checkpoint)
 
     monkeypatch.setitem(cli_mod.BUILTIN_SWEEPS, "tiny", tiny)
     out = tmp_path / "out"

@@ -11,7 +11,6 @@ from gradecho.metrics import (AmbiguousPeakError, NoEchoError,
                               feasibility, fwhm, storage_efficiency)
 from gradecho.metrics import _xcorr
 from gradecho.model import MediumParams, ProbePulse
-from gradecho.scenarios import builtin_sweep
 from gradecho.solver import FieldRecord, integrate
 
 from .conftest import small_scenario
@@ -248,10 +247,14 @@ def test_fft_correlation_equals_direct_correlation():
 
 
 def test_echo_metrics_fidelity_is_classical_fidelity(fig4b_record):
-    # one definition: the bundle reads the same correlation as the function
+    # one definition: the bundle reads the same correlation as the function,
+    # on the window past the first dip after the flip at 0.16
     t = fig4b_record.times
-    m = t > 0.16
-    got = compute_echo_metrics(fig4b_record, after=0.16, t_cut=0.065).fidelity
+    y = np.abs(fig4b_record.probe_out) ** 2
+    first = int(np.searchsorted(t, 0.16, side="right"))
+    valley = next(i for i in range(first + 1, t.size - 1) if y[i - 1] > y[i] <= y[i + 1])
+    m = t > t[valley]
+    got = compute_echo_metrics(fig4b_record, flip=0.16, t_cut=0.065).fidelity
     assert got == classical_fidelity(t, fig4b_record.probe_in,
                                      t[m], fig4b_record.probe_out[m])
 
@@ -259,54 +262,102 @@ def test_echo_metrics_fidelity_is_classical_fidelity(fig4b_record):
 def test_echo_metrics_of_a_flipped_empty_medium_raise_no_echo():
     rec = integrate(small_scenario(medium=MediumParams(xi=0.0)))
     with pytest.raises(NoEchoError, match="no echo above the detection floor"):
-        compute_echo_metrics(rec, after=0.8, t_cut=0.8)
+        compute_echo_metrics(rec, flip=0.8, t_cut=0.8)
 
 
-def _echo_record(t_echo: float) -> FieldRecord:
-    """A unit Gaussian input at t = 1 and a half-amplitude copy of it at
-    ``t_echo`` as the output, sampled 0.01 apart on [0, 4]."""
+def _gauss(t, center):
+    return np.exp(-((t - center) / 0.2) ** 2)
+
+
+def _echo_record(t_echo: float, echo: float = 0.5, forward: float = 0.0,
+                 t_forward: float = 2.2, notch: float = 0.0) -> FieldRecord:
+    """A unit Gaussian input at t = 1 and, as the output, a copy of it of
+    amplitude ``echo`` at ``t_echo``, sampled 0.01 apart on [0, 4].
+    ``forward`` adds a forward lobe of that amplitude at ``t_forward``,
+    ``notch`` a narrow dip of that depth at t = 2.35."""
     t = np.linspace(0.0, 4.0, 401)
+    out = (echo * _gauss(t, t_echo) + forward * _gauss(t, t_forward)
+           - notch * np.exp(-((t - 2.35) / 0.02) ** 2))
     none = np.empty(0)
-    return FieldRecord(times=t, probe_in=np.exp(-((t - 1.0) / 0.2) ** 2).astype(complex),
-                       probe_out=0.5 * np.exp(-((t - t_echo) / 0.2) ** 2).astype(complex),
+    return FieldRecord(times=t, probe_in=_gauss(t, 1.0).astype(complex),
+                       probe_out=out.astype(complex),
                        snapshot_times=none, z=none, rho31=none, rho21=none,
                        peak_coherence=0.0)
 
 
-@pytest.mark.parametrize("t_echo, after, edge", [
-    (4.5, 2.0, "4"), (1.9, 2.0, "2.01"), (3.99, 3.995, "4"), (3.99, 3.985, "3.99")],
+@pytest.mark.parametrize("t_echo, flip", [
+    (4.5, "2.0"), (1.9, "2.0"), (3.99, "3.995"), (3.99, "3.985")],
     ids=["rises-to-the-end", "falls-from-the-start", "one-sample", "two-samples"])
-def test_echo_metrics_of_a_window_without_a_whole_echo_are_undefined(t_echo, after, edge):
+def test_echo_metrics_of_a_window_without_a_whole_echo_are_undefined(t_echo, flip):
+    # a lone lobe after the flip is taken for the forward emission: no dip
+    # follows it inside the record, so no echo window opens
     with pytest.raises(UndefinedMetricError,
-                       match=f"^no whole echo: peak at the window edge t = {edge}$"):
-        compute_echo_metrics(_echo_record(t_echo), after=after, t_cut=after)
+                       match=f"^no whole echo: no dip after the flip at t = {float(flip):g}$"):
+        compute_echo_metrics(_echo_record(t_echo), flip=float(flip), t_cut=float(flip))
+
+
+def test_echo_metrics_of_an_echo_cut_off_by_the_window_are_undefined():
+    # past the forward lobe's dip the output rises to the last sample
+    with pytest.raises(UndefinedMetricError,
+                       match="^no whole echo: peak at the window edge t = 4$"):
+        compute_echo_metrics(_echo_record(4.5, forward=0.6), flip=2.0, t_cut=2.0)
 
 
 def test_echo_metrics_from_the_small_flip_see_only_a_decaying_tail(small_record):
     # right after the flip at 0.8 the output still carries the forward
-    # emission (0.0094 of the input peak); the echo at 1.44 reaches 3.9e-4
-    with pytest.raises(UndefinedMetricError, match="edge t = 0.804$"):
-        compute_echo_metrics(small_record, after=0.8, t_cut=0.8)
-    m = compute_echo_metrics(small_record, after=1.1, t_cut=0.8)
+    # emission (0.0094 of the input peak); the window opens where that tail
+    # dips, before the echo at 1.44 (3.9e-4)
+    m = compute_echo_metrics(small_record, flip=0.8, t_cut=0.8)
     assert m.echo_peak_time == pytest.approx(1.444, abs=0.002)
 
 
 def test_echo_metrics_of_an_interior_echo_score():
-    m = compute_echo_metrics(_echo_record(3.0), after=2.0, t_cut=2.0)
+    # the flip at 2 falls on the tail of a forward lobe at 1.8, which dips
+    # to 1e-8 before the echo; the efficiency counts from past that tail
+    m = compute_echo_metrics(_echo_record(3.0, forward=0.6, t_forward=1.8),
+                             flip=2.0, t_cut=2.5)
     assert m.echo_peak_time == pytest.approx(3.0, abs=1e-9)
     assert m.echo_fwhm == pytest.approx(m.input_fwhm, rel=1e-9)
-    assert m.efficiency_R == pytest.approx(0.25, rel=1e-9)
+    assert m.efficiency_R == pytest.approx(0.25, rel=1e-6)
 
 
-def test_multimodal_echo_carries_its_defined_metrics():
+def test_echo_metrics_score_the_echo_past_a_larger_forward_lobe():
+    # the forward lobe at 2.2 holds the largest sample after the flip
+    m = compute_echo_metrics(_echo_record(3.0, echo=0.4, forward=0.6), flip=2.0, t_cut=2.0)
+    assert m.echo_peak_time == pytest.approx(3.0, abs=1e-6)
+    assert m.echo_fwhm == pytest.approx(m.input_fwhm, rel=1e-4)
+
+
+@pytest.mark.parametrize("notch, t_peak", [(0.05, 3.0), (0.1, 2.376)],
+                         ids=["shallow", "dipping"])
+def test_a_ripple_on_the_forward_lobe_opens_the_window_where_it_dips(notch, t_peak):
+    # a shallow notch leaves the lobe falling, and the echo is scored; one
+    # deep enough to dip opens the window on it, and the lobe's remainder,
+    # larger than the echo, is scored in its place
+    rec = _echo_record(3.0, echo=0.2, forward=0.6, notch=notch)
+    m = compute_echo_metrics(rec, flip=2.0, t_cut=2.0)
+    assert m.echo_peak_time == pytest.approx(t_peak, abs=1e-3)
+
+
+@pytest.mark.parametrize("point, t_echo, width", [(5, 0.0964, 0.0250), (11, 0.0794, 0.01035)],
+                         ids=["xi1000-zeta250", "xi2000-zeta500"])
+def test_fig4a_coarse_echoes_are_scored_past_the_forward_emission(
+        fig4a_coarse_record, point, t_echo, width):
+    # from the flip at 0.065, point 5 was scored on its forward lobe at
+    # 0.0686 (width 0.0090); from 0.075 the window opened on the echo of
+    # point 11 and clipped its width to 0.00936
+    m = compute_echo_metrics(fig4a_coarse_record(point), flip=0.065, t_cut=0.065)
+    assert m.echo_peak_time == pytest.approx(t_echo, abs=5e-4)
+    assert m.echo_fwhm == pytest.approx(width, rel=2e-3)
+
+
+def test_multimodal_echo_carries_its_defined_metrics(fig4a_coarse_record):
     # fig4a-coarse point 22 (xi = 8000, zeta = 1000): the echo has a
     # secondary peak at 0.87 of its maximum
-    scenario = builtin_sweep("fig4a-coarse").point(22)[1]
-    rec = integrate(scenario)
-    after = scenario.schedule.last_flip_time()
+    rec = fig4a_coarse_record(22)
     with pytest.raises(AmbiguousPeakError) as info:
-        compute_echo_metrics(rec, after=after, t_cut=after)
-    det = detect_echo(rec, after)
-    assert info.value.metrics == {"efficiency_R": storage_efficiency(rec, after),
+        compute_echo_metrics(rec, flip=0.065, t_cut=0.065)
+    det = detect_echo(rec, 0.065)
+    assert info.value.metrics == {"efficiency_R": storage_efficiency(rec, 0.065),
                                   "echo_peak_time": det.peak_time,
                                   "echo_peak_value": det.peak_value}
