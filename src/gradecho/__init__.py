@@ -3,7 +3,7 @@ numerical integration of the coupled coherence-field dynamics, closed-form
 cross-checks, echo metrics, parameter sweeps, and a CLI.
 """
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .model import (ControlSchedule, GaussianBeam, GridSpec, Linear,
                     MediumParams, ProbePulse, Scenario, Uniform,

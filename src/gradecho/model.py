@@ -29,6 +29,7 @@ __all__ = [
     "ControlSchedule",
     "ProbePulse",
     "GLL_ORDER",
+    "CONTROL_STEP",
     "GridSpec",
     "Scenario",
     "ValidationIssue",
@@ -229,6 +230,13 @@ class ProbePulse:
         val = self.amplitude * np.exp(-(((tt - self.center_time) / self.width) ** 2))
         return complex(val) if np.isscalar(t) or tt.ndim == 0 else val
 
+    def boundary_derivative(self, t):
+        """d/dt of ``boundary_value``: -2 (t - center_time) / width^2 times
+        it, a scalar for a scalar ``t`` and an array otherwise."""
+        tt = np.asarray(t, dtype=float)
+        val = -2.0 * (tt - self.center_time) / self.width**2 * self.boundary_value(tt)
+        return complex(val) if np.isscalar(t) or tt.ndim == 0 else val
+
     @property
     def area(self) -> complex:
         """Time-integrated boundary amplitude."""
@@ -236,6 +244,7 @@ class ProbePulse:
 
 
 GLL_ORDER = 8  # Gauss-Lobatto-Legendre nodes per z element, less one
+CONTROL_STEP = 0.4  # the largest dt Omega of a step, Omega the fastest control or detuning rate
 
 
 @dataclass(frozen=True)
@@ -280,20 +289,22 @@ class Scenario:
         """The automatic (window, after-window) time steps under a control
         of peak |gain| * profile.peak and the detunings.
 
-        Omega is the largest of that peak, 2 |Dp| and 2 |Dc - Dp|, so that
-        dt Omega <= 0.1 holds the control's rotation rate Omega_c / 2 and the
-        detuning rates |Dp| and |Dc - Dp| to 0.05 per step.  While the probe
-        enters, dt = min(width / 20, 0.1 / Omega, t_end / 50).  After it the
-        probe limit gives way to the medium's, 0.1 / (eta L), but the step
-        never falls below the window's.  A limit whose rate is 0 (no control
-        and no detuning, no medium) drops out.  ``solver.step_plan`` applies
-        this per piece, with the largest |gain| the piece reaches.
+        Omega is the largest of that peak, 2 |Dp| and 2 |Dc - Dp|, and
+        dt Omega <= CONTROL_STEP (0.4).  The solver steps each z element
+        exactly under a cubic-Hermite field, so this limit resolves the
+        field the rotation modulates, not the rotation itself.  While the
+        probe enters, dt = min(width / 20, CONTROL_STEP / Omega, t_end / 50).
+        After it the probe limit gives way to the medium's, 0.1 / (eta L),
+        but the step never falls below the window's.  A limit whose rate is
+        0 (no control and no detuning, no medium) drops out.
+        ``solver.step_plan`` applies this per piece, with the largest |gain|
+        the piece reaches.
         """
         med = self.medium
         omega = max(abs(gain) * self.profile.peak(med.length), 2.0 * abs(med.delta_p),
                     2.0 * abs(med.delta_c - med.delta_p))
         eta_l = med.eta * med.length
-        control = 0.1 / omega if omega > 0 else math.inf
+        control = CONTROL_STEP / omega if omega > 0 else math.inf
         medium = 0.1 / eta_l if eta_l > 0 else math.inf
         window = min(self.probe.width / 20.0, control, self.grid.t_end / 50.0)
         return window, max(window, min(control, medium, self.grid.t_end / 50.0))
@@ -327,10 +338,10 @@ def validate_scenario(s: Scenario) -> list[ValidationIssue]:
     dt = s.grid.dt
     omega_max = s.max_abs_control()
 
-    if dt is not None and omega_max > 0 and dt * omega_max > 0.1 * (1 + 1e-12):
+    if dt is not None and omega_max > 0 and dt * omega_max > CONTROL_STEP * (1 + 1e-12):
         issues.append(ValidationIssue(
             "error", f"grid under-resolves the control field: dt*max|Omega_c| = "
-                     f"{dt * omega_max:.3g} > 0.1"))
+                     f"{dt * omega_max:.3g} > {CONTROL_STEP:g}"))
     if dt is not None and dt > s.probe.width / 20.0 * (1 + 1e-12):
         issues.append(ValidationIssue(
             "error", f"grid under-resolves the probe: dt = {dt:.3g} > width/20 = "

@@ -10,16 +10,11 @@ derivative, and with u = -i rho31 the equations read
 Omega_c is real and the kernel runs the probe's real unit envelope, so on
 resonance (Dp = Dc = 0) a run steps in float64, and otherwise the same
 functions step in complex128; by linearity ``probe_out``, rho31 = i a u and
-rho21 are the unit run's times the probe amplitude a.  Per time step the
-coherences take a classical RK4 step at every z, the field is rebuilt by
-integrating -eta u from the boundary, and the pair is iterated once as a
-corrector.  One RK4 step, with the probe linear across it, is an affine map
-y+ = M y + V0 Omega_p(t0) + V1 Omega_p(t1) per z (``_rk4_map``), built
-under one constant gain: once for a constant-gain piece, and once per step,
-at the gain of its midpoint, on a cosine ramp.  ``step_plan`` aligns the
-time steps to segment boundaries, so a gain change never happens mid-step;
-with an automatic dt each piece is stepped at the control it reaches
-itself, and the short probe is resolved only while it enters the medium.
+rho21 are the unit run's times the probe amplitude a.  ``step_plan`` aligns
+the time steps to segment boundaries, so a gain change never happens
+mid-step; with an automatic dt each piece is stepped at the control it
+reaches itself, and the short probe is resolved only while it enters the
+medium.  A cosine ramp is stepped at the gain of each step's midpoint.
 
 The z grid is nz / 8 equal elements, each with the 9 Gauss-Lobatto-Legendre
 nodes of its interval, and the field is exact for the degree-8 interpolant
@@ -27,31 +22,41 @@ of u in every element (``_gll_rule``): inside an element it is the field at
 the element's first node plus (-eta h / 2) Q u.  The record holds the
 nz + 1 distinct nodes.
 
-Elements are coupled only through the field at their shared node, one
-predicted and one corrected value per step, and within a piece the scheme
-is linear.  So m steps of one element are a fixed linear map from its state
-(u and rho21 at its 9 nodes and the corrected field at its first node,
-NS = 19 values) and its 2 m first-node inputs to its new state and its 2 m
-last-node outputs, which are the next element's inputs.  Under one RK4
-map every step is the same: ``_step_map`` runs the scheme once on unit
-states and inputs for the one-step map F1, and ``_step_maps`` composes the
-fused maps, NS + 2 m square, from it one step at a time.  A run is
-one pass over stretches of one constant gain, a constant piece or one ramp
-step (``_stretches``): each builds its maps once and is cut into blocks of
-at most K steps, apart from a shorter tail (``_blocks``), with or without
-a coherence trace.  The blocks run through a skewed pipeline of the
-elements, B blocks in B + E - 1 wavefronts, and wavefront d is enter,
+Elements are coupled only through the field at their shared node.  Under
+one constant gain an element's 18 coherences obey d rho/dT = A rho +
+(1/2) v(T) e_u with v the field at its first node, and a step takes v as
+the cubic Hermite of v and dv/dT at its two ends and steps rho exactly
+under it, by the exponential of A augmented with the cubic's coefficients
+(Van Loan's block exponential, ``_step_map``, on a numpy-only batched
+``_expm``).  The element's outputs, v and dv/dT at its last node, follow
+from the field equation and its T-derivative.  The time error is fourth
+order and the control's rotation is exact, so ``model.CONTROL_STEP`` bounds
+dt Omega at 0.4.  A gain change leaves the field continuous but not its
+derivative: each stretch's first block adds the jump, summed over the
+elements before, to the derivative an element holds (``_entry_map``).
+
+Within a stretch the scheme is linear.  So m steps of one element are a
+fixed linear map from its state (u and rho21 at its 9 nodes, the field and
+its derivative at its first node, NS = 20 values) and its 2 m first-node
+inputs to its new state and its 2 m last-node outputs, which are the next
+element's inputs.  Every step is the same: ``_step_maps`` composes the
+fused maps, NS + 2 m square, from the one-step map F1 one step at a time.
+A run is one pass over stretches of one constant gain, a constant piece or
+one ramp step (``_stretches``): each builds its maps once and is cut into
+blocks of at most K steps, apart from a shorter tail (``_blocks``), with
+or without a coherence trace.  The blocks run through a skewed pipeline of
+the elements, B blocks in B + E - 1 wavefronts, and wavefront d is enter,
 advance, leave.  Enter: one shifted copy hands each element's outputs to
-the next element as inputs, and the boundary probe enters element 0 as
-block d's inputs.  Advance: one batched product per run of equal blocks
-advances every element that holds one; element e runs block d - e.  Leave:
-block d - E + 1 leaves the last element with its transmitted probe and is
-settled there: the divergence guard judges it, and a stretch's maps go once
-its last block has left, so at most E maps are alive.  A wavefront makes
-about 5 numpy calls plus one per run of blocks it holds, whatever E: under
-one call per step at 10-step blocks.  Every wavefront copies the traced
-nodes out of the state, and the trace at every block end is read off those
-copies after the last wavefront.
+the next element as inputs, and the boundary probe and its derivative
+enter element 0 as block d's inputs.  Advance: one batched product per run
+of equal blocks advances every element that holds one; element e runs
+block d - e.  Leave: block d - E + 1 leaves the last element with its
+transmitted probe and is settled there: the divergence guard judges it,
+and a stretch's maps go once its last block has left, so at most E maps
+are alive.  A wavefront makes about 5 numpy calls plus one per run of
+blocks it holds, whatever E: under one call per step at 10-step blocks.
+Every wavefront copies the traced nodes out of the state, and the trace at
+every block end is read off those copies after the last wavefront.
 """
 from __future__ import annotations
 
@@ -78,7 +83,8 @@ __all__ = [
 MAX_COHERENCE = 10.0  # weak-probe normalization: any |rho| above this is blow-up
 MAX_STEPS = 20_000_000  # step budget of one run
 K = 10  # the longest transfer block, in steps
-NS = 2 * (GLL_ORDER + 1) + 1  # element state: rho31, rho21 at its nodes, edge field
+NC = 2 * (GLL_ORDER + 1)  # an element's coherences: u and rho21 at its nodes
+NS = NC + 2  # element state: its coherences, the field and its T-derivative at its first node
 
 
 class DivergenceError(RuntimeError):
@@ -114,37 +120,52 @@ class FieldRecord:
     peak_coherence: float
 
 
-def _coherence_matrix(oc: np.ndarray, med: MediumParams) -> np.ndarray:
-    """Per-z 2x2 matrix A of d(u, rho21)/dT = A (u, rho21) + drive under the
-    real control field ``oc``: float64 when Dp = Dc = 0, where every entry
-    is real, and complex128 otherwise."""
-    A = np.empty((oc.shape[0], 2, 2), dtype=complex)
-    A[:, 0, 0] = -(med.gamma_decay / 2.0 + 1j * med.delta_p)
-    A[:, 0, 1] = 0.5 * oc
-    A[:, 1, 0] = -0.5 * np.conj(oc)
-    A[:, 1, 1] = 1j * (med.delta_c - med.delta_p + 1j * med.gamma_ground)
+def _element_matrix(oc: np.ndarray, med: MediumParams, scale: float,
+                    Q: np.ndarray) -> np.ndarray:
+    """Per-element matrix A, shape (E, NC, NC), of d(u, rho21)/dT = A (u,
+    rho21) + (1/2) Omega_first e_u for the coherences of each element (u at
+    its p + 1 nodes, then rho21) under the real control ``oc`` at the stored
+    nodes, with the field inside the element the first-node field
+    Omega_first plus ``scale`` Q u: float64 when Dp = Dc = 0, where every
+    entry is real, and complex128 otherwise."""
+    n = Q.shape[0]
+    oc = oc.reshape(-1, n)
+    A = np.zeros((oc.shape[0], 2 * n, 2 * n), dtype=complex)
+    i = np.arange(n)
+    A[:, :n, :n] = 0.5 * scale * Q
+    A[:, i, i] -= med.gamma_decay / 2.0 + 1j * med.delta_p
+    A[:, i, n + i] = 0.5 * oc
+    A[:, n + i, i] = -0.5 * np.conj(oc)
+    A[:, n + i, n + i] = 1j * (med.delta_c - med.delta_p + 1j * med.gamma_ground)
     return A if med.delta_p or med.delta_c else A.real.copy()
 
 
-def _rk4_map(A: np.ndarray, dt: float):
-    """One classical-RK4 step as an affine map, under the constant coherence
-    matrix ``A`` and the probe linear across the step, in the dtype of A.
+def _expm(M: np.ndarray) -> np.ndarray:
+    """exp of every matrix of the batch ``M`` (..., n, n): the degree-14
+    Taylor polynomial of M / 2^s, squared s times, for the least s that
+    brings the largest 1-norm in the batch to 1/2 or below, where the
+    truncation error is under 3e-17 of the norm."""
+    n = M.shape[-1]
+    norm = float(np.abs(M).sum(axis=-2).max())
+    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0 else 0
+    X = M * 0.5**s
+    P, T = X / 14.0, np.empty_like(X)
+    for k in range(13, -1, -1):  # Horner: P <- I + X P / k, in place
+        P.reshape(-1, n * n)[:, ::n + 1] += 1.0
+        if k:
+            np.matmul(X, P, out=T)
+            T *= 1.0 / k
+            P, T = T, P
+    for _ in range(s):
+        np.matmul(P, P, out=T)
+        P, T = T, P
+    return P
 
-    The four stages run on the per-z 2x4 basis [I | e_g0 | e_g1]; returns
-    y of shape (nz, 2, 4) with y_{n+1} = M y_n + V0 Omega_p(t_n) +
-    V1 Omega_p(t_{n+1}) for M = y[:, :, :2], V0 = y[:, :, 2], V1 = y[:, :, 3].
-    """
-    y = np.zeros((A.shape[0], 2, 4), dtype=A.dtype)
-    y[:, 0, 0] = y[:, 1, 1] = 1.0
-    drive = np.zeros((3, 2, 4), dtype=A.dtype)  # (1/2) Omega_p at t0, t_half, t1
-    drive[0, 0, 2] = drive[2, 0, 3] = 0.5
-    drive[1, 0, 2:] = 0.25
-    k1 = A @ y + drive[0]
-    k2 = A @ (y + 0.5 * dt * k1) + drive[1]
-    k3 = A @ (y + 0.5 * dt * k2) + drive[1]
-    k4 = A @ (y + dt * k3) + drive[2]
-    y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+
+# the cubic Hermite v on a step of dt: its (v, dt v', dt^2 v'', dt^3 v''') at
+# the step start from (v, dt v') at the start and at the end
+HERMITE = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                    [-6.0, -4.0, 6.0, -2.0], [12.0, 6.0, -12.0, 6.0]])
 
 
 def _check_coherences(rho: np.ndarray, step: int, t: float) -> float:
@@ -260,50 +281,68 @@ def _gll_rule(p: int) -> tuple[np.ndarray, np.ndarray]:
     return x, Q
 
 
-def _step_map(y: np.ndarray, scale: float, Q: np.ndarray) -> np.ndarray:
-    """One step of the scheme on each element on its own under the RK4 map
-    ``y`` of ``_rk4_map``, as the map F1 of shape (E, NS + 2, NS + 2) in the
-    dtype of y.
+def _step_map(A: np.ndarray, dt: float, scale: float, Q: np.ndarray) -> np.ndarray:
+    """One step of dt of each element on its own under its matrix ``A``
+    (``_element_matrix``), as the map F1 of shape (E, NS + 2, NS + 2) in
+    the dtype of A.
 
-    An element's state is u = -i rho31 and rho21 at its p + 1 nodes and the
-    corrected field at its first node at the step start (NS values); its
-    inputs at a step are the predicted and the corrected field at its first
-    node at the step end, and its outputs the same two at its last node,
-    which are the next element's inputs.  Inside the element the field is
-    the first-node field plus ``scale`` Q u, scale = -eta h / 2.
+    An element's state is its NC coherences, u = -i rho31 and rho21 at its
+    p + 1 nodes, then the field Omega and its T-derivative at its first node
+    at the step start (NS values); its inputs at a step are Omega and its
+    T-derivative at its first node at the step end, and its outputs the same
+    two at its last node, which are the next element's inputs.  Inside the
+    element the field is the first-node field plus ``scale`` Q u, scale =
+    -eta h / 2, so the coherences obey d rho/dT = A rho + (1/2) v(T) e_u
+    with v the first-node field, taken across the step as the cubic Hermite
+    of its values and derivatives at the two ends.
 
-    The step runs once on unit columns: column c < NS starts as the unit
-    state e_c, and columns NS and NS + 1 are the unit inputs.  By linearity
-    the rows of F1 are then the new state and the 2 outputs, and its columns
-    the state and the 2 inputs.
+    That step is exact: the exponential of the augmented matrix (Van Loan)
+    [[dt A, dt e_u / 2, 0], [0, 0, N]] with N the 4 x 4 shift, acting on
+    the coherences and the Hermite coefficients (``HERMITE``), gives the new
+    coherences.  The outputs are the field gained across the element,
+    scale Q[-1] u, and the derivative gained, scale Q[-1] du/dT, with du/dT
+    read off A and the first-node field at the step end.
     """
-    n = Q.shape[0]
-    E = y.shape[0] // n
-    # the coefficients of u, rho21, the start field and the end field in the
-    # u row and in the rho21 row, shape (4, 2, p + 1, 1, E)
-    M1, M2, V0, V1 = np.ascontiguousarray(
-        y.reshape(E, n, 2, 4).transpose(3, 2, 1, 0)[..., None, :])
+    E, nc = A.shape[:2]
+    n = nc // 2
+    M = np.zeros((E, nc + 4, nc + 4), dtype=A.dtype)
+    M[:, :nc, :nc] = dt * A
+    M[:, :n, nc] = 0.5 * dt
+    M[:, range(nc, nc + 3), range(nc + 1, nc + 4)] = 1.0
+    X = _expm(M)
+    F = np.zeros((E, NS + 2, NS + 2), dtype=A.dtype)
+    F[:, :nc, :nc] = X[:, :nc, :nc]
+    F[:, :nc, nc:] = X[:, :nc, nc:] @ (HERMITE * [1.0, dt, 1.0, dt])
+    F[:, nc, NS] = F[:, nc + 1, NS + 1] = 1.0  # the inputs are the new first-node pair
+    w = scale * Q[-1]  # the field gained across the element, per node of u
+    F[:, NS] = w @ F[:, :n]
+    F[:, NS + 1] = w @ (A[:, :n] @ F[:, :nc])
+    F[:, NS, NS] += 1.0
+    F[:, NS + 1, NS] += 0.5 * w.sum()
+    F[:, NS + 1, NS + 1] += 1.0
+    return F
 
-    def gained(r, q=Q):
-        """scale q r over the node axis, as one real product."""
-        return scale * (q @ r.view(float).reshape(n, -1)).view(r.dtype).reshape(
-            len(q), *r.shape[1:])
 
-    x = np.eye(NS, NS + 2, dtype=y.dtype)[..., None]  # the same for every element
-    u = x[:n]
-    op = x[2 * n] + gained(u)  # the field at the step start
-    F = np.zeros((NS + 2, NS + 2, E), dtype=y.dtype)
-    rho = F[:2 * n].reshape(2, n, NS + 2, E)
-    np.multiply(M1, u, out=rho)
-    rho += M2 * x[n:2 * n]
-    rho += V0 * op
-    end = gained(rho[0] + V1[0] * op)  # the predicted field at the step end
-    end[:, NS] += 1.0
-    rho += V1 * end
-    F[2 * n, NS + 1] = 1.0  # the corrected input is the new first-node field
-    F[NS] = end[-1]
-    F[NS + 1] = F[2 * n] + gained(rho[0], Q[-1:])[0]
-    return np.ascontiguousarray(F.transpose(2, 0, 1))
+def _entry_map(F: np.ndarray, jump: np.ndarray) -> np.ndarray:
+    """The fused map ``F`` of a stretch's first block, preceded by the jump
+    of the first-node derivative where the stretch's gain starts, as shape
+    (E, n + 1, n + 1) for F's n.
+
+    A gain change leaves the field continuous but moves du/dT by (A - A_prev)
+    rho, so the derivative an element holds from the stretch before is that
+    side's: element e's jumps by the sum over the elements before it of
+    ``jump`` . rho, with jump = scale Q[-1] (A - A_prev) over the u rows.
+    That sum rides one slot after the block's inputs, from element to
+    element as the outputs do: the map adds it to the held derivative and
+    passes it on with the element's own term added.
+    """
+    E, n = F.shape[0], F.shape[-1]
+    G = np.zeros((E, n + 1, n + 1), dtype=F.dtype)
+    G[:, :n, :n] = F
+    G[:, :n, n] = F[:, :, NC + 1]
+    G[:, n, :NC] = jump
+    G[:, n, n] = 1.0
+    return G
 
 
 def _step_maps(F1: np.ndarray, lengths) -> dict:
@@ -375,7 +414,8 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     elements, and wavefront d is enter, advance, leave: one shifted copy
     hands each element's outputs to the next element's inputs and block d
     enters element 0; every element with a block advances, in one batched
-    product per run of blocks of one stretch and length, so element e runs
+    product per run of blocks of one stretch and map (its first block runs
+    the ``_entry_map``, the rest one map per length), so element e runs
     block d - e; and block d - E + 1 leaves element E - 1 and is settled:
     its transmitted probe is read, and the guard, which keeps the first bad
     state of every block, raises if it has one.  Blocks leave in run order,
@@ -385,9 +425,9 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     ``take``); element e ends block b at wavefront b + e, which picks the
     block-end rows of those copies after the last wavefront.  A stretch's
     maps are built as its first block enters and dropped once its last
-    block has left, so at most E maps of E (NS + 2 m)^2 values are alive:
-    in float64, 12.5 MB at nz = 256 and 200 MB at nz = 1024 when every
-    stretch is one 10-step block.
+    block has left, so at most E maps of E (NS + 2 m + 1)^2 values are
+    alive: in float64, 13.8 MB at nz = 256 and 220 MB at nz = 1024 when
+    every stretch is one 10-step block.
     """
     med = scenario.medium
     L = med.length
@@ -400,7 +440,7 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
     stored = (np.arange(E)[:, None] * p + np.arange(p + 1)).ravel()
     prof_z = np.asarray(scenario.profile.value(zs, L), dtype=float)[stored]
     scale = -0.5 * med.eta * h
-    dtype = _coherence_matrix(prof_z, med).dtype  # float64 on resonance
+    dtype = _element_matrix(prof_z, med, scale, Q).dtype  # float64 on resonance
 
     total_steps = sum(piece.steps for piece in plan)
     if total_steps > MAX_STEPS:
@@ -420,15 +460,22 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
                                   for ta, _, steps, dt, _ in plan])
     # the kernel runs the real unit envelope; the record takes the amplitude
     amp = complex(scenario.probe.amplitude)
-    pin = replace(scenario.probe, amplitude=1.0).boundary_value(t)
+    unit = replace(scenario.probe, amplitude=1.0)
+    pin = unit.boundary_value(t)
     pout = pin.astype(dtype)  # at step 0 the medium holds no coherence
+    # the boundary inputs of every step: the probe and its T-derivative
+    drive = np.stack((pin, unit.boundary_derivative(t)), axis=1)
 
-    # Row e of V is element e's state, then its inputs over its block; its
-    # fused map overwrites them with its new state and its outputs, which
-    # one shifted copy then hands to row e + 1 as inputs
-    width = NS + 2 * K
+    # Row e of V is element e's state, then its inputs over its block and
+    # the derivative jump of ``_entry_map``; its fused map overwrites them
+    # with its new state and its outputs, which one shifted copy then hands
+    # to row e + 1 as inputs.  With no coherence at step 0 every node sees
+    # the boundary probe and du/dT = Omega / 2, so the derivative falls by
+    # eta z Omega / 2 into the medium.
+    width = NS + 2 * K + 1
     V = np.zeros((E, width), dtype=dtype)
-    V[:, NS - 1] = pin[0]
+    V[:, NC] = pin[0]
+    V[:, NC + 1] = drive[0, 1] - 0.5 * med.eta * h * np.arange(E) * pin[0]
     # the traced nodes' elements, and their u and rho21 as flat indices into V
     at_node = np.abs(zs[:, None] - np.asarray(nodes, dtype=float)).argmin(axis=0)
     home = np.minimum(at_node // p, E - 1)
@@ -449,40 +496,50 @@ def _run(scenario: Scenario, plan: tuple[Piece, ...], *,
         V[1:, NS:] = V[:-1, NS:]
         if d < blocks:
             s0, s1 = start[d], start[d + 1]
-            V[0, NS:NS + 2 * (s1 - s0)].reshape(-1, 2)[:] = pin[s0 + 1:s1 + 1, None]
+            V[0, NS:NS + 2 * (s1 - s0)] = drive[s0 + 1:s1 + 1].ravel()
+            V[0, NS + 2 * (s1 - s0)] = 0.0  # no jump before the first element
         for w0, count, F in live:  # advance: elements lo .. hi - 1 run a block of the run
             lo, hi = max(0, d - w0 - count + 1), min(E, d - w0 + 1)
             n = F.shape[-1]
             np.matmul(F[lo:hi], V[lo:hi, :n, None], out=V[lo:hi, :n, None])
         if flat.size:
             V.take(flat, out=seen[d])
-        wave_peak = abs(amp) * float(np.abs(V[:, :NS - 1]).max())
+        wave_peak = abs(amp) * float(np.abs(V[:, :NC]).max())
         if not wave_peak <= MAX_COHERENCE:  # a NaN fails this too
             for e in range(max(0, d - blocks + 1), min(E, d + 1)):  # the busy elements
-                if not abs(amp) * np.abs(V[e, :NS - 1]).max() <= MAX_COHERENCE:
-                    bad.setdefault(d - e, amp * V[e, :NS - 1])
+                if not abs(amp) * np.abs(V[e, :NC]).max() <= MAX_COHERENCE:
+                    bad.setdefault(d - e, amp * V[e, :NC])
         else:
             peak = max(peak, wave_peak)
         b = d - E + 1
         if b >= 0:  # leave: the first bad block to leave is the first in run order
             s0, s1 = start[b], start[b + 1]
-            pout[s0 + 1:s1 + 1] = V[E - 1, NS + 1:NS + 2 * (s1 - s0):2]
+            pout[s0 + 1:s1 + 1] = V[E - 1, NS:NS + 2 * (s1 - s0):2]
             if b in bad:
                 _check_coherences(bad[b], s1, t[s1])
             w0, count, _ = live[0]
             if b == w0 + count - 1:  # the last block of the oldest run
                 live.pop(0)
 
-    d = 0
+    def run_blocks(count, F):
+        """The next ``count`` blocks enter the pipeline under the map F."""
+        nonlocal d
+        live.append((d, count, F))
+        for _ in range(count):
+            wavefront(d)
+            d += 1
+
+    d, A_prev = 0, 0.0  # step 0 holds no coherence, so its jump acts on zeros
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports blow-up
         for piece, runs in walk:
-            y = _rk4_map(_coherence_matrix(piece.gain * prof_z, med), piece.dt)
-            maps = _step_maps(_step_map(y, scale, Q), {m for m, _ in runs})
-            for m, count in runs:
-                live.append((d, count, maps[m]))
-                for _ in range(count):
-                    wavefront(d)
-                    d += 1
+            A = _element_matrix(piece.gain * prof_z, med, scale, Q)
+            maps = _step_maps(_step_map(A, piece.dt, scale, Q), {m for m, _ in runs})
+            (m, count), *rest = runs
+            run_blocks(1, _entry_map(maps[m], scale * Q[-1] @ (A - A_prev)[:, :p + 1]))
+            for m, count in [(m, count - 1)] + rest:
+                if count:
+                    run_blocks(count, maps[m])
+            A_prev = A
             del maps  # the runs hold them: freed as they leave the pipeline
         while live:
             wavefront(d)

@@ -11,6 +11,7 @@ import numpy as np
 import numpy.polynomial.legendre as leg
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from gradecho import builtin_scenario, builtin_sweep, integrate
 from gradecho.model import (GLL_ORDER, ControlSchedule, GridSpec, MediumParams,
@@ -22,7 +23,7 @@ TRACED = (0.0, 0.3, 0.5, 1.0)  # the z nodes the property checks trace
 
 
 def small_scenario(flip: bool = True, **overrides) -> Scenario:
-    """Cheap, fully resolved scenario for property tests (~1.6k steps)."""
+    """Cheap, fully resolved scenario for property tests (590 steps)."""
     fields = dict(
         medium=MediumParams(xi=50.0),
         profile=Uniform(b=2.0),
@@ -127,101 +128,115 @@ def constant_control_response(scenario: Scenario, z: float, times):
             to_times(field))
 
 
-def rho31_coherence_matrix(oc: np.ndarray, med: MediumParams) -> np.ndarray:
-    """Per-z 2x2 matrix A of d(rho31, rho21)/dT = A (rho31, rho21) + drive
-    under the control field ``oc``, in the rho31 form the solver's u = -i rho31
-    form is checked against."""
-    A = np.empty((oc.shape[0], 2, 2), dtype=complex)
-    A[:, 0, 0] = -(med.gamma_decay / 2.0 + 1j * med.delta_p)
-    A[:, 0, 1] = 0.5j * oc
-    A[:, 1, 0] = 0.5j * np.conj(oc)
-    A[:, 1, 1] = 1j * (med.delta_c - med.delta_p + 1j * med.gamma_ground)
-    return A
+def rho31_element_matrix(oc: np.ndarray, med: MediumParams, c: complex,
+                         Q: np.ndarray) -> np.ndarray:
+    """Matrix B of d(rho31, rho21)/dT = B (rho31, rho21) + (i/2) Omega_first
+    e_31 for the coherences of one element under the control ``oc`` at its
+    nodes, with the field at its nodes Omega_first + c Q rho31, in the rho31
+    form the solver's u = -i rho31 form is checked against."""
+    n = oc.size
+    B = np.zeros((2 * n, 2 * n), dtype=complex)
+    B[:n, :n] = 0.5j * c * Q
+    B[:n, :n] += np.diag(np.full(n, -(med.gamma_decay / 2.0 + 1j * med.delta_p)))
+    B[:n, n:] = np.diag(0.5j * oc)
+    B[n:, :n] = np.diag(0.5j * np.conj(oc))
+    B[n:, n:] = np.diag(np.full(n, 1j * (med.delta_c - med.delta_p + 1j * med.gamma_ground)))
+    return B
 
 
-def rho31_rk4_map(A: np.ndarray, dt: float) -> np.ndarray:
-    """One classical-RK4 step of the rho31 form under the constant ``A`` with
-    the probe linear across the step, as y of shape (nz, 2, 4): rho_{n+1} =
-    M rho_n + V0 Omega_p(t_n) + V1 Omega_p(t_{n+1}) for M = y[:, :, :2],
-    V0 = y[:, :, 2], V1 = y[:, :, 3], under the drive (i/2) Omega_p."""
-    y = np.zeros((A.shape[0], 2, 4), dtype=complex)
-    y[:, 0, 0] = y[:, 1, 1] = 1.0
-    drive = np.zeros((3, 2, 4), dtype=complex)  # (i/2) Omega_p at t0, t_half, t1
-    drive[0, 0, 2] = drive[2, 0, 3] = 0.5j
-    drive[1, 0, 2:] = 0.25j
-    k1 = A @ y + drive[0]
-    k2 = A @ (y + 0.5 * dt * k1) + drive[1]
-    k3 = A @ (y + 0.5 * dt * k2) + drive[1]
-    k4 = A @ (y + dt * k3) + drive[2]
-    y += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+def rho31_step_map(B: np.ndarray, dt: float) -> np.ndarray:
+    """One step of dt of d rho/dT = B rho + (i/2) v(T) e_31 with v the cubic
+    through (v, v') at both ends, by ``scipy.linalg.expm`` of the system
+    augmented with v and its first three derivatives: returns the 2n x 2n + 4
+    map from (rho, v(t0), v'(t0), v(t1), v'(t1)) to the new rho."""
+    m = B.shape[0]
+    aug = np.zeros((m + 4, m + 4), dtype=complex)
+    aug[:m, :m] = B
+    aug[:m // 2, m] = 0.5j
+    aug[m:m + 3, m + 1:m + 4] = np.eye(3)
+    X = expm(dt * aug)
+    # the cubic's value and three derivatives at t0 from its two end pairs
+    ends = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                     [1.0, dt, dt**2, dt**3], [0.0, 1.0, 2 * dt, 3 * dt**2]])
+    taylor = np.diag([1.0, 1.0, 2.0, 6.0]) @ np.linalg.inv(ends)
+    return np.concatenate((X[:m, :m], X[:m, m:] @ taylor), axis=1)
 
 
 def unfused_step_loop(scenario: Scenario):
     """(times, probe_in, probe_out, rho31, rho21) after every step of
     ``step_plan(scenario)``, at the distinct z nodes, from the solver's scheme
-    written one quantity at a time in the rho31 form, in complex arithmetic.
+    written one step and one element at a time in the rho31 form, in complex
+    arithmetic.
 
     The solver steps u = -i rho31 from the probe's unit envelope and scales
     by the amplitude at the end; this loop steps rho31 and rho21 under the
-    amplitude's own probe (``rho31_coherence_matrix``, ``rho31_rk4_map``), so
+    amplitude's own probe (``rho31_element_matrix``, ``rho31_step_map``), so
     it checks that change of variables.  It shares ``step_plan`` and
     ``_gll_rule`` with the solver, with a ramp step frozen at the gain of its
-    midpoint, as the solver does: per step, w = M11 rho31 + M12 rho21
-    + V01 Omega_p(t0); the predictor rho31 = w + V11 Omega_p(t0) gives the
-    predicted field at the step end; the corrector puts that field in place
-    of V11's and V12's Omega_p(t1); and each field rebuild adds the field
-    gained inside every element to a running sum of the element totals,
-    seeded with the boundary value.  The solver chains transfer maps of
-    many steps through the elements instead, so the two agree to rounding,
-    not bitwise; the boundary values are evaluated per piece, as the solver
-    does.
+    midpoint, as the solver does.  Per step, the field and its T-derivative
+    at every element's first node at the step start are rebuilt from the
+    whole state under the step's gain (a running sum of the element totals,
+    seeded with the boundary probe and its derivative), so a gain change
+    needs no special case; then element 0, 1, ... steps exactly under the
+    cubic through its first-node pairs at both ends, the end pair being the
+    element before's last-node field and derivative at the step end (the
+    boundary probe's for element 0).  The solver chains transfer maps of
+    many steps through the elements instead, and carries the derivative
+    from step to step, so the two agree to rounding, not bitwise.
     """
     med, sched = scenario.medium, scenario.schedule
-    probe = scenario.probe.boundary_value
+    probe = scenario.probe
     p = GLL_ORDER
+    n = p + 1
     E = scenario.grid.nz // p
     x, Q = _gll_rule(p)
     h = med.length / E
+    c = 0.5j * med.eta * h  # the field gained inside an element is c Q rho31
     zs = np.append((np.arange(E)[:, None] * h + 0.5 * h * (x[:-1] + 1.0)).ravel(),
                    med.length)
-    stored = (np.arange(E)[:, None] * p + np.arange(p + 1)).ravel()
+    stored = (np.arange(E)[:, None] * p + np.arange(n)).ravel()
     distinct = np.append(np.arange(E * p) + np.arange(E * p) // p, stored.size - 1)
-    prof = np.asarray(scenario.profile.value(zs, med.length), dtype=float)[stored]
-    iQ = (0.5j * med.eta * h) * Q.T
-
-    def step_map(gain, dt):
-        return rho31_rk4_map(rho31_coherence_matrix(gain * prof, med), dt).transpose(1, 2, 0)
+    prof = np.asarray(scenario.profile.value(zs, med.length), dtype=float)[stored].reshape(E, n)
 
     def field(r31, boundary):
-        gained = r31.reshape(E, p + 1) @ iQ
+        gained = c * (r31 @ Q.T)
         edge = np.cumsum(np.concatenate(([boundary], gained[:-1, p])))
-        return (edge[:, None] + gained).ravel()
+        return edge[:, None] + gained
 
-    r31 = np.zeros(stored.size, dtype=complex)
-    r21 = np.zeros(stored.size, dtype=complex)
-    op = np.full(stored.size, probe(0.0), dtype=complex)
-    times, pin, out = [0.0], [op[0]], [op[-1]]
-    s31, s21 = [r31[distinct]], [r21[distinct]]
+    def slope(r31, r21, fld, oc):
+        """d rho31 / dT at the nodes under the control ``oc`` there."""
+        return -(med.gamma_decay / 2.0 + 1j * med.delta_p) * r31 + 0.5j * (oc * r21 + fld)
+
+    @functools.cache
+    def maps(gain, dt):
+        return [rho31_step_map(rho31_element_matrix(gain * prof[e], med, c, Q), dt)
+                for e in range(E)]
+
+    r31 = np.zeros((E, n), dtype=complex)
+    r21 = np.zeros((E, n), dtype=complex)
+    start = (probe.boundary_value(0.0), probe.boundary_derivative(0.0))
+    times, pin, out = [0.0], [start[0]], [start[0]]
+    s31, s21 = [r31.ravel()[distinct]], [r21.ravel()[distinct]]
     for ta, _, steps, dt, gain in step_plan(scenario):
         t1s = ta + dt * np.arange(1, steps + 1)
-        boundary = probe(t1s)
-        if gain is not None:
-            coef = step_map(gain, dt)
-        for n in range(steps):
-            if gain is None:  # a ramp step under the gain at its midpoint
-                coef = step_map(sched.gain(ta + n * dt + dt / 2), dt)
-            (M11, M12, V01, V11), (M21, M22, V02, V12) = coef
-            w = M11 * r31 + M12 * r21 + V01 * op
-            predicted = field(w + V11 * op, boundary[n])
-            r31, r21 = (w + V11 * predicted,
-                        M21 * r31 + M22 * r21 + V02 * op + V12 * predicted)
-            op = field(r31, boundary[n])
-            times.append(t1s[n])
-            pin.append(boundary[n])
-            out.append(op[-1])
-            s31.append(r31[distinct])
-            s21.append(r21[distinct])
+        boundary = (probe.boundary_value(t1s), probe.boundary_derivative(t1s))
+        for k in range(steps):
+            g = gain if gain is not None else sched.gain(ta + k * dt + dt / 2)  # a ramp step
+            fld = field(r31, start[0])
+            dfld = field(slope(r31, r21, fld, g * prof), start[1])
+            start = end = (boundary[0][k], boundary[1][k])
+            for e, F in enumerate(maps(g, dt)):
+                rho = F @ np.concatenate((r31[e], r21[e],
+                                          [fld[e, 0], dfld[e, 0], end[0], end[1]]))
+                r31[e], r21[e] = rho[:n], rho[n:]
+                inner = end[0] + c * (Q @ r31[e])
+                end = (inner[-1],
+                       end[1] + c * (Q[-1] @ slope(r31[e], r21[e], inner, g * prof[e])))
+            times.append(t1s[k])
+            pin.append(start[0])
+            out.append(end[0])
+            s31.append(r31.ravel()[distinct])
+            s21.append(r21.ravel()[distinct])
     return np.array(times), np.array(pin), np.array(out), np.array(s31), np.array(s21)
 
 

@@ -331,7 +331,7 @@ def test_compare_meets_the_closed_form_gate_past_the_probe_window(tmp_path):
     # the full-length oracle-ats run: the coherences at L/2 are scored from
     # where the probe tail is, 8 widths past the probe center, so no sample
     # of the entering probe, where the impulse forms do not hold, weighs in
-    # (measured 0.0285 rho31 and 0.0144 rho21 against the 5% gate)
+    # (measured 0.0281 rho31 and 0.0147 rho21 against the 5% gate)
     out = tmp_path / "cmp"
     assert main(["compare", "oracle-ats", "--output", str(out)]) == 0
     res = json.loads((out / "compare_residuals.json").read_text())

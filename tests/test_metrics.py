@@ -339,13 +339,14 @@ def test_a_ripple_on_the_forward_lobe_opens_the_window_where_it_dips(notch, t_pe
     assert m.echo_peak_time == pytest.approx(t_peak, abs=1e-3)
 
 
-@pytest.mark.parametrize("point, t_echo, width", [(5, 0.0964, 0.0250), (11, 0.0794, 0.01035)],
+@pytest.mark.parametrize("point, t_echo, width", [(5, 0.0964, 0.02494), (11, 0.0794, 0.01035)],
                          ids=["xi1000-zeta250", "xi2000-zeta500"])
 def test_fig4a_coarse_echoes_are_scored_past_the_forward_emission(
         fig4a_coarse_record, point, t_echo, width):
     # from the flip at 0.065, point 5 was scored on its forward lobe at
     # 0.0686 (width 0.0090); from 0.075 the window opened on the echo of
-    # point 11 and clipped its width to 0.00936
+    # point 11 and clipped its width to 0.00936 (the method-of-lines
+    # reference on point 5's record times reads 0.0964 and 0.02494)
     m = compute_echo_metrics(fig4a_coarse_record(point), flip=0.065, t_cut=0.065)
     assert m.echo_peak_time == pytest.approx(t_echo, abs=5e-4)
     assert m.echo_fwhm == pytest.approx(width, rel=2e-3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradecho.model import (ControlSchedule, GaussianBeam, GridSpec, Linear,
+from gradecho.model import (CONTROL_STEP, ControlSchedule, GaussianBeam, GridSpec, Linear,
                             MediumParams, ProbePulse, Scenario, Uniform,
                             scale_scenario, validate_scenario)
 from gradecho.scenarios import builtin_scenario
@@ -141,10 +141,11 @@ def test_validate_broadband_ordering_warning():
 
 
 def test_validate_grid_under_resolution_error():
-    s = small_scenario(grid=GridSpec(t_end=2.0, nz=128, dt=0.06))
-    # dt * max|Omega_c| = 0.12 > 0.1 and dt > width/20
-    issues = validate_scenario(s)
-    assert any(i.severity == "error" for i in issues)
+    # max|Omega_c| = 2, so dt * max|Omega_c| = 1.2 CONTROL_STEP; and dt > width/20
+    s = small_scenario(grid=GridSpec(t_end=2.0, nz=128, dt=0.6 * CONTROL_STEP))
+    errors = [i.message for i in validate_scenario(s) if i.severity == "error"]
+    assert any("control field" in m and m.endswith(f"> {CONTROL_STEP:g}") for m in errors)
+    assert any("under-resolves the probe" in m for m in errors)
 
 
 def test_validate_decay_window_warning():
@@ -205,6 +206,26 @@ def test_probe_pulse_boundary_and_area():
     assert p.area == pytest.approx(2.0 * 0.5 * math.sqrt(math.pi))
     with pytest.raises(ValueError):
         ProbePulse(width=-1.0)
+
+
+@pytest.mark.parametrize("amplitude", [2.0, 0.3 - 1.7j])
+def test_probe_pulse_boundary_derivative(amplitude):
+    # the closed form -2 (t - t0) / w^2 times the envelope, a scalar for a
+    # scalar t and an array for an array, and within 1e-9 of a central
+    # difference of boundary_value at h = 1e-5 widths
+    p = ProbePulse(amplitude=amplitude, center_time=1.0, width=0.5)
+    d = p.boundary_derivative(1.25)
+    assert isinstance(d, complex)
+    assert d == pytest.approx(-2.0 * 0.25 / 0.25 * amplitude * math.exp(-0.25), rel=1e-15)
+    assert p.boundary_derivative(1.0) == 0.0
+    t = np.linspace(-1.0, 3.0, 41)
+    got = p.boundary_derivative(t)
+    assert isinstance(got, np.ndarray) and got.shape == t.shape
+    scalars = np.array([p.boundary_derivative(x) for x in t])
+    assert np.max(np.abs(got - scalars)) <= 1e-15 * np.max(np.abs(got))
+    h = 5e-6
+    central = (p.boundary_value(t + h) - p.boundary_value(t - h)) / (2 * h)
+    assert np.max(np.abs(got - central)) <= 1e-9 * abs(amplitude) / p.width
 
 
 def test_gridspec_invariants():

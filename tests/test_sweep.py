@@ -5,7 +5,7 @@ import pytest
 
 import gradecho.sweep
 from gradecho.metrics import compute_echo_metrics
-from gradecho.model import MediumParams
+from gradecho.model import CONTROL_STEP, MediumParams
 from gradecho.solver import integrate
 from gradecho.scenarios import builtin_scenario, builtin_sweep
 from gradecho.sweep import (PointResult, SweepSpec, _longest_first,
@@ -142,7 +142,8 @@ def test_a_point_that_fails_validation_is_an_error_row():
     rows = run_sweep(SweepSpec(base=small_scenario(), axes=(("grid.dt", (0.5, 0.001)),))).rows
     assert rows[0] == PointResult(
         0, {"grid.dt": 0.5}, None, {},
-        error="validation: grid under-resolves the control field: dt*max|Omega_c| = 1 > 0.1; "
+        error="validation: grid under-resolves the control field: dt*max|Omega_c| = 1 > "
+              f"{CONTROL_STEP:g}; "
               "grid under-resolves the probe: dt = 0.5 > width/20 = 0.0025")
     assert rows[1].error is None and rows[1].metrics is not None
 
@@ -198,10 +199,10 @@ def test_checkpoint_of_another_spec_is_refused(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match="another sweep spec"):
         run_sweep(_spec(tmp_path, xis=(20.0,)))
     # so is one of the same spec written by another version, here the last
-    # one: its rows may differ and must not be mixed (0.5.5 steps a detuned
-    # point more finely)
+    # one: its rows differ and must not be mixed (0.8.0 steps every point
+    # under another scheme and step plan)
     ckpt.unlink()
-    monkeypatch.setattr(gradecho.sweep, "__version__", "0.5.4")
+    monkeypatch.setattr(gradecho.sweep, "__version__", "0.7.0")
     run_sweep(_spec(tmp_path, xis=(20.0,)))
     monkeypatch.undo()
     with pytest.raises(ValueError, match="gradecho version"):
